@@ -43,18 +43,18 @@ def _lo(ctx):
 def _build(secret):
     machine = presets.tiny_machine()
     kernel = Kernel(machine, TimeProtectionConfig.full())
-    kernel.capture_footprints = True
     hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=3000)
     lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=3000)
     kernel.create_thread(hi, _hi, params={"secret": secret})
     kernel.create_thread(lo, _lo)
     kernel.set_schedule(0, [(hi, None), (lo, None)])
-    kernel.run(max_cycles=450_000)
     return kernel
 
 
 def _prove():
-    return prove_time_protection(_build, secrets=[1, 7, 19, 42], observer="Lo")
+    return prove_time_protection(
+        _build, secrets=[1, 7, 19, 42], observer="Lo", max_cycles=450_000
+    )
 
 
 def test_e8_proof_of_time_protection(benchmark):

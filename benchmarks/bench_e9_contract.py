@@ -14,7 +14,7 @@ from repro.kernel import TimeProtectionConfig
 
 from _common import run_once
 
-from tests.conftest import build_two_domain_system
+from tests.conftest import MAX_CYCLES, boot_two_domain_system
 
 VIOLATIONS = [
     ("unflushable prefetcher", presets.tiny_unflushable_machine, "PO-1"),
@@ -27,11 +27,12 @@ def _prove_all():
     reports = {}
     for name, factory, _expected in VIOLATIONS:
         reports[name] = prove_time_protection(
-            lambda s, factory=factory: build_two_domain_system(
+            lambda s, factory=factory: boot_two_domain_system(
                 s, TimeProtectionConfig.full(), machine_factory=factory
             ),
             secrets=[1, 9],
             observer="Lo",
+            max_cycles=MAX_CYCLES,
         )
     return reports
 

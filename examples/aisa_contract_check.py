@@ -57,7 +57,6 @@ def build_on(machine_factory):
         kernel.create_thread(hi, hi_program, params={"secret": secret})
         kernel.create_thread(lo, lo_program)
         kernel.set_schedule(0, [(hi, None), (lo, None)])
-        kernel.run(max_cycles=350_000)
         return kernel
 
     return build
@@ -72,7 +71,8 @@ def main():
         for element in model.unmanaged():
             print(f"    unmanaged state: {element.name}")
         report = prove_time_protection(
-            build_on(factory), secrets=[2, 11], observer="Lo"
+            build_on(factory), secrets=[2, 11], observer="Lo",
+            max_cycles=350_000,
         )
         print(f"  proof outcome:   {'THEOREM HOLDS' if report.holds else 'FAILS'}")
         for obligation in report.failed_obligations():

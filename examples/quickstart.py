@@ -6,7 +6,8 @@ This walks the library's whole surface in one sitting:
 1. build a machine (the microarchitectural simulator),
 2. boot the kernel with full time protection,
 3. create a Hi domain (holding a secret) and a Lo domain (the observer),
-4. run, then ask the proof engine whether Lo could have learnt anything.
+4. ask the proof engine, which runs the system once per secret, whether
+   Lo could have learnt anything.
 
 Run it twice mentally: once as written (the theorem holds), then flip
 ``PROTECTED`` to False and watch the proof fail with concrete
@@ -43,30 +44,29 @@ def lo_program(ctx):
     yield Halt()
 
 
-def build_and_run(secret):
-    """Build the *whole system* for one value of Hi's secret and run it.
+def build(secret):
+    """Boot the *whole system* for one value of Hi's secret.
 
-    The proof engine calls this repeatedly with different secrets; any
-    difference Lo can observe between those runs is interference.
+    The proof engine calls this once per distinct secret and runs the
+    result itself; any difference Lo can observe between those runs is
+    interference.
     """
     machine = presets.tiny_machine()
     tp = TimeProtectionConfig.full() if PROTECTED else TimeProtectionConfig.none()
     kernel = Kernel(machine, tp)
-    kernel.capture_footprints = True  # enables the Sect. 5.2 case-split audit
 
     hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=3000)
     lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=3000)
     kernel.create_thread(hi, hi_program, params={"secret": secret})
     kernel.create_thread(lo, lo_program)
     kernel.set_schedule(0, [(hi, None), (lo, None)])
-    kernel.run(max_cycles=400_000)
     return kernel
 
 
 def main():
     print(f"time protection: {'ON' if PROTECTED else 'OFF'}")
     report = prove_time_protection(
-        build_and_run, secrets=[1, 7, 23], observer="Lo"
+        build, secrets=[1, 7, 23], observer="Lo", max_cycles=400_000
     )
     print(format_report(report, verbose=True))
     if report.holds:

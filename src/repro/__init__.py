@@ -30,8 +30,10 @@ Quickstart::
     from repro import presets, Kernel, TimeProtectionConfig
     from repro.core import prove_time_protection, format_report
 
-    # build a system builder (see examples/quickstart.py), then:
-    report = prove_time_protection(build_and_run, secrets=[1, 7], observer="Lo")
+    # a builder boots (does not run) the system; see examples/quickstart.py
+    report = prove_time_protection(
+        build, secrets=[1, 7], observer="Lo", max_cycles=400_000
+    )
     print(format_report(report))
 """
 

@@ -250,12 +250,13 @@ def _run_batch_step() -> int:
 
 def _run_batch_secret_swap():
     # The batched sweep's reason to exist: N-secret noninterference on
-    # the e2 prime+probe workload, run once as a scalar loop (2(N-1)
-    # full runs) and once as a single N-lane lockstep batch.  The
-    # scenario *asserts* the two verdict lists are identical -- a
-    # regression here fails the bench, not just the tests -- and reports
-    # the measured speedup as a side metric.  Ops counts the simulated
-    # steps of both sides, so ns/op stays comparable across scenarios.
+    # the e2 prime+probe workload, run once as the scalar sweep (one run
+    # per distinct secret: 8 here, since lanes use ``secret % sets``)
+    # and once as a single N-lane lockstep batch.  The scenario
+    # *asserts* the two verdict lists are identical -- a regression here
+    # fails the bench, not just the tests -- and reports the measured
+    # speedup as a side metric.  Ops counts the simulated steps of both
+    # sides, so ns/op stays comparable across scenarios.
     import time
 
     from ..core.noninterference import batched_secret_sweep, sweep_secrets
@@ -293,15 +294,9 @@ def _run_batch_secret_swap():
         kernel.set_schedule(0, [(hi, None), (lo, None)])
         return kernel
 
-    def build_and_run(secret: int) -> Kernel:
-        kernel = build(secret)
-        kernel.run(max_cycles=max_cycles)
-        counter(kernel)
-        return kernel
-
     secrets = [secret % geometry.sets for secret in range(n_lanes)]
     scalar_started = time.perf_counter()
-    scalar = sweep_secrets(build_and_run, secrets, "Lo")
+    scalar = sweep_secrets(build, secrets, "Lo", max_cycles, on_kernel=counter)
     batched_started = time.perf_counter()
     batched = batched_secret_sweep(
         build, secrets, "Lo", max_cycles, on_kernel=counter

@@ -86,8 +86,14 @@ class ResultStore:
             self._cache_records is not None
             and self._signature() == self._cache_signature
         )
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        with open(self.path, "ab+") as handle:
+            # A crash mid-append leaves a torn last line with no newline:
+            # terminate it, or this record would be glued onto it.
+            if handle.seek(0, os.SEEK_END) > 0:
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    handle.write(b"\n")
+            handle.write((line + "\n").encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
         if cache_valid:

@@ -98,17 +98,15 @@ def _lo_program(ctx):
     yield Halt()
 
 
-def _build_standard_system(machine_factory, tp, max_cycles):
+def _build_standard_system(machine_factory, tp):
     def build(secret):
         machine = machine_factory()
         kernel = Kernel(machine, tp)
-        kernel.capture_footprints = True
         hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=3000)
         lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=3000)
         kernel.create_thread(hi, _hi_program, params={"secret": secret})
         kernel.create_thread(lo, _lo_program)
         kernel.set_schedule(0, [(hi, None), (lo, None)])
-        kernel.run(max_cycles=max_cycles)
         return kernel
 
     return build
@@ -121,9 +119,10 @@ def cmd_prove(args) -> int:
     tp = TP_CONFIGS[args.tp]()
     secrets = [int(s) for s in args.secrets.split(",")]
     report = prove_time_protection(
-        _build_standard_system(machine_factory, tp, args.max_cycles),
+        _build_standard_system(machine_factory, tp),
         secrets=secrets,
         observer="Lo",
+        max_cycles=args.max_cycles,
     )
     if args.format == "json":
         print(format_report_json(report))

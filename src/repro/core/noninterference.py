@@ -21,8 +21,9 @@ of :mod:`repro.core.unwinding` explains *why*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..hardware.state import InstrumentationMode
 from ..kernel.kernel import Kernel
 
 
@@ -180,19 +181,59 @@ def secret_swap_experiment(
     )
 
 
+def _run_unrecorded(
+    kernel: Kernel,
+    max_cycles: int,
+    on_kernel: Optional[Callable[[Kernel], None]],
+) -> Kernel:
+    """Run a booted system without recording any proof evidence.
+
+    :func:`compare_finished_runs` reads only observation traces and
+    switch records, so step footprints and the touch recorder are off;
+    neither changes a simulated result.
+    """
+    kernel.capture_footprints = False
+    kernel.machine.instrumentation.mode = InstrumentationMode.OFF
+    kernel.run(max_cycles=max_cycles)
+    if on_kernel is not None:
+        on_kernel(kernel)
+    return kernel
+
+
 def sweep_secrets(
-    build_and_run: Callable[[Any], Kernel],
+    build: Callable[[Any], Kernel],
     secrets: Sequence[Any],
     observer_domain: str,
+    max_cycles: int,
+    baseline: Optional[Kernel] = None,
+    on_kernel: Optional[Callable[[Kernel], None]] = None,
 ) -> List[NonInterferenceResult]:
-    """Pairwise secret-swap against the first secret as the baseline."""
+    """Secret-swap every ``secrets[1:]`` entry against ``secrets[0]``.
+
+    ``build(secret)`` boots the whole system exactly like
+    :func:`batched_secret_sweep`'s builder and must NOT run it.  The
+    simulator is deterministic, so every distinct secret is built and
+    run exactly once: ``secrets[0]`` once (not at all when ``baseline``
+    is its already-run kernel), each other secret once, and a repeated
+    secret reuses its first result.  At most the baseline and one other
+    kernel are alive at a time.  Results follow ``secrets[1:]`` order,
+    repeats included.  ``on_kernel`` sees each kernel the sweep runs.
+    """
     if len(secrets) < 2:
         raise ValueError("need at least two secrets to compare")
-    baseline = secrets[0]
-    return [
-        secret_swap_experiment(build_and_run, baseline, other, observer_domain)
-        for other in secrets[1:]
-    ]
+    reference = secrets[0]
+    if baseline is None:
+        baseline = _run_unrecorded(build(reference), max_cycles, on_kernel)
+    by_secret: Dict[Any, NonInterferenceResult] = {}
+    for other in secrets[1:]:
+        if other not in by_secret:
+            by_secret[other] = compare_finished_runs(
+                baseline,
+                baseline if other == reference
+                else _run_unrecorded(build(other), max_cycles, on_kernel),
+                reference, other, observer_domain,
+            )
+    return [by_secret[other] for other in secrets[1:]]
 
 
 def batched_secret_swap(
@@ -225,8 +266,8 @@ def batched_secret_sweep(
     sweep boots one lane per secret and steps every lane in lockstep
     through the vectorized batch engine, then compares each lane against
     the ``secrets[0]`` baseline lane.  With a deterministic builder the
-    verdicts are bit-identical to :func:`sweep_secrets` (the baseline is
-    built once instead of once per pair -- the builds are equal).
+    verdicts are bit-identical to :func:`sweep_secrets` (which runs each
+    distinct secret once; here every lane runs, repeats included).
 
     Workloads outside the batch envelope fall back to scalar runs of
     freshly built systems, so callers never see

@@ -1,17 +1,19 @@
 """The top-level "proof" of time protection for a configured system.
 
 This assembles the paper's whole argument (Sect. 5) into one executable
-artefact.  Given a *system builder* -- a function that constructs, runs
-and returns a complete system for a given Hi secret -- the prover:
+artefact.  Given a *system builder* -- a function that boots, but does
+not run, a complete system for a given Hi secret -- the prover:
 
 1. extracts the abstract hardware model and checks aISA conformance
    (PO-1);
-2. runs the system and discharges the mechanism obligations PO-2..PO-7
-   from the run's evidence (touch logs, switch records, IRQ records);
-3. audits the Sect. 5.2 case split over the captured step footprints;
+2. runs the first secret's system and discharges the mechanism
+   obligations PO-2..PO-7 from the run's evidence (touch logs, switch
+   records, IRQ records);
+3. audits the Sect. 5.2 case split over that run's step footprints;
 4. checks the switch-boundary unwinding conditions for the observer;
-5. runs the two-run secret-swap experiments and requires Lo's entire
-   observation trace (values *and* timestamps) to be identical.
+5. runs every other distinct secret once and requires Lo's entire
+   observation trace (values *and* timestamps) to be identical to the
+   first run's.
 
 The theorem "time protection holds" is reported only when every part
 passes; otherwise the report carries the failed obligations and concrete
@@ -48,7 +50,7 @@ class ProofReport:
     holds: bool
     model_summary: dict
     obligations: List[ObligationResult]
-    case_split: Optional[CaseSplitAudit]
+    case_split: CaseSplitAudit
     unwinding: Optional[UnwindingCheck]
     noninterference: List[NonInterferenceResult]
     assumptions: Sequence[str] = STANDING_ASSUMPTIONS
@@ -70,49 +72,57 @@ class ProofReport:
 class TimeProtectionProof:
     """Prove (or refute) time protection for a system builder.
 
+    The prover owns the runs it judges.  It runs ``secrets[0]`` with
+    step footprints captured and the touch recorder on, discharges the
+    obligations, case split and unwinding conditions from that run, then
+    hands it to :func:`sweep_secrets` as every pair's baseline; the other
+    secrets run once each with no evidence recorded.
+
     Args:
-        build_and_run: ``build_and_run(secret) -> Kernel`` -- constructs
-            the complete system with the Hi secret set to ``secret``,
-            runs it to completion, and returns the kernel.  The builder
-            must be deterministic apart from the secret.
+        build: ``build(secret) -> Kernel`` -- boots the complete system
+            (machine, kernel, domains, threads, schedule) with the Hi
+            secret set to ``secret`` and returns it *without running
+            it*.  The builder must be deterministic apart from the
+            secret.
         secrets: the Hi secrets to sweep (>= 2).
         observer: the Lo domain whose observations must be invariant.
-        capture_footprints: audit the Sect. 5.2 case split (slower).
+        max_cycles: the horizon every run is stepped to.
     """
 
     def __init__(
         self,
-        build_and_run: Callable[[Any], Kernel],
+        build: Callable[[Any], Kernel],
         secrets: Sequence[Any],
         observer: str,
-        capture_footprints: bool = True,
+        max_cycles: int,
     ):
         if len(secrets) < 2:
             raise ValueError("need at least two secrets")
-        self.build_and_run = build_and_run
+        self.build = build
         self.secrets = list(secrets)
         self.observer = observer
-        self.capture_footprints = capture_footprints
+        self.max_cycles = max_cycles
 
     def prove(self) -> ProofReport:
         """Run the full argument; returns the report."""
-        reference = self._build(self.secrets[0])
+        reference = self.build(self.secrets[0])
+        reference.capture_footprints = True
+        reference.run(max_cycles=self.max_cycles)
         model = AbstractHardwareModel.from_machine(reference.machine)
         obligations = check_all(reference, model)
-        case_split: Optional[CaseSplitAudit] = None
-        if self.capture_footprints and reference.step_footprints:
-            case_split = audit(reference)
+        case_split = audit(reference)
         unwinding = (
             check_unwinding(reference, self.observer)
             if self.observer in reference.domains
             else None
         )
         noninterference = sweep_secrets(
-            self._build, self.secrets, self.observer
+            self.build, self.secrets, self.observer, self.max_cycles,
+            baseline=reference,
         )
         holds = (
             all(o.passed for o in obligations)
-            and (case_split is None or case_split.passed)
+            and case_split.passed
             and (unwinding is None or unwinding.passed)
             and all(r.holds for r in noninterference)
         )
@@ -136,23 +146,15 @@ class TimeProtectionProof:
             notes=notes,
         )
 
-    def _build(self, secret: Any) -> Kernel:
-        kernel = self.build_and_run_with_footprints(secret)
-        return kernel
-
-    def build_and_run_with_footprints(self, secret: Any) -> Kernel:
-        """Build via the user's builder; footprint capture is the builder's
-        choice (the prover degrades gracefully if none were captured)."""
-        return self.build_and_run(secret)
-
 
 def prove_time_protection(
-    build_and_run: Callable[[Any], Kernel],
+    build: Callable[[Any], Kernel],
     secrets: Sequence[Any],
     observer: str,
+    max_cycles: int,
 ) -> ProofReport:
     """Convenience wrapper: construct the prover and run it."""
     prover = TimeProtectionProof(
-        build_and_run=build_and_run, secrets=secrets, observer=observer
+        build=build, secrets=secrets, observer=observer, max_cycles=max_cycles
     )
     return prover.prove()

@@ -56,10 +56,9 @@ def format_report(report: ProofReport, verbose: bool = False) -> str:
     lines.append("Proof obligations:")
     for obligation in report.obligations:
         lines.append(indent_block(obligation))
-    if report.case_split is not None:
-        lines.append("")
-        lines.append("Case split (Sect. 5.2):")
-        lines.append(indent_block(report.case_split))
+    lines.append("")
+    lines.append("Case split (Sect. 5.2):")
+    lines.append(indent_block(report.case_split))
     if report.unwinding is not None:
         lines.append("")
         lines.append("Unwinding conditions:")
@@ -90,22 +89,20 @@ def proof_report_to_json(report: ProofReport) -> dict:
     detail the text elides (full violation lists, per-case step counts),
     so downstream tooling never needs to parse the banner format.
     """
-    case_split = None
-    if report.case_split is not None:
-        case_split = {
-            "passed": report.case_split.passed,
-            "total_steps": report.case_split.total_steps,
-            "cases": [
-                {
-                    "case": result.case,
-                    "description": result.description,
-                    "steps": result.steps,
-                    "passed": result.passed,
-                    "failures": list(result.failures),
-                }
-                for result in report.case_split.results
-            ],
-        }
+    case_split = {
+        "passed": report.case_split.passed,
+        "total_steps": report.case_split.total_steps,
+        "cases": [
+            {
+                "case": result.case,
+                "description": result.description,
+                "steps": result.steps,
+                "passed": result.passed,
+                "failures": list(result.failures),
+            }
+            for result in report.case_split.results
+        ],
+    }
     unwinding = None
     if report.unwinding is not None:
         unwinding = {

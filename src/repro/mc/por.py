@@ -51,8 +51,8 @@ def _line_signature(state: ProductState, line: int) -> Tuple:
         state.kernel_a.irq_policy.owner_of(line),
         line in irq_a._masked,
         line in irq_b._masked,
-        any(pending.line == line for pending in irq_a._pending),
-        any(pending.line == line for pending in irq_b._pending),
+        line in irq_a.pending_lines(),
+        line in irq_b.pending_lines(),
         irq_a.delivered_count.get(line, 0),
         irq_b.delivered_count.get(line, 0),
     )

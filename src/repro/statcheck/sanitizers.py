@@ -95,6 +95,14 @@ DECLASSIFIED_PARAMS: Dict[Tuple[str, str, str], str] = {
         "channel; the modelled Lo observer never sees it -- only the "
         "observation column is Lo-visible"
     ),
+    ("repro.core.noninterference", "sweep_secrets", "secrets"): (
+        "the swept secrets are the experimenter's inputs to the two-run "
+        "comparison: they choose which systems ``build`` boots, label "
+        "each verdict, and let a repeated secret reuse its first verdict; "
+        "every Lo-visible value the verdict compares is produced by the "
+        "simulated runs, whose builders and programs SC-4 checks where "
+        "they are defined"
+    ),
 }
 
 

@@ -121,6 +121,17 @@ class TestResultStore:
         assert [r["key"] for r in store.records()] == ["k1"]
         assert store.completed_keys() == {"k1"}
 
+    def test_append_after_torn_tail_survives_reopen(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        store = ResultStore(str(path))
+        store.append(self._record("a"))
+        assert store.completed_keys() == {"a"}
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "b", "status": "o')  # crash mid-append
+        store.append(self._record("c"))
+        assert store.completed_keys() == {"a", "c"}
+        assert ResultStore(str(path)).completed_keys() == {"a", "c"}
+
     def test_latest_by_key_prefers_newest(self, tmp_path):
         store = ResultStore(str(tmp_path / "r.jsonl"))
         store.append(self._record("k1", capacity=0.1))

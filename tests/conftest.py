@@ -44,18 +44,20 @@ def timing_observer(ctx):
     yield Halt()
 
 
-def build_two_domain_system(
+#: The horizon the standard system runs to.
+MAX_CYCLES = 400_000
+
+
+def boot_two_domain_system(
     secret,
     tp: TimeProtectionConfig,
-    max_cycles: int = 400_000,
     machine_factory=presets.tiny_machine,
-    capture_footprints: bool = False,
     observer_iterations: int = 120,
 ):
-    """The standard Hi/Lo system used across proof and NI tests."""
+    """The standard Hi/Lo system used across proof and NI tests, booted
+    but not run: the builder contract of the prover and the sweeps."""
     machine = machine_factory()
     kernel = Kernel(machine, tp)
-    kernel.capture_footprints = capture_footprints
     hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=3000)
     lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=3000)
     kernel.create_thread(hi, secret_striding_trojan, params={"secret": secret})
@@ -63,6 +65,23 @@ def build_two_domain_system(
         lo, timing_observer, params={"iterations": observer_iterations}
     )
     kernel.set_schedule(0, [(hi, None), (lo, None)])
+    return kernel
+
+
+def build_two_domain_system(
+    secret,
+    tp: TimeProtectionConfig,
+    max_cycles: int = MAX_CYCLES,
+    machine_factory=presets.tiny_machine,
+    capture_footprints: bool = False,
+    observer_iterations: int = 120,
+):
+    """:func:`boot_two_domain_system`, run to ``max_cycles``."""
+    kernel = boot_two_domain_system(
+        secret, tp, machine_factory=machine_factory,
+        observer_iterations=observer_iterations,
+    )
+    kernel.capture_footprints = capture_footprints
     kernel.run(max_cycles=max_cycles)
     return kernel
 

@@ -10,7 +10,11 @@ from repro.core.noninterference import (
 )
 from repro.kernel import TimeProtectionConfig
 
-from tests.conftest import build_two_domain_system
+from tests.conftest import (
+    MAX_CYCLES,
+    boot_two_domain_system,
+    build_two_domain_system,
+)
 
 
 class TestTraceDivergence:
@@ -73,13 +77,14 @@ class TestSecretSwap:
 
     def test_sweep_requires_two_secrets(self):
         with pytest.raises(ValueError):
-            sweep_secrets(lambda s: None, [1], "Lo")
+            sweep_secrets(lambda s: None, [1], "Lo", MAX_CYCLES)
 
     def test_sweep_over_many_secrets(self):
         results = sweep_secrets(
-            lambda secret: build_two_domain_system(secret, TimeProtectionConfig.full()),
+            lambda secret: boot_two_domain_system(secret, TimeProtectionConfig.full()),
             secrets=[0, 3, 11],
             observer_domain="Lo",
+            max_cycles=MAX_CYCLES,
         )
         assert len(results) == 2
         assert all(r.holds for r in results)

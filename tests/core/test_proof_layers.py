@@ -16,12 +16,28 @@ from repro.core import (
 from repro.hardware import presets
 from repro.kernel import TimeProtectionConfig
 
-from tests.conftest import build_two_domain_system
+from tests.conftest import (
+    MAX_CYCLES,
+    boot_two_domain_system,
+    build_two_domain_system,
+)
 
 
 def build(secret, tp=None, **kwargs):
     return build_two_domain_system(
         secret, tp or TimeProtectionConfig.full(), capture_footprints=True, **kwargs
+    )
+
+
+def boot(secret, tp=None, **kwargs):
+    return boot_two_domain_system(
+        secret, tp or TimeProtectionConfig.full(), **kwargs
+    )
+
+
+def prove(builder, secrets):
+    return prove_time_protection(
+        builder, secrets=secrets, observer="Lo", max_cycles=MAX_CYCLES
     )
 
 
@@ -108,18 +124,14 @@ class TestCaseSplit:
 
 class TestAssembledProof:
     def test_theorem_holds_on_protected_system(self):
-        report = prove_time_protection(build, secrets=[1, 7, 13], observer="Lo")
+        report = prove(boot, [1, 7, 13])
         assert report.holds
         assert not report.failed_obligations()
         text = format_report(report)
         assert "THEOREM HOLDS" in text
 
     def test_theorem_fails_without_protection(self):
-        report = prove_time_protection(
-            lambda s: build(s, TimeProtectionConfig.none()),
-            secrets=[1, 7],
-            observer="Lo",
-        )
+        report = prove(lambda s: boot(s, TimeProtectionConfig.none()), [1, 7])
         assert not report.holds
         assert report.failed_obligations()
         assert report.counterexamples()
@@ -133,25 +145,24 @@ class TestAssembledProof:
             "pad_switch",
         ):
             tp = TimeProtectionConfig.full().without(**{flag: False})
-            report = prove_time_protection(
-                lambda s, tp=tp: build(s, tp), secrets=[1, 7], observer="Lo"
-            )
+            report = prove(lambda s, tp=tp: boot(s, tp), [1, 7])
             assert not report.holds, f"ablating {flag} should break the proof"
 
     def test_proof_requires_two_secrets(self):
         with pytest.raises(ValueError):
-            TimeProtectionProof(build, secrets=[1], observer="Lo")
+            TimeProtectionProof(
+                boot, secrets=[1], observer="Lo", max_cycles=MAX_CYCLES
+            )
 
     def test_report_names_assumptions(self):
-        report = prove_time_protection(build, secrets=[1, 7], observer="Lo")
+        report = prove(boot, [1, 7])
         assert any("interconnect" in a for a in report.assumptions)
         assert any("padding" in a.lower() for a in report.assumptions)
 
     def test_nonconforming_hardware_noted(self):
-        report = prove_time_protection(
-            lambda s: build(s, machine_factory=presets.tiny_unflushable_machine),
-            secrets=[1, 7],
-            observer="Lo",
+        report = prove(
+            lambda s: boot(s, machine_factory=presets.tiny_unflushable_machine),
+            [1, 7],
         )
         assert not report.holds
         assert any("aISA" in note or "contract" in note for note in report.notes)

@@ -14,19 +14,24 @@ from repro.core.absmodel import AbstractHardwareModel
 from repro.hardware import Access, Compute, Halt, ReadTime, presets
 from repro.kernel import Kernel, TimeProtectionConfig
 
-from tests.conftest import build_two_domain_system
+from tests.conftest import (
+    MAX_CYCLES,
+    boot_two_domain_system,
+    build_two_domain_system,
+)
 
 
 class TestUnflushablePrefetcher:
     def test_proof_fails_naming_the_prefetcher(self):
         report = prove_time_protection(
-            lambda s: build_two_domain_system(
+            lambda s: boot_two_domain_system(
                 s,
                 TimeProtectionConfig.full(),
                 machine_factory=presets.tiny_unflushable_machine,
             ),
             secrets=[1, 9],
             observer="Lo",
+            max_cycles=MAX_CYCLES,
         )
         assert not report.holds
         po1 = report.obligations[0]
@@ -57,13 +62,14 @@ class TestBrokenFlush:
         # Residue in the "flushed" L1D carries the secret across the
         # switch: the spy's traversal time differs between secrets.
         report = prove_time_protection(
-            lambda s: build_two_domain_system(
+            lambda s: boot_two_domain_system(
                 s,
                 TimeProtectionConfig.full(),
                 machine_factory=presets.tiny_broken_flush_machine,
             ),
             secrets=[1, 9],
             observer="Lo",
+            max_cycles=MAX_CYCLES,
         )
         assert not report.holds
 
@@ -119,13 +125,14 @@ class TestSmtMachine:
 class TestNoColourLlc:
     def test_proof_fails_and_names_llc(self):
         report = prove_time_protection(
-            lambda s: build_two_domain_system(
+            lambda s: boot_two_domain_system(
                 s,
                 TimeProtectionConfig.full(),
                 machine_factory=lambda: presets.tiny_nocolour_machine(n_cores=1),
             ),
             secrets=[1, 9],
             observer="Lo",
+            max_cycles=MAX_CYCLES,
         )
         assert not report.holds
         po1 = report.obligations[0]

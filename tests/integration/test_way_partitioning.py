@@ -19,7 +19,11 @@ from repro.hardware.geometry import CacheGeometry
 from repro.hardware.state import Scope, StateCategory
 from repro.kernel import Kernel, TimeProtectionConfig
 
-from tests.conftest import build_two_domain_system
+from tests.conftest import (
+    MAX_CYCLES,
+    boot_two_domain_system,
+    build_two_domain_system,
+)
 
 WAY_TP = TimeProtectionConfig.full_with_way_partitioning()
 
@@ -110,9 +114,10 @@ class TestWayPartitionedKernel:
 
     def test_full_proof_holds(self):
         report = prove_time_protection(
-            lambda s: build_two_domain_system(s, WAY_TP),
+            lambda s: boot_two_domain_system(s, WAY_TP),
             secrets=[1, 9],
             observer="Lo",
+            max_cycles=MAX_CYCLES,
         )
         assert report.holds
 
@@ -131,13 +136,14 @@ class TestWayPartitioningClosesLlcChannel:
         # Colouring is impossible on a one-colour LLC (E9); CAT-style
         # ways still partition it, and the proof goes through again.
         report = prove_time_protection(
-            lambda s: build_two_domain_system(
+            lambda s: boot_two_domain_system(
                 s,
                 WAY_TP,
                 machine_factory=lambda: presets.tiny_nocolour_machine(n_cores=1),
             ),
             secrets=[1, 9],
             observer="Lo",
+            max_cycles=MAX_CYCLES,
         )
         assert report.holds, "\n".join(
             str(o) for o in report.failed_obligations()

@@ -99,6 +99,23 @@ class TestPartialOrderReduction:
             == off.minimal_counterexample().depth
         )
 
+    def test_multi_line_with_pending_irqs(self):
+        # A budget of two leaves IRQs pending in some states, so the line
+        # signature must read the controller's pending heap correctly.
+        spec_kwargs = dict(irq_lines=(1, 2, 3), irq_budget=2)
+        on = run("micro", "full", **spec_kwargs)
+        off = run("micro", "full", options=McOptions(por=False),
+                  **spec_kwargs)
+        assert on.stats.por_pruned > 0
+
+        def cex_depth(report):
+            cex = report.minimal_counterexample()
+            return cex.depth if cex is not None else None
+
+        assert (on.passed, on.exhaustive, cex_depth(on)) == (
+            off.passed, off.exhaustive, cex_depth(off)
+        )
+
 
 class TestBatchExpansion:
     @pytest.mark.parametrize("tp", ("no-colour", "none"))

@@ -118,13 +118,7 @@ def test_batched_sweep_matches_scalar_and_lane_order(
     """Random geometries/secrets: batch == scalar loop, any lane order."""
     tp = TimeProtectionConfig.full() if tp_full else TimeProtectionConfig.none()
     build, max_cycles = _sweep_builder(variant, tp, rounds=2)
-
-    def build_and_run(secret: int) -> Kernel:
-        kernel = build(secret)
-        kernel.run(max_cycles=max_cycles)
-        return kernel
-
-    scalar = sweep_secrets(build_and_run, secrets, "Lo")
+    scalar = sweep_secrets(build, secrets, "Lo", max_cycles)
     batched = batched_secret_sweep(build, secrets, "Lo", max_cycles)
     assert [str(r) for r in batched] == [str(r) for r in scalar]
 

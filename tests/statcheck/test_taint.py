@@ -100,7 +100,7 @@ class TestPolicyTables:
             assert justification.strip(), key
 
     def test_harness_symbols_declassifier_present(self):
-        # The one endorsed flow: the sweep's ground-truth label column.
+        # The sweep's ground-truth label column is an endorsed flow.
         assert (
             "repro.attacks.harness", "run_symbol_sweep", "symbols"
         ) in DECLASSIFIED_PARAMS
