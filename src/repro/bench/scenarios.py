@@ -158,27 +158,6 @@ def _run_mc_depth():
     }
 
 
-def _run_mc_batch_expand():
-    # Batched frontier expansion through the vectorized lockstep engine,
-    # on an uncoloured config (the batch path records no instrumentation
-    # touches, so it is gated off when the partition audit needs them).
-    # The scalar run is the reference; verdict and state count must
-    # match exactly.
-    from ..mc import McOptions, McSpec, ModelChecker
-
-    spec = McSpec.for_machine("tiny", "no-colour", secrets=(0, 1))
-    report = ModelChecker(
-        spec, options=McOptions(batch_expand=True)
-    ).run()
-    reference = ModelChecker(spec).run()
-    assert report.passed == reference.passed
-    assert report.stats.states_visited == reference.stats.states_visited
-    return report.stats.states_visited, {
-        "max_depth": report.stats.max_depth,
-        "passed": report.passed,
-    }
-
-
 def _run_synth_generation():
     # E14/E15 synthesis throughput: one seeded evolutionary generation
     # (initial population + one mutate-and-select round) on tiny with TP
@@ -227,94 +206,6 @@ def _run_statcheck_lint():
     }
 
 
-def _run_batch_step() -> int:
-    # The lockstep engine as a batch of one: the same e2 workload as
-    # ``e2_l1_primeprobe``, with every machine routed through
-    # repro.hardware.batch via the engine override.  The ratio of this
-    # bench to ``e2_l1_primeprobe`` is the batch engine's per-step tax
-    # before amortization across lanes.
-    from ..hardware.machine import engine_override
-
-    counter = _StepCounter()
-    with engine_override("batch"):
-        for tp in _both_tp_configs():
-            primeprobe.l1_experiment(
-                tp,
-                presets.tiny_machine,
-                symbols=(2, 4),
-                rounds_per_run=5,
-                on_kernel=counter,
-            )
-    return counter.steps
-
-
-def _run_batch_secret_swap():
-    # The batched sweep's reason to exist: N-secret noninterference on
-    # the e2 prime+probe workload, run once as the scalar sweep (one run
-    # per distinct secret: 8 here, since lanes use ``secret % sets``)
-    # and once as a single N-lane lockstep batch.  The scenario
-    # *asserts* the two verdict lists are identical -- a regression here
-    # fails the bench, not just the tests -- and reports the measured
-    # speedup as a side metric.  Ops counts the simulated steps of both
-    # sides, so ns/op stays comparable across scenarios.
-    import time
-
-    from ..core.noninterference import batched_secret_sweep, sweep_secrets
-
-    rounds = 3
-    hi_slice = 4000
-    n_lanes = 64
-    counter = _StepCounter()
-    geometry = presets.tiny_config().l1d_geometry
-    lo_slice = max(12000, geometry.sets * geometry.ways * 80)
-    max_cycles = rounds * 60 * lo_slice
-    tp = TimeProtectionConfig.full()
-
-    def build(secret: int) -> Kernel:
-        machine = presets.tiny_machine()
-        kernel = Kernel(machine, tp)
-        hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=hi_slice)
-        lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=lo_slice)
-        kernel.create_thread(
-            hi, primeprobe.l1_trojan, params={"symbol": secret},
-            data_pages=geometry.ways,
-        )
-        results = []
-        kernel.create_thread(
-            lo, primeprobe.l1_spy,
-            params={
-                "l1_sets": geometry.sets,
-                "prime_pages": geometry.ways,
-                "results": results,
-                "rounds": rounds,
-                "sleep_cycles": lo_slice + hi_slice // 2,
-            },
-            data_pages=geometry.ways,
-        )
-        kernel.set_schedule(0, [(hi, None), (lo, None)])
-        return kernel
-
-    secrets = [secret % geometry.sets for secret in range(n_lanes)]
-    scalar_started = time.perf_counter()
-    scalar = sweep_secrets(build, secrets, "Lo", max_cycles, on_kernel=counter)
-    batched_started = time.perf_counter()
-    batched = batched_secret_sweep(
-        build, secrets, "Lo", max_cycles, on_kernel=counter
-    )
-    batched_elapsed = time.perf_counter() - batched_started
-    scalar_elapsed = batched_started - scalar_started
-    if [str(r) for r in scalar] != [str(r) for r in batched]:
-        raise RuntimeError(
-            "batched secret sweep diverged from the scalar loop"
-        )
-    return counter.steps, {
-        "lanes": float(n_lanes),
-        "scalar_s": round(scalar_elapsed, 3),
-        "batched_s": round(batched_elapsed, 3),
-        "speedup_vs_scalar": round(scalar_elapsed / batched_elapsed, 2),
-    }
-
-
 #: Lazily-built store fixture shared across ``campaign_store`` repeats.
 _STORE_FIXTURE: Dict[str, Tuple[str, str, int]] = {}
 
@@ -343,7 +234,6 @@ def _campaign_store_fixture(n_records: int = 100_000) -> Tuple[str, str, int]:
                     "seed": i,
                     "params": {},
                     "instrumentation": "full",
-                    "engine": "scalar",
                     "derived_seed": (i * 2654435761) % (1 << 32),
                     "attempts": 1,
                     "worker": {"pid": 4242, "host": "bench"},
@@ -440,17 +330,6 @@ SCENARIOS: Dict[str, Scenario] = {
             _run_e5_switch_latency,
         ),
         Scenario(
-            "batch_step",
-            "lockstep engine as a batch of one on the e2 workload",
-            _run_batch_step,
-        ),
-        Scenario(
-            "batch_secret_swap",
-            "64-secret noninterference sweep, scalar loop vs one lockstep "
-            "batch (asserts identical verdicts)",
-            _run_batch_secret_swap,
-        ),
-        Scenario(
             "synth_generation",
             "one evolutionary generation of attack synthesis on tiny, tp none",
             _run_synth_generation,
@@ -475,12 +354,6 @@ SCENARIOS: Dict[str, Scenario] = {
             "mc_depth",
             "deeper model check on micro with two IRQ injections per path",
             _run_mc_depth,
-        ),
-        Scenario(
-            "mc_batch_expand",
-            "batched frontier expansion on uncoloured tiny vs the scalar "
-            "explorer (asserts identical verdict and state count)",
-            _run_mc_batch_expand,
         ),
         Scenario(
             "campaign_store",

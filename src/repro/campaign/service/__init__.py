@@ -15,8 +15,7 @@ This package promotes the campaign engine to a *service*:
   cross-process locking.
 * :mod:`worker` — a stdlib (``urllib``) worker loop that pulls leases,
   runs trials through the existing :func:`~repro.campaign.worker
-  .run_trial` path (batch engine where the envelope allows, scalar
-  fallback otherwise), enforces per-trial deadlines portably (child
+  .run_trial` path, enforces per-trial deadlines portably (child
   process, no ``SIGALRM``), and streams results back with bounded
   exponential backoff + seeded jitter.
 * :mod:`fleet` — ``campaign --distributed``: coordinator plus N local

@@ -68,13 +68,11 @@ def _fleet_worker_main(
     url: str,
     worker_id: str,
     backoff_seed: int,
-    engine: Optional[str],
     flush_every: int,
 ) -> int:
     worker = ServiceWorker(
         url,
         worker_id=worker_id,
-        engine=engine,
         flush_every=flush_every,
         backoff=BackoffPolicy(seed=backoff_seed),
     )
@@ -94,7 +92,6 @@ def run_distributed_campaign(
     timeout_s: float = 0.0,
     max_retries: int = 1,
     resume: bool = True,
-    engine: Optional[str] = None,
     flush_every: int = 1,
     quiet: bool = False,
     host: str = "127.0.0.1",
@@ -157,7 +154,7 @@ def run_distributed_campaign(
     def spawn(index: int):
         process = ctx.Process(
             target=_fleet_worker_main,
-            args=(server.url, f"w{index}", index, engine, flush_every),
+            args=(server.url, f"w{index}", index, flush_every),
             daemon=True,
         )
         process.start()

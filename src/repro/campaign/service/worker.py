@@ -1,10 +1,10 @@
 """The HTTP worker loop: pull leases, run trials, stream results back.
 
 Trials run through the *existing* :func:`repro.campaign.worker.run_trial`
-path — same registries, same per-trial seeding, same batch-engine
-fallback — so a record produced by a fleet worker is bit-identical
-(modulo volatile wall-clock/worker metadata) to the one the single-host
-pool would have written for the same trial spec.
+path — same registries, same per-trial seeding — so a record produced
+by a fleet worker is bit-identical (modulo volatile wall-clock/worker
+metadata) to the one the single-host pool would have written for the
+same trial spec.
 
 Two robustness mechanisms live here rather than in ``run_trial``:
 
@@ -75,7 +75,6 @@ def _failure_record(
         "seed": trial.seed,
         "params": dict(trial.params),
         "instrumentation": trial.instrumentation,
-        "engine": trial.engine,
         "derived_seed": trial.derived_seed(),
         "attempts": int(payload.get("attempt", 1)),
         "worker": {"pid": os.getpid(), "host": socket.gethostname()},
@@ -181,7 +180,6 @@ class ServiceWorker:
         self,
         coordinator_url: str,
         worker_id: str = "",
-        engine: Optional[str] = None,
         max_retries: Optional[int] = None,
         flush_every: int = 1,
         max_failures: int = 8,
@@ -193,7 +191,6 @@ class ServiceWorker:
     ):
         self.url = coordinator_url.rstrip("/")
         self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
-        self.engine = engine
         self.max_retries = max_retries
         self.flush_every = max(1, int(flush_every))
         self.max_failures = max(1, int(max_failures))
@@ -295,15 +292,6 @@ class ServiceWorker:
         heartbeat: Callable[[], None],
     ) -> Dict[str, Any]:
         executed = dict(payload)
-        relabel = (
-            self.engine is not None
-            and executed.get("engine", "scalar") != self.engine
-        )
-        if relabel:
-            # Execute on the preferred engine but keep the lease's trial
-            # identity: batch-of-N is contract-tested bit-identical to
-            # scalar, so only volatile metadata records the difference.
-            executed["engine"] = self.engine
         attempt = 1
         while True:
             executed["attempt"] = attempt
@@ -317,12 +305,6 @@ class ServiceWorker:
                 break
             attempt += 1
             self.stats.retries += 1
-        if relabel:
-            record["key"] = payload["key"]
-            record["engine"] = payload.get("engine", "scalar")
-            meta = dict(record.get("worker") or {})
-            meta["executed_engine"] = self.engine
-            record["worker"] = meta
         self.stats.trials += 1
         if record.get("status") == STATUS_OK:
             self.stats.succeeded += 1

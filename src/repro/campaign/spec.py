@@ -35,9 +35,6 @@ class TrialSpec:
     # Instrumentation fidelity: "full" (per-touch evidence, proof-ready)
     # or "counting" (aggregate counters only -- the sweep fast path).
     instrumentation: str = "full"
-    # Stepping engine: "scalar" or "batch" (lockstep numpy engine; falls
-    # back to scalar per-trial when the workload leaves its envelope).
-    engine: str = "scalar"
 
     def key(self) -> str:
         """Stable identifier used for result storage and resume."""
@@ -50,8 +47,6 @@ class TrialSpec:
         if self.instrumentation != "full":
             # Appended conditionally so pre-existing stores keep their keys.
             base += f"/instr={self.instrumentation}"
-        if self.engine != "scalar":
-            base += f"/engine={self.engine}"
         return base
 
     def derived_seed(self) -> int:
@@ -76,7 +71,6 @@ class TrialSpec:
             seed=int(payload.get("seed", 0)),
             params=dict(payload.get("params", {})),
             instrumentation=str(payload.get("instrumentation", "full")),
-            engine=str(payload.get("engine", "scalar")),
         )
 
     def validate(self) -> None:
@@ -84,11 +78,6 @@ class TrialSpec:
             raise KeyError(
                 f"unknown instrumentation {self.instrumentation!r}; "
                 f"choices: ['counting', 'full']"
-            )
-        if self.engine not in ("scalar", "batch"):
-            raise KeyError(
-                f"unknown engine {self.engine!r}; "
-                f"choices: ['batch', 'scalar']"
             )
         if self.machine not in registry.MACHINES:
             raise KeyError(
@@ -126,9 +115,6 @@ class CampaignSpec:
     # Applied to every trial in the grid; "counting" trades proof-grade
     # touch evidence for sweep throughput.
     instrumentation: str = "full"
-    # Applied to every trial in the grid; "batch" steps each trial's
-    # runs through the lockstep numpy engine where possible.
-    engine: str = "scalar"
 
     def trials(self) -> List[TrialSpec]:
         """Expand the grid, skipping core-starved (machine, attack) pairs."""
@@ -156,7 +142,6 @@ class CampaignSpec:
                             seed=int(seed),
                             params=params,
                             instrumentation=self.instrumentation,
-                            engine=self.engine,
                         )
                         trial.validate()
                         out.append(trial)
@@ -174,14 +159,13 @@ class CampaignSpec:
                 for attack, params in self.attack_params.items()
             },
             "instrumentation": self.instrumentation,
-            "engine": self.engine,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
         known = {
             "name", "machines", "tps", "attacks", "seeds", "attack_params",
-            "instrumentation", "engine",
+            "instrumentation",
         }
         unknown = set(data) - known
         if unknown:
@@ -194,7 +178,6 @@ class CampaignSpec:
             attack_params=dict(data.get("attack_params", {})),
             name=str(data.get("name", "campaign")),
             instrumentation=str(data.get("instrumentation", "full")),
-            engine=str(data.get("engine", "scalar")),
         )
 
     @classmethod

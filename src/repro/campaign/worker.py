@@ -62,7 +62,6 @@ def run_trial(payload: Mapping[str, Any]) -> Dict[str, Any]:
         "seed": trial.seed,
         "params": dict(trial.params),
         "instrumentation": trial.instrumentation,
-        "engine": trial.engine,
         "derived_seed": trial.derived_seed(),
         "attempts": attempt,
         "worker": {"pid": os.getpid(), "host": socket.gethostname()},
@@ -80,30 +79,9 @@ def run_trial(payload: Mapping[str, Any]) -> Dict[str, Any]:
         if trial.instrumentation != tp.instrumentation:
             tp = replace(tp, instrumentation=trial.instrumentation)
         machine_factory = registry.MACHINES[trial.machine]
-        if trial.engine == "scalar":
-            result = registry.ATTACKS[trial.attack].run(
-                tp, machine_factory, trial.params
-            )
-        else:
-            from ..hardware.batch import BatchUnsupported
-            from ..hardware.machine import engine_override
-
-            try:
-                with engine_override(trial.engine):
-                    result = registry.ATTACKS[trial.attack].run(
-                        tp, machine_factory, trial.params
-                    )
-            except BatchUnsupported as unsupported:
-                # Outside the batch envelope: rerun the whole trial on
-                # the scalar engine (attacks build fresh systems per
-                # symbol, so nothing partial survives), with the RNGs
-                # re-seeded so the rerun sees the trial's exact streams.
-                record["engine_fallback"] = str(unsupported)
-                _seed_rngs(trial.derived_seed())
-                with engine_override("scalar"):
-                    result = registry.ATTACKS[trial.attack].run(
-                        tp, machine_factory, trial.params
-                    )
+        result = registry.ATTACKS[trial.attack].run(
+            tp, machine_factory, trial.params
+        )
         record["status"] = STATUS_OK
         record["result"] = result.to_record()
         record["error"] = None

@@ -11,21 +11,18 @@ Ten subcommands::
     repro-tp campaign [--machines M1,M2] [--tps T1,T2] [--attacks A1,A2]
                       [--seeds 0,1] [--workers N] [--store results.jsonl]
                       [--instrumentation full|counting] [--genomes FILE]
-                      [--engine scalar|batch]
                       [--serve | --distributed] [--host H] [--port P]
                       [--shard-size N] [--lease-ttl S] [--status-interval S]
-    repro-tp work     --coordinator URL [--jobs N] [--engine scalar|batch]
-                      [--name ID] [--flush-every N] [--max-failures N]
+    repro-tp work     --coordinator URL [--jobs N] [--name ID]
+                      [--flush-every N] [--max-failures N]
     repro-tp store    {info PATH | migrate SRC DST}
     repro-tp synth    [--machine M] [--tp T] [--victim V] [--generations N]
                       [--population N] [--seed N] [--jobs N] [--save FILE]
-                      [--threshold BITS] [--engine scalar|batch]
-                      [--format text|json]
+                      [--threshold BITS] [--format text|json]
     repro-tp lint     [paths ...] [--format text|json] [--baseline FILE]
                       [--jobs N] [--strict] [--prune-baseline]
     repro-tp bench    [--record | --compare] [--benches B1,B2]
                       [--repeats N] [--tolerance F] [--file PATH]
-                      [--engine scalar|batch]
 
 ``prove`` runs the full Sect. 5 argument (obligations, case split,
 unwinding, two-run noninterference) on a standard two-domain system and
@@ -161,8 +158,6 @@ def cmd_mc(args) -> int:
         por=args.por,
         incremental=args.incremental,
         fast_clone=args.fast_clone,
-        batch_expand=args.batch_expand,
-        batch_width=args.batch_width,
     )
     options = _replace(
         base,
@@ -378,7 +373,6 @@ def cmd_campaign(args) -> int:
             attacks=attacks,
             seeds=tuple(int(s) for s in args.seeds.split(",") if s.strip()),
             instrumentation=args.instrumentation,
-            engine=args.engine,
         )
     try:
         trials = spec.trials()
@@ -421,7 +415,6 @@ def cmd_work(args) -> int:
     from .campaign.service.fleet import _fleet_worker_main
     from .campaign.service.worker import _mp_context
 
-    engine = args.engine or None
     if args.jobs > 1:
         ctx = _mp_context()
         processes = [
@@ -431,7 +424,6 @@ def cmd_work(args) -> int:
                     args.coordinator,
                     f"{args.name or 'w'}{index}",
                     args.seed + index,
-                    engine,
                     args.flush_every,
                 ),
             )
@@ -447,7 +439,6 @@ def cmd_work(args) -> int:
     worker = ServiceWorker(
         args.coordinator,
         worker_id=args.name,
-        engine=engine,
         flush_every=args.flush_every,
         max_failures=args.max_failures,
         backoff=BackoffPolicy(seed=args.seed),
@@ -529,10 +520,6 @@ def cmd_synth(args) -> int:
         evaluator = CampaignEvaluator(
             env, args.store, n_workers=args.jobs, seed=args.seed
         )
-    elif args.engine == "batch":
-        # One lockstep batch per generation; bit-identical scores to the
-        # serial map (scalar fallback outside the batch envelope).
-        evaluator = env.evaluate_population
     text = args.format == "text"
     log = print if text and not args.quiet else None
     search = EvolutionSearch(
@@ -632,12 +619,9 @@ def cmd_bench(args) -> int:
         write_baseline,
     )
 
-    from .hardware.machine import engine_override
-
     names = [b.strip() for b in args.benches.split(",") if b.strip()] or None
     try:
-        with engine_override(args.engine if args.engine != "scalar" else None):
-            results = run_benches(names, repeats=args.repeats)
+        results = run_benches(names, repeats=args.repeats)
     except KeyError as error:
         print(f"bench error: {error.args[0]}", file=sys.stderr)
         return 2
@@ -721,11 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
                     action="store_false",
                     help="snapshot states with deepcopy instead of the "
                          "hand-rolled clone")
-    mc.add_argument("--batch-expand", action="store_true",
-                    help="expand frontier waves through the vectorized "
-                         "batch engine (uncoloured configs only)")
-    mc.add_argument("--batch-width", type=int, default=32,
-                    help="max states per batched expansion wave")
     mc.add_argument("--bitstate", type=float, default=None, metavar="MB",
                     help="replace the exact visited set with a Bloom "
                          "bitstate of this many megabytes (verdicts become "
@@ -771,12 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default="full",
                           help="touch instrumentation fidelity: 'counting' "
                                "trades proof-grade evidence for throughput")
-    campaign.add_argument("--engine", choices=("scalar", "batch"),
-                          default="scalar",
-                          help="stepping engine for every trial; 'batch' "
-                               "uses the lockstep numpy engine and falls "
-                               "back to scalar per-trial outside its "
-                               "envelope")
     campaign.add_argument("--workers", type=int, default=0,
                           help="worker processes (0 = one per available CPU)")
     campaign.add_argument("--store", default="campaign_results.jsonl",
@@ -827,10 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="coordinator base URL (printed by campaign --serve)")
     work.add_argument("--jobs", type=int, default=1,
                       help="worker processes to run against the coordinator")
-    work.add_argument("--engine", choices=("", "scalar", "batch"), default="",
-                      help="execute trials on this engine regardless of the "
-                           "lease's label (records keep the lease identity; "
-                           "batch is contract-tested bit-identical)")
     work.add_argument("--name", default="",
                       help="worker id prefix (default: host:pid)")
     work.add_argument("--seed", type=int, default=0,
@@ -880,11 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--jobs", type=int, default=1,
                        help="campaign-pool workers per generation "
                             "(1 = in-process serial)")
-    synth.add_argument("--engine", choices=("scalar", "batch"),
-                       default="scalar",
-                       help="generation evaluator: 'batch' scores each "
-                            "generation as one lockstep batch (ignored "
-                            "when --jobs > 1)")
     synth.add_argument("--store", default="synth_fitness.jsonl",
                        help="JSONL fitness cache for --jobs > 1")
     synth.add_argument("--threshold", type=float, default=-1.0,
@@ -941,10 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated bench names (default: all)")
     bench.add_argument("--repeats", type=int, default=3,
                        help="timed runs per bench (median is kept)")
-    bench.add_argument("--engine", choices=("scalar", "batch"),
-                       default="scalar",
-                       help="force every machine a scenario builds onto "
-                            "this stepping engine")
     bench.add_argument("--tolerance", type=float, default=1.0,
                        help="allowed slowdown fraction for --compare "
                             "(1.0 = fail only beyond 2x baseline)")

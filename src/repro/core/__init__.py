@@ -20,8 +20,6 @@ from .invariants import (
 from .noninterference import (
     Divergence,
     NonInterferenceResult,
-    batched_secret_swap,
-    batched_secret_sweep,
     compare_finished_runs,
     secret_swap_experiment,
     sweep_secrets,
@@ -93,8 +91,6 @@ __all__ = [
     "po6_interrupt_partitioning",
     "po7_kernel_shared_determinism",
     "prove_time_protection",
-    "batched_secret_swap",
-    "batched_secret_sweep",
     "compare_finished_runs",
     "secret_swap_experiment",
     "sweep_secrets",

@@ -130,8 +130,8 @@ def compare_finished_runs(
     """Compare Lo's world across two already-run kernels.
 
     The comparison half of :func:`secret_swap_experiment`, factored out
-    so the batched sweep (all lanes stepped by one lockstep run) and the
-    scalar two-run path judge divergence with the same code.
+    so :func:`sweep_secrets` (which reuses one baseline run for every
+    pair) and the two-run path judge divergence with the same code.
     """
     trace_a = kernel_a.observation_trace(observer_domain)
     trace_b = kernel_b.observation_trace(observer_domain)
@@ -210,8 +210,8 @@ def sweep_secrets(
 ) -> List[NonInterferenceResult]:
     """Secret-swap every ``secrets[1:]`` entry against ``secrets[0]``.
 
-    ``build(secret)`` boots the whole system exactly like
-    :func:`batched_secret_sweep`'s builder and must NOT run it.  The
+    ``build(secret)`` constructs the whole system exactly like
+    :func:`secret_swap_experiment`'s builder but must NOT run it.  The
     simulator is deterministic, so every distinct secret is built and
     run exactly once: ``secrets[0]`` once (not at all when ``baseline``
     is its already-run kernel), each other secret once, and a repeated
@@ -234,85 +234,3 @@ def sweep_secrets(
                 reference, other, observer_domain,
             )
     return [by_secret[other] for other in secrets[1:]]
-
-
-def batched_secret_swap(
-    build: Callable[[Any], Kernel],
-    secret_a: Any,
-    secret_b: Any,
-    observer_domain: str,
-    max_cycles: int,
-    compare_hardware: bool = True,
-) -> NonInterferenceResult:
-    """Two-run secret swap with both runs stepped as one lockstep batch."""
-    return batched_secret_sweep(
-        build, (secret_a, secret_b), observer_domain, max_cycles,
-        compare_hardware=compare_hardware,
-    )[0]
-
-
-def batched_secret_sweep(
-    build: Callable[[Any], Kernel],
-    secrets: Sequence[Any],
-    observer_domain: str,
-    max_cycles: int,
-    compare_hardware: bool = True,
-    on_kernel: Optional[Callable[[Kernel], None]] = None,
-) -> List[NonInterferenceResult]:
-    """Pairwise secret-swap with *all* runs stepped as one batch.
-
-    ``build(secret)`` constructs the whole system exactly like
-    :func:`secret_swap_experiment`'s builder but must NOT run it; this
-    sweep boots one lane per secret and steps every lane in lockstep
-    through the vectorized batch engine, then compares each lane against
-    the ``secrets[0]`` baseline lane.  With a deterministic builder the
-    verdicts are bit-identical to :func:`sweep_secrets` (which runs each
-    distinct secret once; here every lane runs, repeats included).
-
-    Workloads outside the batch envelope fall back to scalar runs of
-    freshly built systems, so callers never see
-    :class:`~repro.hardware.batch.BatchUnsupported`.
-    """
-    from ..hardware.batch import BatchUnsupported, run_lockstep
-    from ..hardware.machine import engine_override
-
-    if len(secrets) < 2:
-        raise ValueError("need at least two secrets to compare")
-    kernels = [build(secret) for secret in secrets]
-    # The verdict only ever reads the observer's LLC colours
-    # (:func:`_lo_switch_evidence`), so the lockstep run records switch
-    # fingerprints for exactly those colours -- a large saving on
-    # many-colour machines, invisible in the returned results.
-    observer = kernels[0].domains.get(observer_domain)
-    trim = (
-        frozenset(observer.colours)
-        if observer is not None and not kernels[0].tp.way_partitioning
-        else None
-    )
-    try:
-        run_lockstep(
-            kernels, max_cycles, llc_fingerprint_colours=trim
-        )
-    except BatchUnsupported:
-        # Rebuild from scratch: a mid-run envelope exit (e.g. a recv
-        # syscall) leaves lanes partially stepped, and the fresh builds
-        # must resolve to the scalar engine even under an override.
-        with engine_override("scalar"):
-            kernels = []
-            for secret in secrets:
-                kernel = build(secret)
-                kernel.run(max_cycles=max_cycles)
-                kernels.append(kernel)
-    if on_kernel is not None:
-        # Same hook the experiment runners expose (bench step
-        # accounting); called once per finished lane, in lane order.
-        for kernel in kernels:
-            on_kernel(kernel)
-    baseline = kernels[0]
-    return [
-        compare_finished_runs(
-            baseline, kernels[index], secrets[0], secrets[index],
-            observer_domain, compare_hardware=compare_hardware,
-        )
-        for index in range(1, len(kernels))
-    ]

@@ -126,20 +126,6 @@ class BranchPredictor(StateElement):
         other._history = self._history
         return other
 
-    def audit_state(self):
-        """Copies of the counter table, BTB, BTB fill order and history
-        register (audit accessor).  BTB eviction is FIFO over the fill
-        order, which the sorted :meth:`fingerprint` discards; consumers
-        replicating prediction behaviour (the batch engine's lift
-        boundary) need it.  Read-only, no touch.
-        """
-        return (
-            dict(self._counters),
-            dict(self._btb),
-            list(self._btb_order),
-            self._history,
-        )
-
     def fingerprint(self) -> Hashable:
         return (
             tuple(sorted(self._counters.items())),

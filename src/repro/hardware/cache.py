@@ -381,16 +381,6 @@ class Cache(StateElement):
             tags.sort()
         return tuple(tags)
 
-    def audit_lines(self) -> Tuple[Tuple["CacheLine", ...], ...]:
-        """Every set's lines in residency order (audit accessor).
-
-        Unlike :meth:`resident_lines` this is *unsorted*: min-stamp
-        victim selection breaks ties by residency order, so consumers
-        that reconstruct replacement behaviour (the batch engine's
-        lift boundary) need the raw ordering.  Read-only, no touch.
-        """
-        return tuple(tuple(lines) for lines in self._sets)
-
     def resident_lines(self, set_index: int) -> Tuple[Tuple[int, str], ...]:
         """(tag, owner) pairs resident in ``set_index`` (sorted).
 

@@ -128,15 +128,6 @@ class InterruptController:
         ]
         return min(times) if times else None
 
-    def next_fire_time(self, line: Optional[int] = None) -> Optional[int]:
-        """Earliest scheduled fire time (optionally for one line)."""
-        times = [
-            fire_time
-            for fire_time, _seq, pending_line, _payload in self._pending
-            if line is None or pending_line == line
-        ]
-        return min(times) if times else None
-
     def pending_lines(self) -> Set[int]:
         return {line for _t, _s, line, _p in self._pending}
 

@@ -13,9 +13,8 @@ proof examines the hardware it actually got.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from .branch import BranchPredictor
 from .cache import Cache, LatencyParams, ReplacementPolicy
@@ -73,38 +72,9 @@ class MachineConfig:
     smt: bool = False  # pair cores share all "private" state concurrently
     prefetcher_flushable: bool = True
     broken_l1d_flush: bool = False
-    # Which stepping engine kernels on this machine should use:
-    # "scalar" steps one machine at a time through the object model;
-    # "batch" routes Kernel.run through repro.hardware.batch, which
-    # steps many machines in lockstep over numpy state arrays (and for a
-    # single kernel simply runs it as a batch of one).
-    engine: str = "scalar"
 
     def n_llc_colours(self) -> int:
         return self.llc_geometry.n_colours(self.page_size)
-
-
-# Process-wide engine override (see engine_override()).  Consulted once
-# per Machine construction, never on the hot path.
-_ENGINE_OVERRIDE: Optional[str] = None
-
-
-@contextlib.contextmanager
-def engine_override(engine: Optional[str]) -> Iterator[None]:
-    """Force every Machine built inside the context onto ``engine``.
-
-    The CLI/campaign plumbing uses this to steer experiment code that
-    builds its machines through preset factories, without threading an
-    engine parameter through every experiment signature.  ``None`` is a
-    no-op context.
-    """
-    global _ENGINE_OVERRIDE
-    previous = _ENGINE_OVERRIDE
-    _ENGINE_OVERRIDE = engine if engine is not None else previous
-    try:
-        yield
-    finally:
-        _ENGINE_OVERRIDE = previous
 
 
 class Machine:
@@ -116,10 +86,6 @@ class Machine:
         if config.smt and config.n_cores % 2:
             raise ValueError("SMT machines need an even number of cores")
         self.config = config
-        # Resolved engine lives on the machine, not the (shared, possibly
-        # frozen-by-convention) config: an engine_override() in force at
-        # construction time wins over the config field.
-        self.engine = _ENGINE_OVERRIDE if _ENGINE_OVERRIDE is not None else config.engine
         self.instrumentation = Instrumentation(InstrumentationMode.SUMMARY)
         self.memory = PhysicalMemory(
             total_frames=config.total_frames,
@@ -218,8 +184,8 @@ class Machine:
         Behaviourally identical to ``copy.deepcopy`` but ~10x faster:
         immutable configuration (config, geometries, latency tables,
         Frame objects) is shared, mutable state is copied field by
-        field.  Scalar-engine, non-SMT machines only -- SMT element
-        sharing and counting instrumentation fall back to deepcopy in
+        field.  Non-SMT machines only -- SMT element sharing and
+        counting instrumentation fall back to deepcopy in
         ``Kernel.snapshot``-based callers.
         """
         if self.config.smt:
@@ -231,7 +197,6 @@ class Machine:
             )
         other = Machine.__new__(Machine)
         other.config = self.config
-        other.engine = self.engine
         other.instrumentation = self.instrumentation.clone()
         other.memory = self.memory.clone_for_mc()
         other.interconnect = self.interconnect.clone_for_mc()

@@ -13,7 +13,7 @@ UNMANAGED).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from .state import (
     FlushResult,
@@ -132,16 +132,6 @@ class StridePrefetcher(StateElement):
         }
         other._tick = self._tick
         return other
-
-    def audit_streams(self) -> Tuple[Tuple[int, "StreamEntry"], ...]:
-        """``(region, entry)`` pairs in allocation order (audit accessor).
-
-        Min-stamp eviction breaks ties by allocation order, so
-        consumers reconstructing replacement behaviour (the batch
-        engine's lift boundary) need the unsorted view.  Read-only,
-        no touch.
-        """
-        return tuple(self._table.items())
 
     def fingerprint(self) -> Hashable:
         return tuple(

@@ -161,29 +161,3 @@ def tiny_nocolour_machine(n_cores: int = 2) -> Machine:
     config = tiny_config(n_cores=n_cores)
     config.llc_geometry = CacheGeometry(sets=8, ways=16, line_size=32)
     return Machine(config)
-
-
-# ----------------------------------------------------------------------
-# Batch-engine presets
-# ----------------------------------------------------------------------
-# A BatchMachine steps N identically-configured lanes in lockstep over
-# the vectorized engine (repro.hardware.batch), bit-identical to N
-# scalar runs.  Imports are deferred so merely importing presets never
-# pulls in numpy-backed engine state.
-
-
-def batch_machine(config: MachineConfig, n_lanes: int = 8):
-    """A lockstep batch of machines sharing ``config``'s shape."""
-    from .batch import BatchMachine
-
-    return BatchMachine(config, n_lanes)
-
-
-def tiny_batch(n_lanes: int = 8):
-    """A batch of ``tiny`` machines (the secret-sweep workhorse)."""
-    return batch_machine(tiny_config(), n_lanes)
-
-
-def micro_batch(n_lanes: int = 8):
-    """A batch of ``micro`` machines (fast exhaustive-ish sweeps)."""
-    return batch_machine(micro_config(), n_lanes)

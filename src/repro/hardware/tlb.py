@@ -160,16 +160,6 @@ class Tlb(StateElement):
             if entry_asid == asid
         }
 
-    def audit_entries(self) -> Tuple[TlbEntry, ...]:
-        """All cached entries in fill order (audit accessor).
-
-        Min-stamp eviction breaks stamp ties by fill order, so
-        consumers reconstructing replacement behaviour (the batch
-        engine's lift boundary) need the unsorted view the sorted
-        :meth:`fingerprint` discards.  Read-only, no touch.
-        """
-        return tuple(self._entries.values())
-
     def consistent_with(self, asid: int, space) -> bool:
         """True iff every cached entry of ``asid`` matches ``space``.
 

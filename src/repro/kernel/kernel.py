@@ -536,14 +536,6 @@ class Kernel:
 
     def run(self, max_cycles: int, max_steps: int = 50_000_000) -> None:
         """Run all scheduled cores in global time order until ``max_cycles``."""
-        if self.machine.engine == "batch":
-            # Route through the vectorized batch engine as a batch of
-            # one; bit-identical to the scalar loop below (enforced by
-            # the differential golden suite).
-            from ..hardware.batch import run_lockstep
-
-            run_lockstep([self], max_cycles, max_steps=max_steps)
-            return
         cores = [
             self.machine.cores[core_id]
             for core_id in self.scheduler.scheduled_cores()

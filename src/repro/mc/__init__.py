@@ -10,7 +10,7 @@ that the concrete two-run harness (``core/noninterference.py``)
 confirms independently.
 """
 
-from .explorer import McNode, McOptions, ModelChecker, path_to
+from .explorer import McOptions, ModelChecker
 from .fingerprint import (
     canonical_state,
     product_fingerprint,
@@ -24,7 +24,6 @@ from .spec import McSpec, build_system, run_to_terminal
 
 __all__ = [
     "McCounterexample",
-    "McNode",
     "McOptions",
     "McReport",
     "McSpec",
@@ -35,7 +34,6 @@ __all__ = [
     "build_system",
     "canonical_state",
     "confirm_counterexample",
-    "path_to",
     "product_fingerprint",
     "render_json",
     "render_text",

@@ -13,7 +13,7 @@ snapshots are a dominant cost, so a k-way branch costs k-1 copies, not
 k+1.  Violating children are recorded (for dedup) but never expanded:
 everything after a violation is more of the same divergence.
 
-Exploration scale is governed by :class:`McOptions`, four compounding
+Exploration scale is governed by :class:`McOptions`, three compounding
 and independently toggleable levers (all proven verdict-identical to
 the exact explorer by the differential test suite):
 
@@ -24,9 +24,7 @@ the exact explorer by the differential test suite):
   ``product.py``);
 * ``fast_clone`` -- the hand-rolled ``Kernel.clone_for_mc`` deep copy
   instead of ``copy.deepcopy`` (falls back automatically outside its
-  envelope);
-* ``batch_expand`` -- step-choice children of a BFS level advanced
-  through the vectorized lockstep batch engine (``batch_expand.py``).
+  envelope).
 
 Memory scale: ``bitstate_mb`` swaps the visited set for a Bloom filter
 (non-exhaustive "bitstate" verdict with an estimated omission
@@ -45,12 +43,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .batch_expand import batch_eligible, step_states_batched
 from .frontier import BitstateVisited, SpillFrontier
 from .por import reduce_choices
 from .product import ProductState
 from .report import McCounterexample, McReport, McStats
-from .spec import STEP, McSpec, apply_choice, is_terminal
+from .spec import McSpec, apply_choice, is_terminal
 
 #: Stop-reason precedence: a violation verdict outranks a memory cut,
 #: which outranks a depth cut, which outranks a clean full drain.
@@ -67,8 +64,6 @@ class McOptions:
     por: bool = True
     incremental: bool = True
     fast_clone: bool = True
-    batch_expand: bool = False
-    batch_width: int = 32
     bitstate_mb: Optional[float] = None
     spill_ram_states: Optional[int] = None
     spill_dir: Optional[str] = None
@@ -78,27 +73,6 @@ class McOptions:
     def exact(cls) -> "McOptions":
         """The seed explorer's behaviour: every lever off."""
         return cls(por=False, incremental=False, fast_clone=False)
-
-
-@dataclass
-class McNode:
-    """Predecessor link for one visited product state (kept for
-    compatibility with external consumers; the explorer itself now
-    carries full paths on frontier entries)."""
-
-    depth: int
-    parent: Optional[str]  # fingerprint, None for the root
-    choice: Optional[Tuple]
-
-
-def path_to(visited: Dict[str, McNode], fingerprint: str) -> Tuple[Tuple, ...]:
-    """The choice path from the root to ``fingerprint``, via parent links."""
-    path: List[Tuple] = []
-    node = visited[fingerprint]
-    while node.parent is not None:
-        path.append(node.choice)
-        node = visited[node.parent]
-    return tuple(reversed(path))
 
 
 class _Profile:
@@ -243,68 +217,47 @@ class ModelChecker:
         counterexamples: List[McCounterexample] = []
         violation_depth: Optional[int] = None
         cut: Optional[str] = None
-        batch_width = max(1, options.batch_width) if options.batch_expand else 1
 
         try:
             while frontier:
-                block = [_pop()]
-                depth = block[0][1]
+                _fingerprint, depth, path, state = _pop()
                 # BFS pops in depth order, so widths of shallower levels
                 # are final: prune them (the seed explorer leaked every
                 # level's width for the whole exploration).
                 for stale in [d for d in level_width if d < depth]:
                     del level_width[stale]
-                while (
-                    len(block) < batch_width
-                    and frontier
-                    and _peek_depth(frontier) == depth
-                ):
-                    block.append(_pop())
 
                 if violation_depth is not None and depth + 1 > violation_depth:
                     # Every remaining expansion is deeper than the
                     # minimal violation already in hand.
                     break
 
-                # Phase 1: choices and children for the whole block.
-                jobs: List[Tuple] = []  # (path, choice, child, marks)
-                for fingerprint, _depth, path, state in block:
-                    choices = state.available_choices(spec)
-                    if not choices:
-                        stats.terminal_states += 1
-                        continue
-                    if depth >= spec.depth:
-                        cut = "depth-bound"
-                        continue
-                    if options.por:
-                        choices, pruned = reduce_choices(state, choices, spec)
-                        stats.por_pruned += pruned
-                    for position, choice in enumerate(choices):
-                        if position == len(choices) - 1:
-                            child = state
-                        else:
-                            start = clock() if timed else 0.0
-                            child = state.clone(options.fast_clone)
-                            if timed:
-                                profile.add("clone", clock() - start)
-                        jobs.append((path, choice, child, child.begin_apply()))
+                choices = state.available_choices(spec)
+                if not choices:
+                    stats.terminal_states += 1
+                    continue
+                if depth >= spec.depth:
+                    cut = "depth-bound"
+                    continue
+                if options.por:
+                    choices, pruned = reduce_choices(state, choices, spec)
+                    stats.por_pruned += pruned
 
-                # Phase 2: step every child's kernels; batch the
-                # step-choice children that fit the lockstep envelope.
+                # Phase 1: one child per choice.
+                jobs: List[Tuple] = []  # (choice, child, marks)
+                for position, choice in enumerate(choices):
+                    if position == len(choices) - 1:
+                        child = state
+                    else:
+                        start = clock() if timed else 0.0
+                        child = state.clone(options.fast_clone)
+                        if timed:
+                            profile.add("clone", clock() - start)
+                    jobs.append((choice, child, child.begin_apply()))
+
+                # Phase 2: step every child's kernels.
                 start = clock() if timed else 0.0
-                batchable: List[ProductState] = []
-                if options.batch_expand:
-                    batchable = [
-                        child for _path, choice, child, _marks in jobs
-                        if choice == STEP and batch_eligible(child, spec)
-                    ]
-                batched = set()
-                if len(batchable) > 1:
-                    if step_states_batched(batchable, spec):
-                        batched = {id(child) for child in batchable}
-                for _path, choice, child, _marks in jobs:
-                    if id(child) in batched:
-                        continue
+                for choice, child, _marks in jobs:
                     if not is_terminal(child.kernel_a, spec):
                         apply_choice(child.kernel_a, choice, spec)
                     if not is_terminal(child.kernel_b, spec):
@@ -313,11 +266,10 @@ class ModelChecker:
                     profile.add("step", clock() - start)
 
                 # Phase 3: checks, fingerprint, dedup, enqueue -- in
-                # creation order, so visited-set insertion order (and
-                # with it every statistic and counterexample) is
-                # identical to the one-state-at-a-time explorer.
+                # choice order, which fixes the visited-set insertion
+                # order and with it every statistic and counterexample.
                 child_depth = depth + 1
-                for path, choice, child, marks in jobs:
+                for choice, child, marks in jobs:
                     start = clock() if timed else 0.0
                     violations = child.finish_apply(choice, marks, incremental)
                     if timed:
@@ -377,12 +329,6 @@ def _frontier_ops(frontier):
         frontier.append((fingerprint, depth, path, state))
 
     return push, frontier.popleft
-
-
-def _peek_depth(frontier) -> int:
-    if isinstance(frontier, SpillFrontier):
-        return frontier.peek_depth()
-    return frontier[0][1]
 
 
 def _fork_pool(jobs: int):

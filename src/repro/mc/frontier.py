@@ -147,13 +147,6 @@ class SpillFrontier:
         self._chunks.append(path)
         self._pending = []
 
-    def peek_depth(self) -> int:
-        """Depth of the next entry :meth:`pop` would return."""
-        if self._ram:
-            return self._ram[0][1]
-        self._ensure_loaded()
-        return self._loaded[0][1]
-
     def _ensure_loaded(self) -> None:
         if not self._loaded:
             if self._chunks:

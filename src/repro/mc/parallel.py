@@ -72,8 +72,7 @@ def explore_pair_parallel(
 
     Honours the ``por``, ``incremental`` and ``fast_clone`` levers of
     :class:`~repro.mc.explorer.McOptions` inside each worker; the
-    memory-scale levers (bitstate, spill, batch expansion) are
-    serial-explorer-only.
+    memory-scale levers (bitstate, spill) are serial-explorer-only.
     """
     if options is None:
         from .explorer import McOptions

@@ -441,9 +441,8 @@ class ProductState:
         """Pre-transition marks (switch-record counts) for finish_apply.
 
         ``begin_apply`` / step-the-kernels / ``finish_apply`` is the
-        decomposed form of :meth:`apply`; the batched frontier expansion
-        uses it to step many states' kernels through the lockstep batch
-        engine between the two halves.
+        decomposed form of :meth:`apply`; the serial explorer uses it to
+        time stepping and checking as separate ``--profile`` phases.
         """
         return (
             len(self.kernel_a.switch_records),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..analysis import estimator_bias_bits
 from ..attacks.harness import ChannelResult
@@ -169,70 +169,6 @@ class ChannelGuessEnv:
             accuracy=stats["decode_accuracy"],
             error="",
         )
-
-    def evaluate_population(
-        self, genomes: Sequence[Union[Genome, dict]], on_kernel=None
-    ) -> "list[EpisodeEvaluation]":
-        """Score a whole generation as one lockstep batch.
-
-        One lane per (genome, round, symbol), all stepped together by
-        the vectorized batch engine; scores are bit-identical to mapping
-        :meth:`evaluate` over ``genomes`` (the differential tests hold
-        this).  Falls back to the serial map when the workload leaves
-        the batch envelope, so this is a drop-in
-        :data:`~repro.synth.search.BatchEvaluator`.
-        """
-        from ..hardware.batch import BatchUnsupported
-        from .runner import batched_experiment
-
-        try:
-            results = batched_experiment(
-                TP_CONFIGS[self.tp](),
-                MACHINES[self.machine],
-                list(genomes),
-                victim=self.victim,
-                symbols=self.symbols,
-                rounds_per_run=self.rounds_per_run,
-                sweep_rounds=self.sweep_rounds,
-                on_kernel=on_kernel,
-                **self.runner_kwargs,
-            )
-        except BatchUnsupported:
-            return [self.evaluate(genome) for genome in genomes]
-        evaluations = []
-        for genome, result in zip(genomes, results):
-            n_ops = (
-                len(genome.ops) if isinstance(genome, Genome) else len(genome["ops"])
-            )
-            if result is None:
-                # Same zero-fitness outcome (and message) the scalar
-                # path derives from run_symbol_sweep's RuntimeError.
-                evaluations.append(
-                    EpisodeEvaluation(
-                        result=None,
-                        fitness=0.0,
-                        mutual_information_bits=0.0,
-                        capacity_bits=0.0,
-                        accuracy=0.0,
-                        error=(
-                            f"experiment {f'synth[{self.victim}]'!r} "
-                            "produced no samples"
-                        ),
-                    )
-                )
-                continue
-            stats = result.stats()
-            evaluations.append(
-                EpisodeEvaluation(
-                    result=result,
-                    fitness=fitness_from_stats(stats, n_ops),
-                    mutual_information_bits=stats["mutual_information_bits"],
-                    capacity_bits=stats["capacity_bits"],
-                    accuracy=stats["decode_accuracy"],
-                    error="",
-                )
-            )
-        return evaluations
 
     def noise_floor_bits(self) -> float:
         """Miller-Madow bias floor for this env's sample budget."""

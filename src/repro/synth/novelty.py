@@ -1,24 +1,20 @@
 """Per-element counter evidence: *which* hardware state carries a channel.
 
 An evolved genome claiming a "new" channel needs more than nonzero
-mutual information -- it needs attribution.  This module runs a program
-(evolved genome or hand-written registry attack) once per symbol under
-``CountingInstrumentation`` and asks, per ``(domain, element)`` counter,
-whether the count observed *in the spy's domain* depends on the secret.
-Elements whose spy-side counts vary across symbols are the state the
-channel flows through; comparing an evolved genome's sensitive-element
-set against every attack in ``repro.attacks`` is what certifies novelty
-("this genome modulates ``core0.prefetcher`` through the spy's timing;
-no hand-written attack does").
+mutual information -- it needs attribution.  This module runs an evolved
+genome once per symbol under ``CountingInstrumentation`` and asks, per
+``(domain, element)`` counter, whether the count observed *in the spy's
+domain* depends on the secret.  Elements whose spy-side counts vary
+across symbols are the state the channel flows through; re-running on a
+prefetcher-ablated machine (:func:`ablate_prefetcher`) then isolates
+the capacity that flows through that element.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..campaign.registry import ATTACKS
 from ..kernel.timeprotect import TimeProtectionConfig
 from .genome import Genome
 from .runner import experiment
@@ -89,52 +85,6 @@ def genome_counter_profiles(
     return profiles
 
 
-def attack_counter_profiles(
-    tp: TimeProtectionConfig,
-    machine_factory: Callable,
-    attack: str,
-    symbols: Optional[Sequence[int]] = None,
-) -> Dict[int, CounterProfile]:
-    """Per-symbol touch counts for a hand-written registry attack.
-
-    Attacks whose experiment functions expose no ``on_kernel`` hook are
-    profiled from a single all-symbols run instead (one profile shared
-    by every symbol: maximally conservative for novelty -- every element
-    the attack touches at all is credited to it).
-    """
-    entry = ATTACKS[attack]
-    counting = replace(tp, instrumentation="counting")
-    params = dict(entry.defaults)
-    accepts = inspect.signature(entry.runner).parameters
-    if symbols is not None and "symbols" in accepts:
-        params["symbols"] = tuple(symbols)
-    sweep_symbols = tuple(params.get("symbols", symbols or ()))
-
-    if "on_kernel" not in accepts:
-        return {symbol: {} for symbol in sweep_symbols} if sweep_symbols else {}
-
-    if sweep_symbols and "symbols" in accepts:
-        profiles: Dict[int, CounterProfile] = {}
-        for symbol in sweep_symbols:
-            captured: List[CounterProfile] = []
-            per_symbol = dict(params)
-            per_symbol["symbols"] = (symbol,)
-            per_symbol["on_kernel"] = lambda kernel: captured.append(
-                dict(kernel.machine.instrumentation.touch_counts())
-            )
-            entry.runner(counting, machine_factory, **per_symbol)
-            profiles[symbol] = captured[-1] if captured else {}
-        return profiles
-
-    captured: List[CounterProfile] = []
-    params["on_kernel"] = lambda kernel: captured.append(
-        dict(kernel.machine.instrumentation.touch_counts())
-    )
-    entry.runner(counting, machine_factory, **params)
-    profile = captured[-1] if captured else {}
-    return {0: profile}
-
-
 def touched_elements(
     profiles: Dict[int, CounterProfile],
     domain: Optional[str] = None,
@@ -176,27 +126,3 @@ def sensitive_elements(
         if lo != hi:
             out[element] = (lo, hi)
     return out
-
-
-def novel_elements(
-    genome_profiles: Dict[int, CounterProfile],
-    attack_profiles: Dict[str, Dict[int, CounterProfile]],
-    domain: Optional[str] = "Lo",
-) -> Dict[str, Tuple[int, int]]:
-    """Secret-sensitive spy-side elements no reference attack touches.
-
-    ``attack_profiles`` maps attack name -> its per-symbol profiles; an
-    element counts as novel only if *no* reference attack touches it in
-    any domain (the conservative criterion from the issue's acceptance
-    test).
-    """
-    claimed: Set[str] = set()
-    for profiles in attack_profiles.values():
-        claimed |= touched_elements(profiles, domain=None)
-    return {
-        element: spread
-        for element, spread in sensitive_elements(
-            genome_profiles, domain=domain
-        ).items()
-        if element not in claimed
-    }

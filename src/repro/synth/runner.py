@@ -12,7 +12,7 @@ register as first-class attacks.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Hashable, List, Optional, Sequence, Union
 
 from ..attacks.harness import ChannelResult, run_symbol_sweep
 from ..hardware.machine import Machine
@@ -69,11 +69,35 @@ def experiment(
     victim_step = VICTIMS[victim]
 
     def run_once(symbol: Hashable) -> Sequence[Hashable]:
-        kernel, results = _build_system(
-            tp, machine_factory, genome_dict, victim_step, symbol,
-            rounds_per_run, hi_slice, lo_slice, data_pages, hi_data_pages,
-            victim_params,
+        machine = machine_factory()
+        kernel = Kernel(machine, tp)
+        geometry = machine.config.l1d_geometry
+        pages = data_pages if data_pages is not None else geometry.ways + 2
+        hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=hi_slice)
+        lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=lo_slice)
+        # Endpoint 0 exists so victims may make send/poll syscalls.
+        kernel.create_endpoint("synth")
+        kernel.create_thread(
+            hi,
+            ReplayableProgram.factory(victim_step),
+            params={"symbol": symbol, **(victim_params or {})},
+            data_pages=(
+                hi_data_pages if hi_data_pages is not None else geometry.ways
+            ),
         )
+        # The genome's decoder appends one observation per round here.
+        results: List[Hashable] = []
+        kernel.create_thread(
+            lo,
+            ReplayableProgram.factory(genome_step),
+            params={
+                "genome": genome_dict,
+                "results": results,
+                "rounds": rounds_per_run,
+            },
+            data_pages=pages,
+        )
+        kernel.set_schedule(0, [(hi, None), (lo, None)])
         kernel.run(
             max_cycles=(rounds_per_run + 3) * (hi_slice + lo_slice) * 2
         )
@@ -97,138 +121,6 @@ def experiment(
             )),
         },
     )
-
-
-def _build_system(
-    tp: TimeProtectionConfig,
-    machine_factory: Callable[[], Machine],
-    genome_dict: dict,
-    victim_step,
-    symbol: Hashable,
-    rounds_per_run: int,
-    hi_slice: int,
-    lo_slice: int,
-    data_pages: Optional[int],
-    hi_data_pages: Optional[int],
-    victim_params: Optional[dict],
-):
-    """Build one ready-to-run symbol system; shared by both engines.
-
-    Returns ``(kernel, results)`` where ``results`` is the list the
-    genome's decoder appends per-round observations to.  The scalar
-    ``experiment`` runs the kernel immediately; ``batched_experiment``
-    collects one of these per (genome, round, symbol) lane and steps
-    them all through the lockstep engine.
-    """
-    machine = machine_factory()
-    kernel = Kernel(machine, tp)
-    geometry = machine.config.l1d_geometry
-    pages = data_pages if data_pages is not None else geometry.ways + 2
-    hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=hi_slice)
-    lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=lo_slice)
-    # Endpoint 0 exists so victims may issue send/poll syscalls.
-    kernel.create_endpoint("synth")
-    kernel.create_thread(
-        hi,
-        ReplayableProgram.factory(victim_step),
-        params={"symbol": symbol, **(victim_params or {})},
-        data_pages=(
-            hi_data_pages if hi_data_pages is not None else geometry.ways
-        ),
-    )
-    results: List[Hashable] = []
-    kernel.create_thread(
-        lo,
-        ReplayableProgram.factory(genome_step),
-        params={
-            "genome": genome_dict,
-            "results": results,
-            "rounds": rounds_per_run,
-        },
-        data_pages=pages,
-    )
-    kernel.set_schedule(0, [(hi, None), (lo, None)])
-    return kernel, results
-
-
-def batched_experiment(
-    tp: TimeProtectionConfig,
-    machine_factory: Callable[[], Machine],
-    genomes: Sequence[Union[Genome, dict]],
-    victim: str = "set_hammer",
-    symbols: Optional[Sequence[int]] = None,
-    rounds_per_run: int = 4,
-    sweep_rounds: int = 1,
-    hi_slice: int = _HI_SLICE,
-    lo_slice: int = _LO_SLICE,
-    data_pages: Optional[int] = None,
-    hi_data_pages: Optional[int] = None,
-    victim_params: Optional[dict] = None,
-    on_kernel: Optional[Callable[[Kernel], None]] = None,
-) -> List[Optional[ChannelResult]]:
-    """Measure a whole generation of genomes as one lockstep batch.
-
-    One lane per (genome, sweep round, symbol), all stepped together by
-    :func:`repro.hardware.batch.run_lockstep`; per genome the samples
-    are pooled in :func:`run_symbol_sweep` order (rounds outer, symbols
-    inner), so each returned :class:`ChannelResult` is bit-identical to
-    what :func:`experiment` computes for that genome.  A genome whose
-    lanes produce no samples yields ``None`` in its slot (the scalar
-    path raises instead; the env translates both into the same
-    zero-fitness evaluation).  Raises
-    :class:`~repro.hardware.batch.BatchUnsupported` before stepping if
-    the workload leaves the batch envelope.
-    """
-    from ..hardware.batch import run_lockstep
-
-    if victim not in VICTIMS:
-        raise KeyError(f"unknown victim {victim!r}; choices: {sorted(VICTIMS)}")
-    if symbols is None:
-        symbols = DEFAULT_SYMBOLS[victim]
-    victim_step = VICTIMS[victim]
-    genome_dicts = [
-        genome.to_dict() if isinstance(genome, Genome) else dict(genome)
-        for genome in genomes
-    ]
-    lanes: List[Tuple[int, Hashable, Kernel, List[Hashable]]] = []
-    for index, genome_dict in enumerate(genome_dicts):
-        for _round in range(sweep_rounds):
-            for symbol in symbols:
-                kernel, results = _build_system(
-                    tp, machine_factory, genome_dict, victim_step, symbol,
-                    rounds_per_run, hi_slice, lo_slice, data_pages,
-                    hi_data_pages, victim_params,
-                )
-                lanes.append((index, symbol, kernel, results))
-    run_lockstep(
-        [kernel for _i, _s, kernel, _r in lanes],
-        max_cycles=(rounds_per_run + 3) * (hi_slice + lo_slice) * 2,
-    )
-    pooled: List[List[Tuple[Hashable, Hashable]]] = [[] for _ in genomes]
-    for index, symbol, kernel, results in lanes:
-        if on_kernel is not None:
-            on_kernel(kernel)
-        kept = results[1:] if len(results) > 1 else results
-        pooled[index].extend((symbol, observation) for observation in kept)
-    tp_label = _tp_label(tp)
-    out: List[Optional[ChannelResult]] = []
-    for genome_dict, samples in zip(genome_dicts, pooled):
-        if not samples:
-            out.append(None)
-            continue
-        out.append(
-            ChannelResult(
-                name=f"synth[{victim}]",
-                tp_label=tp_label,
-                samples=samples,
-                metadata={
-                    "victim": victim,
-                    "genome": genome_dict,
-                    "classes": list(classify(Genome.from_dict(genome_dict))),
-                },
-            )
-        )
-    return out
 
 
 # ----------------------------------------------------------------------

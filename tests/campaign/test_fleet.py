@@ -110,7 +110,7 @@ class TestChurnSurvival:
         workers = [
             ctx.Process(
                 target=_fleet_worker_main,
-                args=(server.url, f"w{i}", i, None, 1),
+                args=(server.url, f"w{i}", i, 1),
                 daemon=True,
             )
             for i in range(n_workers)

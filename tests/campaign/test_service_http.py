@@ -147,18 +147,6 @@ class TestServiceWorker:
         assert table.done and table.stats.duplicates == 0
         assert len(store.records()) == 4
 
-    def test_engine_preference_keeps_lease_identity(self, live_server):
-        url, table, store, _ = live_server
-        worker = ServiceWorker(url, worker_id="relabel", engine="batch")
-        worker.run()
-        assert table.done
-        for record in store.records():
-            # The record keeps the lease's scalar identity; the engine
-            # actually used is volatile worker metadata.
-            assert record["engine"] == "scalar"
-            assert "/engine=" not in record["key"]
-            assert record["worker"]["executed_engine"] == "batch"
-
     def test_backoff_gives_up_with_coordinator_unreachable(self):
         sleeps = []
         worker = ServiceWorker(

@@ -103,6 +103,25 @@ class TestCampaignCli:
         (record,) = ResultStore(store_path).records()
         assert record["params"] == {"rounds_per_run": 3}
 
+    def test_spec_file_with_engine_field_rejected(self, tmp_path, capsys):
+        # There is one stepping engine; a spec that still picks one is
+        # refused like any other unknown field, before a trial runs.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "machines": ["tiny"], "tps": ["full"], "attacks": ["e5"],
+            "seeds": [0], "engine": "batch",
+        }))
+        store_path = tmp_path / "engine.jsonl"
+        code = main([
+            "campaign", "--spec", str(spec_path),
+            "--workers", "1", "--store", str(store_path), "--quiet",
+        ])
+        assert code == 2
+        assert "unknown campaign spec fields: ['engine']" in (
+            capsys.readouterr().err
+        )
+        assert not store_path.exists()
+
     def test_unknown_attack_rejected(self, tmp_path, capsys):
         code = main([
             "campaign", "--attacks", "bogus", "--workers", "1",

@@ -79,7 +79,7 @@ def _run_prefetch_residue(tp, machine_factory, on_kernel):
     # The one attack in the suite that reads *prefetcher* state: the
     # evolved residue genome against the stream_strider victim (see
     # repro.synth.runner).  Golden-pinning it keeps the StridePrefetcher
-    # model and its batch-engine counterpart honest cycle-for-cycle.
+    # model honest cycle-for-cycle.
     from repro.synth.runner import (
         PREFETCH_RESIDUE_GENOME,
         PREFETCH_RESIDUE_VICTIM_PARAMS,

@@ -1,7 +1,7 @@
 """Differential tests for the scaled explorer: every exploration lever
-(POR, incremental fingerprints, fast clone, batched expansion, bitstate,
-disk spill) must preserve the exact explorer's verdicts bit-for-bit on
-the configurations it is sound for.
+(POR, incremental fingerprints, fast clone, bitstate, disk spill) must
+preserve the exact explorer's verdicts bit-for-bit on the
+configurations it is sound for.
 
 The exact mode (``McOptions.exact()``) is the seed explorer's behaviour
 and the oracle throughout: full-prefix checks, repr-based fingerprints,
@@ -115,22 +115,6 @@ class TestPartialOrderReduction:
         assert (on.passed, on.exhaustive, cex_depth(on)) == (
             off.passed, off.exhaustive, cex_depth(off)
         )
-
-
-class TestBatchExpansion:
-    @pytest.mark.parametrize("tp", ("no-colour", "none"))
-    def test_matches_scalar_on_uncoloured(self, tp):
-        batched = run("tiny", tp, options=McOptions(batch_expand=True))
-        scalar = run("tiny", tp)
-        assert verdict_signature(batched) == verdict_signature(scalar)
-
-    def test_coloured_config_still_correct(self):
-        # Colouring needs the per-touch partition audit the batch engine
-        # does not record; the explorer must fall back to scalar
-        # expansion and keep the exact verdict.
-        batched = run("micro", "full", options=McOptions(batch_expand=True))
-        scalar = run("micro", "full")
-        assert verdict_signature(batched) == verdict_signature(scalar)
 
 
 class TestBitstateAndSpill:

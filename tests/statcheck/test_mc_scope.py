@@ -20,6 +20,12 @@ class TestMcScope:
     def test_mc_segment_is_in_sc2_scope(self):
         assert "mc" in _SCOPE_SEGMENTS["SC-2"]
 
+    def test_hardware_segment_is_in_sc2_and_sc3_scope(self):
+        # The explorer steps and fingerprints the real hardware model,
+        # so its determinism rests on the hardware tree's as well.
+        assert "hardware" in _SCOPE_SEGMENTS["SC-2"]
+        assert "hardware" in _SCOPE_SEGMENTS["SC-3"]
+
     def test_shipped_mc_tree_lints_clean(self):
         report = run_lint(
             paths=[str(REPO / "src" / "repro" / "mc")],
