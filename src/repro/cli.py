@@ -5,7 +5,7 @@ Ten subcommands::
     repro-tp prove    [--machine M] [--tp T] [--secrets 1,7,23]
                       [--format text|json]
     repro-tp mc       [--machine M] [--tp T] [--depth N] [--secrets 0,1,2]
-                      [--jobs N] [--max-states N] [--format text|json]
+                      [--max-states N] [--format text|json]
     repro-tp channels [--machine M] [--tp T] [--only e2,e4]
     repro-tp inspect  [--machine M]
     repro-tp campaign [--machines M1,M2] [--tps T1,T2] [--attacks A1,A2]
@@ -149,25 +149,17 @@ def cmd_mc(args) -> int:
     except (KeyError, ValueError) as error:
         print(f"invalid mc spec: {error}", file=sys.stderr)
         return 2
-    if len(spec.secrets) < 2:
+    if len(set(spec.secrets)) < 2:
         print("need at least two distinct secrets", file=sys.stderr)
         return 2
-    from dataclasses import replace as _replace
-
-    base = McOptions.exact() if args.exact else McOptions(
-        por=args.por,
-        incremental=args.incremental,
-        fast_clone=args.fast_clone,
-    )
-    options = _replace(
-        base,
+    options = McOptions(
         bitstate_mb=args.bitstate,
         spill_ram_states=args.spill_ram,
         spill_dir=args.spill_dir or None,
         profile=args.profile,
     )
     started = time.perf_counter()
-    report = ModelChecker(spec, jobs=args.jobs, options=options).run()
+    report = ModelChecker(spec, options=options).run()
     elapsed = time.perf_counter() - started
     if args.format == "json":
         print(render_json(report))
@@ -680,8 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "any reachable depth on micro/tiny)")
     mc.add_argument("--secrets", default="0,1,2",
                     help="comma-separated Hi secret domain (all pairs checked)")
-    mc.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for frontier expansion (1 = serial)")
     mc.add_argument("--max-states", type=int, default=200_000,
                     help="visited-set memory bound")
     mc.add_argument("--format", choices=("text", "json"), default="text")
@@ -693,18 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--profile", action="store_true",
                     help="report per-phase wall-clock breakdown "
                          "(clone/step/check/fingerprint/dedup)")
-    mc.add_argument("--exact", action="store_true",
-                    help="seed-equivalent exploration: POR, incremental "
-                         "fingerprints, and fast clone all off")
-    mc.add_argument("--no-por", dest="por", action="store_false",
-                    help="disable symmetric-IRQ partial-order reduction")
-    mc.add_argument("--no-incremental", dest="incremental",
-                    action="store_false",
-                    help="disable incremental (chain-digest) fingerprints")
-    mc.add_argument("--no-fast-clone", dest="fast_clone",
-                    action="store_false",
-                    help="snapshot states with deepcopy instead of the "
-                         "hand-rolled clone")
     mc.add_argument("--bitstate", type=float, default=None, metavar="MB",
                     help="replace the exact visited set with a Bloom "
                          "bitstate of this many megabytes (verdicts become "

@@ -38,7 +38,6 @@ from .state import (
     Scope,
     StateCategory,
     StateElement,
-    Touch,
     TouchKind,
 )
 from .tlb import Tlb, TlbEntry, TlbLookupResult
@@ -93,7 +92,6 @@ __all__ = [
     "TlbEntry",
     "TlbGeometry",
     "TlbLookupResult",
-    "Touch",
     "TouchKind",
     "TransferResult",
     "TranslationFault",

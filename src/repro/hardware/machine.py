@@ -77,6 +77,10 @@ class MachineConfig:
         return self.llc_geometry.n_colours(self.page_size)
 
 
+#: A core's private structures; an SMT pair shares all of them.
+_PRIVATE_ELEMENTS = ("l1i", "l1d", "l2", "tlb", "branch", "prefetcher")
+
+
 class Machine:
     """The built hardware: shared levels plus per-core private state."""
 
@@ -111,14 +115,9 @@ class Machine:
                 # The second hardware thread of an SMT pair shares every
                 # "private" structure with its sibling, concurrently.
                 sibling = self.cores[core_id - 1]
-                private = dict(
-                    l1i=sibling.l1i,
-                    l1d=sibling.l1d,
-                    l2=sibling.l2,
-                    tlb=sibling.tlb,
-                    branch=sibling.branch,
-                    prefetcher=sibling.prefetcher,
-                )
+                private = {
+                    name: getattr(sibling, name) for name in _PRIVATE_ELEMENTS
+                }
                 for element in private.values():
                     element.concurrently_shared = True
             else:
@@ -179,17 +178,15 @@ class Machine:
         )
 
     def clone_for_mc(self) -> "Machine":
-        """A hand-rolled deep copy for model-checker snapshots.
+        """A hand-rolled deep copy for model-checker clones.
 
         Behaviourally identical to ``copy.deepcopy`` but ~10x faster:
         immutable configuration (config, geometries, latency tables,
         Frame objects) is shared, mutable state is copied field by
-        field.  Non-SMT machines only -- SMT element sharing and
-        counting instrumentation fall back to deepcopy in
-        ``Kernel.snapshot``-based callers.
+        field.  SMT siblings keep sharing as in :meth:`__init__`: an odd
+        core reuses its even sibling's cloned private elements.  Raises
+        ``TypeError`` under counting instrumentation.
         """
-        if self.config.smt:
-            raise TypeError("clone_for_mc does not support SMT machines")
         if type(self.instrumentation) is not Instrumentation:
             raise TypeError(
                 "clone_for_mc needs plain Instrumentation "
@@ -202,21 +199,27 @@ class Machine:
         other.interconnect = self.interconnect.clone_for_mc()
         other.llc = self.llc.clone_for_mc(other.instrumentation)
         other.cores = []
+        instr = other.instrumentation
         for core in self.cores:
+            if self.config.smt and core.core_id % 2 == 1:
+                source = other.cores[core.core_id - 1]
+                private = {
+                    name: getattr(source, name) for name in _PRIVATE_ELEMENTS
+                }
+            else:
+                private = {
+                    name: getattr(core, name).clone_for_mc(instr)
+                    for name in _PRIVATE_ELEMENTS
+                }
             clone = Core(
                 core_id=core.core_id,
                 clock=CycleClock(core.clock.now),
-                l1i=core.l1i.clone_for_mc(other.instrumentation),
-                l1d=core.l1d.clone_for_mc(other.instrumentation),
-                l2=core.l2.clone_for_mc(other.instrumentation),
                 llc=other.llc,
-                tlb=core.tlb.clone_for_mc(other.instrumentation),
-                branch=core.branch.clone_for_mc(other.instrumentation),
-                prefetcher=core.prefetcher.clone_for_mc(other.instrumentation),
                 irq=core.irq.clone_for_mc(),
                 interconnect=other.interconnect,
                 memory=other.memory,
                 latency=self.config.latency,
+                **private,
             )
             other.cores.append(clone)
         return other

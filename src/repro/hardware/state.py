@@ -28,7 +28,7 @@ import abc
 import enum
 import hashlib
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 
@@ -63,34 +63,19 @@ class TouchKind(enum.Enum):
     UPDATE = "update"
 
 
-@dataclass(frozen=True, slots=True)
-class Touch:
-    """One recorded access to microarchitectural state."""
-
-    element: str
-    index: Hashable
-    kind: TouchKind
-    domain: Optional[str]
-    core: int
-    cycle: int
-
-
 class InstrumentationMode(enum.Enum):
     OFF = "off"
     COUNTING = "counting"
     SUMMARY = "summary"
-    FULL = "full"
 
 
 class Instrumentation:
-    """Records which state each domain touches, and when.
+    """Records which state each domain touches.
 
     ``SUMMARY`` mode keeps, per (domain, element), the set of touched
     indices -- sufficient for the partitioning obligation (PO-2).
-    ``FULL`` mode additionally keeps the ordered event list, which the
-    case-split audit (Sect. 5.2) and the kernel-determinism obligation
-    (PO-7) need.  ``OFF`` disables recording for high-volume benchmark
-    runs.  ``COUNTING`` (see :class:`CountingInstrumentation`) keeps only
+    ``OFF`` disables recording for high-volume benchmark runs.
+    ``COUNTING`` (see :class:`CountingInstrumentation`) keeps only
     aggregate per-(domain, element) touch counts: cheap enough for
     campaign sweeps, but useless for proofs -- ``from_machine()`` refuses
     to build proof obligations from a counting-mode run.
@@ -104,7 +89,6 @@ class Instrumentation:
 
     def __init__(self, mode: InstrumentationMode = InstrumentationMode.SUMMARY):
         self.summary: Dict[Tuple[Optional[str], str], Set[Hashable]] = {}
-        self.events: List[Touch] = []
         # Mutable execution context, maintained by the machine.
         self.current_domain: Optional[str] = None
         self.current_core: int = 0
@@ -133,13 +117,10 @@ class Instrumentation:
 
     @mode.setter
     def mode(self, value: InstrumentationMode) -> None:
-        # Mode is settable at runtime (the proof layer raises SUMMARY to
-        # FULL); the dispatch flags below keep ``touch()`` off the enum.
+        # Mode is settable at runtime; the dispatch flag below keeps
+        # ``touch()`` off the enum.
         self._mode = value
-        self._recording = value in (
-            InstrumentationMode.SUMMARY, InstrumentationMode.FULL
-        )
-        self._full = value is InstrumentationMode.FULL
+        self._recording = value is InstrumentationMode.SUMMARY
 
     def set_context(self, domain: Optional[str], core: int, cycle: int) -> None:
         if domain != self.current_domain:
@@ -166,23 +147,12 @@ class Instrumentation:
             self._buckets[element] = bucket
             self.summary[(self.current_domain, element)] = bucket
         bucket.add(index)
-        if self._full:
-            self.events.append(
-                Touch(
-                    element,
-                    index,
-                    kind,
-                    self.current_domain,
-                    self.current_core,
-                    self.current_cycle,
-                )
-            )
 
     def reset_footprint(self) -> None:
         self.footprint = []
 
     def clone(self) -> "Instrumentation":
-        """An independent copy (for the model checker's fast snapshot).
+        """An independent copy (for ``Machine.clone_for_mc``).
 
         Rebuilds the ``summary`` / ``_domain_buckets`` aliasing from
         scratch so the copy's buckets are its own sets that still alias
@@ -195,7 +165,6 @@ class Instrumentation:
             fresh = set(indices)
             other.summary[(domain, element)] = fresh
             other._domain_buckets.setdefault(domain, {})[element] = fresh
-        other.events = list(self.events)
         other.current_domain = self.current_domain
         other.current_core = self.current_core
         other.current_cycle = self.current_cycle
@@ -214,7 +183,6 @@ class Instrumentation:
 
     def clear(self) -> None:
         self.summary.clear()
-        self.events.clear()
         self.footprint = []
         self._domain_buckets.clear()
         self._buckets = self._domain_buckets.setdefault(self.current_domain, {})

@@ -331,40 +331,23 @@ class Kernel:
         return self._current_tcb.get(core_id)
 
     # ------------------------------------------------------------------
-    # Snapshot / restore (model-checker lockstep stepping)
+    # Clone (model-checker lockstep stepping)
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> "Kernel":
-        """A deep, independent copy of the entire system, machine included.
-
-        The model checker (``repro.mc``) snapshots a kernel at every
-        branching point and steps the copies independently; nothing is
-        shared between the original and the copy.  Thread programs must
-        carry explicit state for this to work: raw generators cannot be
-        deep-copied, so model-checked systems build their threads from
-        :class:`repro.kernel.objects.ReplayableProgram`.
-        """
-        try:
-            return copy.deepcopy(self)
-        except TypeError as error:
-            raise TypeError(
-                "kernel state is not snapshotable; thread programs must "
-                "carry explicit state (build them from "
-                "repro.kernel.objects.ReplayableProgram, not raw "
-                f"generators): {error}"
-            ) from None
-
     def clone_for_mc(self) -> "Kernel":
-        """A hand-rolled deep copy of the whole system, machine included.
+        """An independent copy of the whole system, machine included.
 
-        Behaviourally identical to :meth:`snapshot` but much faster: the
-        object graph is walked explicitly, sharing everything immutable
-        after build (address spaces, kernel images, IRQ ownership, the
-        clone manager, write-once switch/observation records) and copying
-        only the mutable residue.  Raises ``TypeError`` for configurations
-        the fast walk does not cover (SMT machines, counting
-        instrumentation, non-ReplayableProgram threads) -- callers fall
-        back to :meth:`snapshot`.
+        The model checker (``repro.mc``) clones a kernel at every
+        branching point and steps the copies independently.  Behaviourally
+        identical to ``copy.deepcopy`` but much faster: the object graph
+        is walked explicitly, sharing everything immutable after build
+        (address spaces, kernel images, IRQ ownership, the clone manager,
+        write-once switch/observation records) and copying only the
+        mutable residue.  Thread programs must carry explicit state:
+        raw generators cannot be copied, so model-checked systems build
+        their threads from :class:`repro.kernel.objects.ReplayableProgram`.
+        Raises ``TypeError`` for anything else, and for machines running
+        counting instrumentation.
         """
         machine = self.machine.clone_for_mc()
         other = Kernel.__new__(Kernel)

@@ -34,11 +34,11 @@ class ReplayableProgram:
 
     Thread programs are normally raw Python generators, which cannot be
     deep-copied or pickled -- fine for one-shot runs, fatal for the model
-    checker's snapshot-based lockstep stepping (``Kernel.snapshot``).  A
+    checker's clone-based lockstep stepping (``Kernel.clone_for_mc``).  A
     :class:`ReplayableProgram` speaks the same generator protocol the run
     loop uses (``next`` / ``send``) but keeps its entire state in two
-    slots, so a snapshot of the kernel captures the program mid-flight
-    and both copies replay identically.
+    slots, so a clone of the kernel captures the program mid-flight and
+    both copies replay identically.
 
     ``step_fn(ctx, index, observation) -> instruction | None`` is called
     with the 0-based instruction index and the observation delivered for

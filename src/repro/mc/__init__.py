@@ -11,12 +11,7 @@ confirms independently.
 """
 
 from .explorer import McOptions, ModelChecker
-from .fingerprint import (
-    canonical_state,
-    product_fingerprint,
-    state_fingerprint,
-    state_fingerprint_incremental,
-)
+from .fingerprint import product_fingerprint, state_fingerprint_incremental
 from .product import McViolation, ProductState
 from .replay import confirm_counterexample, replay_build_and_run
 from .report import McCounterexample, McReport, McStats, render_json, render_text
@@ -32,13 +27,11 @@ __all__ = [
     "ModelChecker",
     "ProductState",
     "build_system",
-    "canonical_state",
     "confirm_counterexample",
     "product_fingerprint",
     "render_json",
     "render_text",
     "replay_build_and_run",
     "run_to_terminal",
-    "state_fingerprint",
     "state_fingerprint_incremental",
 ]

@@ -9,22 +9,19 @@ are provably redundant and the search stops).
 
 The frontier holds live product states: expanding a state clones it
 once per choice except the last, which consumes the parent in place --
-snapshots are a dominant cost, so a k-way branch costs k-1 copies, not
+clones are a dominant cost, so a k-way branch costs k-1 copies, not
 k+1.  Violating children are recorded (for dedup) but never expanded:
 everything after a violation is more of the same divergence.
 
-Exploration scale is governed by :class:`McOptions`, three compounding
-and independently toggleable levers (all proven verdict-identical to
-the exact explorer by the differential test suite):
+There is one exploration path, and three reductions are built into it
+(each pinned verdict-identical to the exact oracle in ``tests/mc/``):
 
-* ``por`` -- partial-order reduction collapsing symmetric ``irq(line)``
-  choices (``por.py``; identity on single-line specs);
-* ``incremental`` -- memoised canonical fingerprints plus
-  checked-prefix cursors for the pair comparisons (``fingerprint.py``,
-  ``product.py``);
-* ``fast_clone`` -- the hand-rolled ``Kernel.clone_for_mc`` deep copy
-  instead of ``copy.deepcopy`` (falls back automatically outside its
-  envelope).
+* partial-order reduction collapsing symmetric ``irq(line)`` choices
+  (``por.py``; identity on single-line specs);
+* incremental fingerprints: memoised chain digests of the append-only
+  evidence, plus checked-prefix cursors for the pair comparisons
+  (``fingerprint.py``, ``product.py``);
+* the hand-rolled ``Kernel.clone_for_mc`` deep copy.
 
 Memory scale: ``bitstate_mb`` swaps the visited set for a Bloom filter
 (non-exhaustive "bitstate" verdict with an estimated omission
@@ -59,20 +56,12 @@ PROFILE_PHASES = ("clone", "step", "check", "fingerprint", "dedup")
 
 @dataclass(frozen=True)
 class McOptions:
-    """Exploration levers; defaults match the acceptance configuration."""
+    """Memory-scale levers and profiling; all off by default."""
 
-    por: bool = True
-    incremental: bool = True
-    fast_clone: bool = True
     bitstate_mb: Optional[float] = None
     spill_ram_states: Optional[int] = None
     spill_dir: Optional[str] = None
     profile: bool = False
-
-    @classmethod
-    def exact(cls) -> "McOptions":
-        """The seed explorer's behaviour: every lever off."""
-        return cls(por=False, incremental=False, fast_clone=False)
 
 
 class _Profile:
@@ -92,14 +81,12 @@ class _Profile:
 class ModelChecker:
     """Exhaustive (bounded) noninterference check of one :class:`McSpec`."""
 
-    def __init__(self, spec: McSpec, jobs: int = 1,
-                 options: Optional[McOptions] = None):
+    def __init__(self, spec: McSpec, options: Optional[McOptions] = None):
         self.spec = spec
-        self.jobs = max(1, jobs)
         self.options = options if options is not None else McOptions()
 
     def run(self) -> McReport:
-        # Exploration allocates kernel snapshots at a rate that makes
+        # Exploration allocates kernel clones at a rate that makes
         # the cyclic GC's generation scans a measurable fraction of the
         # wall clock (~20%); nothing in the hot loop relies on prompt
         # cycle collection, so pause the collector and sweep once at
@@ -122,30 +109,18 @@ class ModelChecker:
         profile = _Profile(options.profile)
         bitstate_inserted = 0
         bitstate_probability = 0.0
-        if self.jobs > 1:
-            from .parallel import explore_pair_parallel
-            with _fork_pool(self.jobs) as pool:
-                for secret_a, secret_b in self.spec.secret_pairs():
-                    pair_cexs, cut = explore_pair_parallel(
-                        self.spec, secret_a, secret_b, stats, pool, self.jobs,
-                        options,
-                    )
-                    counterexamples.extend(pair_cexs)
-                    if cut is not None:
-                        cuts.append(cut)
-        else:
-            for secret_a, secret_b in self.spec.secret_pairs():
-                pair_cexs, cut, bloom = self._explore_pair(
-                    secret_a, secret_b, stats, profile,
+        for secret_a, secret_b in self.spec.secret_pairs():
+            pair_cexs, cut, bloom = self._explore_pair(
+                secret_a, secret_b, stats, profile,
+            )
+            counterexamples.extend(pair_cexs)
+            if cut is not None:
+                cuts.append(cut)
+            if bloom is not None:
+                bitstate_inserted += bloom.inserted
+                bitstate_probability = max(
+                    bitstate_probability, bloom.omission_probability()
                 )
-                counterexamples.extend(pair_cexs)
-                if cut is not None:
-                    cuts.append(cut)
-                if bloom is not None:
-                    bitstate_inserted += bloom.inserted
-                    bitstate_probability = max(
-                        bitstate_probability, bloom.omission_probability()
-                    )
 
         counterexamples.sort(
             key=lambda cex: (cex.depth, cex.secret_a, cex.secret_b))
@@ -173,7 +148,6 @@ class ModelChecker:
             stop_reason=stop_reason,
             stats=stats,
             counterexamples=counterexamples,
-            jobs=self.jobs,
             bitstate=bitstate,
             profile=profile.to_json() if options.profile else None,
         )
@@ -187,10 +161,9 @@ class ModelChecker:
         options = self.options
         timed = profile.enabled
         clock = time.perf_counter
-        incremental = options.incremental
 
         root = ProductState.initial(spec, secret_a, secret_b)
-        root_fp = root.fingerprint(incremental)
+        root_fp = root.fingerprint()
         bloom: Optional[BitstateVisited] = None
         if options.bitstate_mb:
             bloom = BitstateVisited(options.bitstate_mb)
@@ -210,8 +183,7 @@ class ModelChecker:
         _push, _pop = _frontier_ops(frontier)
         _push(root_fp, 0, (), root)
         # Peak frontier is the widest BFS level (states enqueued at one
-        # depth) -- a raw frontier-length reading would mix two depths
-        # and disagree with the level-synchronous parallel explorer.
+        # depth); a raw frontier-length reading would mix two depths.
         level_width: Dict[int, int] = {0: 1}
         stats.peak_frontier = max(stats.peak_frontier, 1)
         counterexamples: List[McCounterexample] = []
@@ -239,25 +211,24 @@ class ModelChecker:
                 if depth >= spec.depth:
                     cut = "depth-bound"
                     continue
-                if options.por:
-                    choices, pruned = reduce_choices(state, choices, spec)
-                    stats.por_pruned += pruned
+                choices, pruned = reduce_choices(state, choices, spec)
+                stats.por_pruned += pruned
 
                 # Phase 1: one child per choice.
-                jobs: List[Tuple] = []  # (choice, child, marks)
+                children: List[Tuple] = []  # (choice, child, marks)
                 for position, choice in enumerate(choices):
                     if position == len(choices) - 1:
                         child = state
                     else:
                         start = clock() if timed else 0.0
-                        child = state.clone(options.fast_clone)
+                        child = state.clone()
                         if timed:
                             profile.add("clone", clock() - start)
-                    jobs.append((choice, child, child.begin_apply()))
+                    children.append((choice, child, child.begin_apply()))
 
                 # Phase 2: step every child's kernels.
                 start = clock() if timed else 0.0
-                for choice, child, _marks in jobs:
+                for choice, child, _marks in children:
                     if not is_terminal(child.kernel_a, spec):
                         apply_choice(child.kernel_a, choice, spec)
                     if not is_terminal(child.kernel_b, spec):
@@ -269,16 +240,16 @@ class ModelChecker:
                 # choice order, which fixes the visited-set insertion
                 # order and with it every statistic and counterexample.
                 child_depth = depth + 1
-                for choice, child, marks in jobs:
+                for choice, child, marks in children:
                     start = clock() if timed else 0.0
-                    violations = child.finish_apply(choice, marks, incremental)
+                    violations = child.finish_apply(choice, marks)
                     if timed:
                         now = clock()
                         profile.add("check", now - start)
                         start = now
                     stats.transitions += 1
                     stats.max_depth = max(stats.max_depth, child_depth)
-                    child_fp = child.fingerprint(incremental)
+                    child_fp = child.fingerprint()
                     if timed:
                         now = clock()
                         profile.add("fingerprint", now - start)
@@ -330,13 +301,3 @@ def _frontier_ops(frontier):
 
     return push, frontier.popleft
 
-
-def _fork_pool(jobs: int):
-    """A fork-context pool (same rationale as the campaign executor)."""
-    import multiprocessing
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        context = multiprocessing.get_context()
-    return context.Pool(processes=jobs)

@@ -19,8 +19,12 @@ physical addresses is not in general sound, and the builder allocates
 deterministically, so raw comparison is exact there.
 
 Digests use :mod:`hashlib` (BLAKE2b), never Python's per-process
-randomised ``hash()`` -- fingerprints must agree across worker
-processes (and lint clean under SC-2).
+randomised ``hash()``: state counts and bitstate positions must repeat
+from run to run (and lint clean under SC-2).
+
+The component builders below are shared with the exact oracle in
+``tests/mc/``, which digests the whole canonical structure at every
+state; the product digest folds the same components incrementally.
 """
 
 from __future__ import annotations
@@ -38,20 +42,6 @@ DIGEST_SIZE = 16
 
 #: Chain-digest seed; every incremental rolling digest starts from it.
 _CHAIN_SEED = b"mcfp"
-
-
-def case_trace(kernel: Kernel) -> Tuple[Tuple[str, str], ...]:
-    """The (case, context) sequence of the Sect. 5.2 case split.
-
-    Prefers the lightweight ``capture_cases`` log; systems still running
-    with full footprint capture derive the same pairs from the footprint
-    log, so either capture mode feeds the checker identically.
-    """
-    if kernel.capture_cases:
-        return tuple(kernel.step_cases)
-    return tuple(
-        (case, context) for case, context, _footprint in kernel.step_footprints
-    )
 
 
 def _domain_order(kernel: Kernel) -> List:
@@ -200,55 +190,6 @@ def _switch_item(record, labels, colours) -> Tuple:
     )
 
 
-def canonical_state(kernel: Kernel, observer: str = "Lo") -> Tuple:
-    """The canonical (symmetry-reduced) structure the digest hashes."""
-    labels = _role_labels(kernel, observer)
-    colours = _colour_map(kernel)
-    order = _domain_order(kernel)
-    tcb_labels = _tcb_labels(order, labels)
-
-    cores = _cores_component(kernel, tcb_labels)
-    domains = _domains_component(order, labels, colours, tcb_labels)
-
-    observations = tuple(
-        (
-            labels[domain.name],
-            tuple(
-                _observation_item(record, tcb_labels)
-                for record in kernel.observations[domain.name]
-            ),
-        )
-        for domain in order
-    )
-
-    switches = tuple(
-        _switch_item(record, labels, colours)
-        for record in kernel.switch_records
-    )
-
-    cases = tuple(
-        (case, _relabel_context(context, labels))
-        for case, context in case_trace(kernel)
-    )
-
-    return (
-        cores,
-        tuple(domains),
-        kernel.machine.fingerprint_all(),
-        kernel.machine.memory.fingerprint(),
-        observations,
-        switches,
-        cases,
-        kernel.endpoints.n_endpoints,
-    )
-
-
-def state_fingerprint(kernel: Kernel, observer: str = "Lo") -> str:
-    """Stable hex digest of the canonical state."""
-    doc = repr(canonical_state(kernel, observer)).encode()
-    return hashlib.blake2b(doc, digest_size=DIGEST_SIZE).hexdigest()
-
-
 def _chain_digest(cache: Dict, key, items: List, encode) -> bytes:
     """Rolling digest of an append-only list, memoised on ``cache``.
 
@@ -271,17 +212,16 @@ def _chain_digest(cache: Dict, key, items: List, encode) -> bytes:
 
 
 def state_fingerprint_incremental(kernel: Kernel, observer: str = "Lo") -> str:
-    """Digest equivalent to :func:`state_fingerprint`, computed lazily.
+    """Stable hex digest of the canonical (symmetry-reduced) state.
 
-    Induces the *same equality partition* over kernel states (two states
-    collide iff all canonical components agree, modulo the same 128-bit
-    hash strength the full digest already has), but the digest *value*
-    differs from the full one -- an exploration must use one mode
-    throughout.  The accumulated evidence lists (observations, switch
-    records, case log) are append-only during exploration, so they are
-    folded into per-kernel rolling chain digests (cached on
-    ``kernel._mc_fp_cache``, copied by both snapshot paths) and each
-    transition pays only for the suffix it appended.  Relabelling maps
+    Two states collide iff all canonical components agree, modulo
+    128-bit hash strength -- the same equality partition as digesting
+    the whole canonical structure at once, which the exact oracle in
+    ``tests/mc/`` does.  The accumulated evidence lists (observations,
+    switch records, case log) are append-only during exploration, so
+    they are folded into per-kernel rolling chain digests (cached on
+    ``kernel._mc_fp_cache``, which ``Kernel.clone_for_mc`` copies) and
+    each transition pays only for the suffix it appended.  Relabelling maps
     are static after build -- domains and threads are never created
     mid-exploration -- which is what makes caching relabelled items
     sound.

@@ -18,9 +18,8 @@ on a concretely executed transition.
 keeps up to ``ram_states`` live product states in memory and overflows
 the rest to chunked pickle files, storing only the replayable choice
 path.  Popping a spilled entry rebuilds the product state by replaying
-its path from the root (``ProductState.from_path``) -- the same
-plain-data idiom the parallel explorer uses across the fork boundary --
-so peak RAM is bounded by ``ram_states`` live systems regardless of
+its path from the root (``ProductState.from_path``), so peak RAM is
+bounded by ``ram_states`` live systems regardless of
 ``spec.max_states``.
 """
 

@@ -29,14 +29,9 @@ from typing import List, Optional, Tuple
 
 from ..core.invariants import check_partition_touches
 from ..core.noninterference import trace_divergence
-from ..core.unwinding import lo_projection, projection_entry
+from ..core.unwinding import projection_entry
 from ..kernel.kernel import Kernel
-from .fingerprint import (
-    case_trace,
-    product_fingerprint,
-    state_fingerprint,
-    state_fingerprint_incremental,
-)
+from .fingerprint import product_fingerprint, state_fingerprint_incremental
 from .spec import STEP, McSpec, apply_choice, build_system, is_terminal
 
 OBSERVER = "Lo"
@@ -55,19 +50,6 @@ class McViolation:
     def __str__(self) -> str:
         where = "" if self.side == "pair" else f" [side {self.side}]"
         return f"{self.kind}{where}: {self.detail}"
-
-
-def _lo_case_trace(kernel: Kernel) -> Tuple[str, ...]:
-    """Case labels of every Lo-attributed step, in execution order."""
-    labels = []
-    for case, context in case_trace(kernel):
-        if (
-            context == OBSERVER
-            or context == f"{OBSERVER}/kernel"
-            or (context.startswith("@switch:") and context.endswith(f">{OBSERVER}"))
-        ):
-            labels.append(case)
-    return tuple(labels)
 
 
 def _trace_cache(kernel: Kernel) -> dict:
@@ -108,8 +90,8 @@ def _cached_obs_trace(kernel: Kernel) -> Tuple:
 def _cached_projection(kernel: Kernel) -> Tuple:
     """``lo_projection(kernel, OBSERVER)`` with prefix memoisation.
 
-    Entries come from the same :func:`projection_entry` builder the
-    exact path uses, so both modes produce identical projections; the
+    Entries come from the same :func:`projection_entry` builder
+    ``lo_projection`` uses, so the projections are identical; the
     consumed length counts *switch records* (the filtered source), not
     entries.  The colour lists are static after build and cached as
     plain ints, safe to share across clones.
@@ -142,11 +124,12 @@ def _cached_projection(kernel: Kernel) -> Tuple:
 
 
 def _cached_lo_cases(kernel: Kernel) -> Tuple[str, ...]:
-    """``_lo_case_trace(kernel)`` with prefix memoisation.
+    """Case labels of every Lo-attributed step, with prefix memoisation.
 
-    Reads the same underlying log ``case_trace`` reads (items are
-    ``(case, context, ...)`` in either capture mode) and applies the
-    same Lo-attribution filter, consuming only the appended suffix.
+    Reads the Sect. 5.2 case log (items are ``(case, context, ...)`` in
+    either capture mode), keeps the steps attributed to Lo -- its own,
+    its kernel entries and switches into it -- and consumes only the
+    appended suffix.
     """
     cache = _trace_cache(kernel)
     source = (
@@ -174,9 +157,7 @@ def _cached_lo_cases(kernel: Kernel) -> Tuple[str, ...]:
 
 
 def _check_pair(
-    kernel_a: Kernel,
-    kernel_b: Kernel,
-    cursors: Optional[List[int]] = None,
+    kernel_a: Kernel, kernel_b: Kernel, cursors: List[int],
 ) -> List[McViolation]:
     """Cross-pair checks (a) and (b) over Lo-visible prefixes.
 
@@ -184,29 +165,23 @@ def _check_pair(
     progress: every entry below a cursor was compared equal on an
     earlier transition of this very execution (the lists are append-only
     and every ancestor state ran this check), so only the new common
-    suffix needs comparing.  ``None`` compares full prefixes (the exact,
-    cursor-free mode the differential tests pin against).  Reported
-    divergence indices are absolute either way.
+    suffix needs comparing.  The built traces are memoised per kernel
+    too, so each transition pays only for its appended suffix instead of
+    rebuilding O(path)-long lists.  Reported divergence indices are
+    absolute, as a full-prefix comparison would report them.
     """
     violations: List[McViolation] = []
-    obs_from, proj_from, case_from = cursors if cursors is not None else (0, 0, 0)
+    obs_from, proj_from, case_from = cursors
 
-    if cursors is not None:
-        # Cursor mode also memoises the *built* traces per kernel: the
-        # logs are append-only, so each transition pays only for its
-        # appended suffix instead of rebuilding O(path)-long lists.
-        trace_a = _cached_obs_trace(kernel_a)
-        trace_b = _cached_obs_trace(kernel_b)
-    else:
-        trace_a = kernel_a.observation_trace(OBSERVER)
-        trace_b = kernel_b.observation_trace(OBSERVER)
+    trace_a = _cached_obs_trace(kernel_a)
+    trace_b = _cached_obs_trace(kernel_b)
     common = min(len(trace_a), len(trace_b))
     divergence = trace_divergence(
         trace_a[obs_from:common], trace_b[obs_from:common]
     )
     if divergence is not None and obs_from:
         # Recompute over the full prefix so the violation detail (which
-        # embeds the index) is bit-identical to the exact mode's.
+        # embeds the index) is bit-identical to a full comparison's.
         divergence = trace_divergence(trace_a[:common], trace_b[:common])
     if divergence is not None:
         violations.append(McViolation(
@@ -215,15 +190,11 @@ def _check_pair(
             side="pair",
             divergence_index=divergence.index,
         ))
-    elif cursors is not None:
+    else:
         cursors[0] = common
 
-    if cursors is not None:
-        projection_a = _cached_projection(kernel_a)
-        projection_b = _cached_projection(kernel_b)
-    else:
-        projection_a = lo_projection(kernel_a, OBSERVER)
-        projection_b = lo_projection(kernel_b, OBSERVER)
+    projection_a = _cached_projection(kernel_a)
+    projection_b = _cached_projection(kernel_b)
     proj_common = min(len(projection_a), len(projection_b))
     for index in range(proj_from, proj_common):
         if projection_a[index] != projection_b[index]:
@@ -239,15 +210,10 @@ def _check_pair(
             ))
             break
     else:
-        if cursors is not None:
-            cursors[1] = proj_common
+        cursors[1] = proj_common
 
-    if cursors is not None:
-        cases_a = _cached_lo_cases(kernel_a)
-        cases_b = _cached_lo_cases(kernel_b)
-    else:
-        cases_a = _lo_case_trace(kernel_a)
-        cases_b = _lo_case_trace(kernel_b)
+    cases_a = _cached_lo_cases(kernel_a)
+    cases_b = _cached_lo_cases(kernel_b)
     case_common = min(len(cases_a), len(cases_b))
     for index in range(case_from, case_common):
         if cases_a[index] != cases_b[index]:
@@ -262,8 +228,7 @@ def _check_pair(
             ))
             break
     else:
-        if cursors is not None:
-            cursors[2] = case_common
+        cursors[2] = case_common
 
     return violations
 
@@ -382,27 +347,11 @@ class ProductState:
             state.apply(choice, spec)
         return state
 
-    def clone(self, fast: bool = True) -> "ProductState":
-        """An independent copy; ``fast`` uses the hand-rolled deep copy.
-
-        ``Kernel.clone_for_mc`` covers exactly the systems the checker
-        builds (plain instrumentation, no SMT, ReplayableProgram
-        threads); anything outside that envelope raises ``TypeError``
-        and falls back to the deepcopy snapshot, so ``fast=True`` is
-        always safe.
-        """
-        if fast:
-            try:
-                kernel_a = self.kernel_a.clone_for_mc()
-                kernel_b = self.kernel_b.clone_for_mc()
-            except TypeError:
-                fast = False
-        if not fast:
-            kernel_a = self.kernel_a.snapshot()
-            kernel_b = self.kernel_b.snapshot()
+    def clone(self) -> "ProductState":
+        """An independent copy, via ``Kernel.clone_for_mc`` on both sides."""
         return ProductState(
-            kernel_a=kernel_a,
-            kernel_b=kernel_b,
+            kernel_a=self.kernel_a.clone_for_mc(),
+            kernel_b=self.kernel_b.clone_for_mc(),
             secret_a=self.secret_a,
             secret_b=self.secret_b,
             irq_budget=self.irq_budget,
@@ -420,22 +369,14 @@ class ProductState:
             choices.extend(("irq", line) for line in spec.irq_lines)
         return choices
 
-    def apply(self, choice: Tuple, spec: McSpec,
-              incremental: bool = True) -> List[McViolation]:
-        """Concretise ``choice`` on both sides; return transition violations.
-
-        ``incremental`` compares only the evidence appended since the
-        last check on this execution (sound because the compared lists
-        are append-only and every ancestor ran the same check); ``False``
-        recompares full prefixes -- the differential tests pin both modes
-        to identical verdicts.
-        """
+    def apply(self, choice: Tuple, spec: McSpec) -> List[McViolation]:
+        """Concretise ``choice`` on both sides; return transition violations."""
         marks = self.begin_apply()
         if not is_terminal(self.kernel_a, spec):
             apply_choice(self.kernel_a, choice, spec)
         if not is_terminal(self.kernel_b, spec):
             apply_choice(self.kernel_b, choice, spec)
-        return self.finish_apply(choice, marks, incremental)
+        return self.finish_apply(choice, marks)
 
     def begin_apply(self) -> Tuple[int, int]:
         """Pre-transition marks (switch-record counts) for finish_apply.
@@ -449,20 +390,19 @@ class ProductState:
             len(self.kernel_b.switch_records),
         )
 
-    def finish_apply(self, choice: Tuple, marks: Tuple[int, int],
-                     incremental: bool = True) -> List[McViolation]:
+    def finish_apply(self, choice: Tuple,
+                     marks: Tuple[int, int]) -> List[McViolation]:
         """Post-transition bookkeeping and checks; see :meth:`begin_apply`."""
         if choice[0] == "irq":
             self.irq_budget -= 1
-        cursors = self.check_cursors if incremental else None
-        violations = _check_pair(self.kernel_a, self.kernel_b, cursors)
+        violations = _check_pair(
+            self.kernel_a, self.kernel_b, self.check_cursors)
         violations.extend(_check_side(self.kernel_a, "a", marks[0]))
         violations.extend(_check_side(self.kernel_b, "b", marks[1]))
         return violations
 
-    def fingerprint(self, incremental: bool = False) -> str:
-        fp = state_fingerprint_incremental if incremental else state_fingerprint
+    def fingerprint(self) -> str:
         return product_fingerprint(
-            fp(self.kernel_a, OBSERVER),
-            fp(self.kernel_b, OBSERVER),
+            state_fingerprint_incremental(self.kernel_a, OBSERVER),
+            state_fingerprint_incremental(self.kernel_b, OBSERVER),
         )

@@ -96,7 +96,6 @@ class McReport:
     stop_reason: str  # "exhausted" | "violation" | "depth-bound" | "state-bound"
     stats: McStats = field(default_factory=McStats)
     counterexamples: List[McCounterexample] = field(default_factory=list)
-    jobs: int = 1
     #: Bitstate-mode metadata ({mbytes, inserted,
     #: est_omission_probability}); None for exact visited sets.
     bitstate: Optional[dict] = None
@@ -118,7 +117,6 @@ class McReport:
             "max_states": self.spec.max_states,
             "irq_lines": list(self.spec.irq_lines),
             "irq_budget": self.spec.irq_budget,
-            "jobs": self.jobs,
             "passed": self.passed,
             "exhaustive": self.exhaustive,
             "stop_reason": self.stop_reason,
@@ -168,7 +166,7 @@ def render_text(report: McReport) -> str:
     lines.append(dedup_line)
     lines.append(
         f"search: max depth {stats.max_depth} (bound {spec.depth}), "
-        f"peak frontier {stats.peak_frontier}, jobs {report.jobs}"
+        f"peak frontier {stats.peak_frontier}"
     )
     if report.profile is not None:
         total = sum(report.profile.values())

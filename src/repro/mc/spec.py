@@ -4,9 +4,8 @@ The checker explores *small, closed* systems: a Hi domain whose program
 depends on a secret, a Lo domain running a fixed timing-probe program,
 one core, a static two-slot schedule.  Everything here is plain data
 (:class:`McSpec` is a frozen dataclass of names and integers) so a spec
-can cross a ``multiprocessing`` pickle boundary and be rebuilt
-deterministically inside a worker -- the same idiom as
-``repro.campaign.registry``.
+plus a choice path rebuilds a system deterministically -- which the
+spill frontier and counterexample replay both rely on.
 
 The workload is chosen so each mechanism failure is *reachable*:
 
@@ -97,7 +96,12 @@ class McSpec:
 
     @classmethod
     def for_machine(cls, machine: str, tp: str, **overrides) -> "McSpec":
-        """Per-machine defaults (image sizing, slice length), overridable."""
+        """Per-machine defaults (image sizing, slice length), overridable.
+
+        Raises ``ValueError`` for an IRQ line the preset cannot inject:
+        line 0 is the preemption timer, and lines stop at the preset's
+        controller width.
+        """
         if machine not in MACHINES:
             raise KeyError(f"unknown machine preset {machine!r}")
         if tp not in TP_CONFIGS:
@@ -109,7 +113,16 @@ class McSpec:
             spec = replace(spec, kernel_image_pages=8, slice_cycles=400)
         else:
             spec = replace(spec, slice_cycles=600)
-        return replace(spec, **overrides)
+        spec = replace(spec, **overrides)
+        n_lines = MACHINES[machine]().config.irq_lines
+        for line in spec.irq_lines:
+            if not 0 < line < n_lines:
+                raise ValueError(
+                    f"IRQ line {line} cannot be injected on {machine}: "
+                    f"use lines 1..{n_lines - 1} (line 0 is the "
+                    f"preemption timer)"
+                )
+        return spec
 
     def secret_pairs(self) -> Tuple[Tuple[int, int], ...]:
         """All unordered pairs of distinct secrets (product-state roots)."""

@@ -36,8 +36,9 @@ BASELINE_FILENAME = "statcheck.baseline.json"
 _SCOPE_SEGMENTS = {
     "SC-1": {"hardware"},
     # The model checker is in SC-2 scope: fingerprints and exploration
-    # order must be deterministic across processes (frontier sharding
-    # hands states to fork workers by hash).  So is the synth search: an
+    # order must repeat from run to run, or state counts, bitstate
+    # positions and spilled-path replay would differ between runs of the
+    # same spec.  So is the synth search: an
     # unseeded RNG anywhere in the evolution loop silently breaks
     # same-seed reproducibility of discovered attacks.  And so is the
     # analysis package: ``capacity.mutual_information_from_samples`` is

@@ -114,6 +114,28 @@ class TestMc:
     def test_bad_secret_domain_exits_two(self, capsys):
         assert main(["mc", "--secrets", "0"]) == 2
         assert "two distinct secrets" in capsys.readouterr().err
+        # A repeated secret leaves no pair to check: not a vacuous PASS.
+        assert main(["mc", "--secrets", "3,3"]) == 2
+        assert "two distinct secrets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", ["0", "99", "1,16"])
+    def test_uninjectable_irq_line_exits_two(self, capsys, lines):
+        # Line 0 is the preemption timer; tiny has lines 0..15.
+        code = main(["mc", "--machine", "tiny", "--secrets", "0,1",
+                     "--irq-lines", lines])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid mc spec" in err and "IRQ line" in err
+
+    @pytest.mark.parametrize("option", [
+        "--jobs=2", "--exact", "--no-por", "--no-incremental",
+        "--no-fast-clone",
+    ])
+    def test_removed_explorer_options_are_unknown(self, capsys, option):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mc", "--secrets", "0,1", option])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_machine_rejected_by_parser(self):
         with pytest.raises(SystemExit):

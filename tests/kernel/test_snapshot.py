@@ -1,24 +1,32 @@
-"""Kernel snapshot/restore and the replayable-program protocol."""
+"""Kernel snapshots (``Kernel.clone_for_mc``) and the replayable-program
+protocol."""
+
+import copy
 
 import pytest
 
 from repro.hardware import Access, Compute
 from repro.kernel.objects import ReplayableProgram
-from repro.mc import McSpec, build_system, state_fingerprint
+from repro.mc import McSpec, build_system
+from tests.mc.oracle import state_fingerprint
 
 
-def _spec():
-    return McSpec.for_machine("micro", "full")
+def _spec(machine="micro"):
+    return McSpec.for_machine(machine, "full")
+
+
+def _step(kernel, spec, steps=1):
+    for _ in range(steps):
+        kernel.step(core_id=0, max_cycles=spec.max_cycles)
 
 
 class TestSnapshot:
     def test_snapshot_is_independent_of_the_original(self):
         spec = _spec()
         kernel = build_system(spec, secret=1)
-        snap = kernel.snapshot()
+        snap = kernel.clone_for_mc()
         before = state_fingerprint(snap)
-        for _ in range(4):
-            kernel.step(core_id=0, max_cycles=spec.max_cycles)
+        _step(kernel, spec, 4)
         # The original moved; the snapshot must not have.
         assert state_fingerprint(snap) == before
         assert state_fingerprint(kernel) != before
@@ -26,12 +34,30 @@ class TestSnapshot:
     def test_snapshot_resumes_identically(self):
         spec = _spec()
         kernel = build_system(spec, secret=1)
-        for _ in range(3):
-            kernel.step(core_id=0, max_cycles=spec.max_cycles)
-        snap = kernel.snapshot()
-        kernel.step(core_id=0, max_cycles=spec.max_cycles)
-        snap.step(core_id=0, max_cycles=spec.max_cycles)
+        _step(kernel, spec, 3)
+        snap = kernel.clone_for_mc()
+        _step(kernel, spec)
+        _step(snap, spec)
         assert state_fingerprint(snap) == state_fingerprint(kernel)
+
+    def test_smt_clone_keeps_sibling_sharing(self):
+        # An SMT pair shares every private structure concurrently; the
+        # clone must rebuild that sharing, not split the pair.
+        spec = _spec("smt")
+        kernel = build_system(spec, secret=1)
+        _step(kernel, spec, 3)
+        clone = kernel.clone_for_mc()
+        deep = copy.deepcopy(kernel)
+        cores = clone.machine.cores
+        for name in ("l1i", "l1d", "l2", "tlb", "branch", "prefetcher"):
+            assert getattr(cores[1], name) is getattr(cores[0], name), name
+        original = {id(e) for e in kernel.machine.all_state_elements()}
+        cloned = {id(e) for e in clone.machine.all_state_elements()}
+        assert not original & cloned
+        for system in (kernel, clone, deep):
+            _step(system, spec, 4)
+        assert state_fingerprint(clone) == state_fingerprint(kernel)
+        assert state_fingerprint(clone) == state_fingerprint(deep)
 
     def test_raw_generator_programs_are_rejected_with_guidance(self):
         from repro.campaign.registry import MACHINES, TP_CONFIGS
@@ -46,7 +72,7 @@ class TestSnapshot:
         domain = kernel.create_domain("Hi", n_colours=1)
         kernel.create_thread(domain, generator_program, data_pages=1)
         with pytest.raises(TypeError, match="ReplayableProgram"):
-            kernel.snapshot()
+            kernel.clone_for_mc()
 
 
 class TestReplayableProgram:

@@ -1,5 +1,4 @@
-"""Explorer behaviour: exhaustive verdicts, bounds, counterexamples,
-serial/parallel agreement."""
+"""Explorer behaviour: exhaustive verdicts, bounds, counterexamples."""
 
 import pytest
 
@@ -7,9 +6,8 @@ from repro.mc import McSpec, ModelChecker, confirm_counterexample
 
 
 def check(machine, tp, **overrides):
-    jobs = overrides.pop("jobs", 1)
     spec = McSpec.for_machine(machine, tp, **overrides)
-    return spec, ModelChecker(spec, jobs=jobs).run()
+    return spec, ModelChecker(spec).run()
 
 
 class TestExhaustivePass:
@@ -81,27 +79,6 @@ class TestBounds:
         _, report = check("micro", "full", secrets=(0, 1))
         assert report.stats.max_depth < 400
         assert report.stats.states_visited < 200_000
-
-
-class TestParallel:
-    def test_parallel_matches_serial_on_violation(self):
-        spec, serial = check("micro", "no-pad", secrets=(0, 1))
-        _, parallel = check("micro", "no-pad", secrets=(0, 1), jobs=2)
-        assert serial.stats.to_json() == parallel.stats.to_json()
-        assert (
-            [(c.secret_a, c.secret_b, c.path, c.depth)
-             for c in serial.counterexamples]
-            == [(c.secret_a, c.secret_b, c.path, c.depth)
-                for c in parallel.counterexamples]
-        )
-
-    @pytest.mark.slow
-    def test_parallel_matches_serial_on_exhaustive_pass(self):
-        _, serial = check("micro", "full", secrets=(0, 1))
-        _, parallel = check("micro", "full", secrets=(0, 1), jobs=2)
-        assert serial.passed and parallel.passed
-        assert serial.exhaustive and parallel.exhaustive
-        assert serial.stats.to_json() == parallel.stats.to_json()
 
 
 class TestReport:

@@ -1,15 +1,24 @@
-"""Canonical fingerprinting: stability, sensitivity, symmetry reduction."""
+"""Canonical fingerprinting: stability, sensitivity, symmetry reduction.
+
+Each property is asserted on both digests: the exact oracle's
+full-structure ``state_fingerprint`` and the product path's
+``state_fingerprint_incremental``.
+"""
 
 from repro.kernel import Kernel
 from repro.kernel.objects import ReplayableProgram
 from repro.mc import (
     McSpec,
     build_system,
-    canonical_state,
     product_fingerprint,
-    state_fingerprint,
+    state_fingerprint_incremental,
 )
 from repro.mc.spec import hi_step, lo_step
+
+from .oracle import canonical_state, state_fingerprint
+
+#: (oracle, product) state digests.
+DIGESTS = (state_fingerprint, state_fingerprint_incremental)
 
 
 def _spec(tp="full", **overrides):
@@ -21,30 +30,35 @@ class TestStability:
         spec = _spec()
         a = build_system(spec, secret=1)
         b = build_system(spec, secret=1)
-        assert state_fingerprint(a) == state_fingerprint(b)
+        for digest in DIGESTS:
+            assert digest(a) == digest(b), digest.__name__
 
     def test_fingerprint_is_plain_hex(self):
         spec = _spec()
-        fp = state_fingerprint(build_system(spec, secret=0))
-        assert isinstance(fp, str)
-        int(fp, 16)  # must parse as hex
+        for digest in DIGESTS:
+            fp = digest(build_system(spec, secret=0))
+            assert isinstance(fp, str)
+            int(fp, 16)  # must parse as hex
 
     def test_step_changes_fingerprint(self):
         spec = _spec()
         kernel = build_system(spec, secret=0)
-        before = state_fingerprint(kernel)
+        before = [digest(kernel) for digest in DIGESTS]
         kernel.step(core_id=0, max_cycles=spec.max_cycles)
-        assert state_fingerprint(kernel) != before
+        after = [digest(kernel) for digest in DIGESTS]
+        assert after[0] != before[0]
+        assert after[1] != before[1]
 
     def test_secret_distinguishes_roots(self):
         # The secret is a program parameter, which fully determines
         # future behaviour: states must never alias across secrets even
         # before the first secret-dependent instruction executes.
         spec = _spec()
-        assert (
-            state_fingerprint(build_system(spec, secret=0))
-            != state_fingerprint(build_system(spec, secret=1))
-        )
+        for digest in DIGESTS:
+            assert (
+                digest(build_system(spec, secret=0))
+                != digest(build_system(spec, secret=1))
+            ), digest.__name__
 
 
 class TestSymmetry:
@@ -85,7 +99,8 @@ class TestSymmetry:
             a.step(core_id=0, max_cycles=spec.max_cycles)
             b.step(core_id=0, max_cycles=spec.max_cycles)
         assert canonical_state(a) == canonical_state(b)
-        assert state_fingerprint(a) == state_fingerprint(b)
+        for digest in DIGESTS:
+            assert digest(a) == digest(b), digest.__name__
 
     def test_product_pair_is_unordered(self):
         fp_a = "0" * 32

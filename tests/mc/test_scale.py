@@ -1,17 +1,26 @@
-"""Differential tests for the scaled explorer: every exploration lever
-(POR, incremental fingerprints, fast clone, bitstate, disk spill) must
-preserve the exact explorer's verdicts bit-for-bit on the
-configurations it is sound for.
+"""Differential tests for the scaled explorer: its built-in reductions
+(POR, incremental fingerprints, the hand-rolled clone) and its memory
+levers (bitstate, disk spill) must preserve the exact explorer's
+verdicts bit-for-bit on the configurations they are sound for.
 
-The exact mode (``McOptions.exact()``) is the seed explorer's behaviour
-and the oracle throughout: full-prefix checks, repr-based fingerprints,
-deepcopy snapshots, no reductions.
+The exact oracle (``oracle.exact_explorer``) runs the same BFS loop with
+full-prefix checks, repr-based fingerprints, deepcopy clones and no
+reductions installed over the product path.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mc import McOptions, McSpec, ModelChecker
+from repro.mc import McOptions, McSpec, ModelChecker, ProductState
+
+from .oracle import (
+    check_pair_full,
+    deepcopy_clone,
+    exact_explorer,
+    exact_fingerprint,
+    keep_every_choice,
+    without_por,
+)
 
 #: Every TP config the differential matrix pins, passing and failing.
 TP_MATRIX = ("full", "no-pad", "no-colour", "no-flush", "none")
@@ -20,6 +29,16 @@ TP_MATRIX = ("full", "no-pad", "no-colour", "no-flush", "none")
 def run(machine, tp, options=None, **overrides):
     spec = McSpec.for_machine(machine, tp, secrets=(0, 1), **overrides)
     return ModelChecker(spec, options=options).run()
+
+
+def run_exact(machine, tp, **overrides):
+    with exact_explorer():
+        return run(machine, tp, **overrides)
+
+
+def run_without_por(machine, tp, **overrides):
+    with without_por():
+        return run(machine, tp, **overrides)
 
 
 def verdict_signature(report):
@@ -37,40 +56,37 @@ def verdict_signature(report):
     )
 
 
-@pytest.fixture(scope="module")
-def exact_micro():
-    """Exact-mode oracle reports for every TP config on micro."""
-    return {
-        tp: run("micro", tp, options=McOptions.exact()) for tp in TP_MATRIX
-    }
+class TestOracle:
+    def test_exact_explorer_replaces_every_reduction(self):
+        from repro.mc import explorer, product
 
-
-LEVERS = {
-    "por-only": McOptions(por=True, incremental=False, fast_clone=False),
-    "incremental-only": McOptions(por=False, incremental=True,
-                                  fast_clone=False),
-    "fast-clone-only": McOptions(por=False, incremental=False,
-                                 fast_clone=True),
-    "all-on": McOptions(),
-}
+        spec = McSpec.for_machine("micro", "full", secrets=(0, 1))
+        state = ProductState.initial(spec, 0, 1)
+        product_digest = state.fingerprint()
+        with exact_explorer():
+            assert explorer.reduce_choices is keep_every_choice
+            assert product._check_pair is check_pair_full
+            assert ProductState.clone is deepcopy_clone
+            assert state.fingerprint() == exact_fingerprint(state)
+            assert state.fingerprint() != product_digest
+        assert state.fingerprint() == product_digest
 
 
 class TestDifferentialMicro:
     @pytest.mark.parametrize("tp", TP_MATRIX)
-    @pytest.mark.parametrize("lever", sorted(LEVERS))
-    def test_lever_matches_exact(self, exact_micro, tp, lever):
-        report = run("micro", tp, options=LEVERS[lever])
-        assert verdict_signature(report) == verdict_signature(
-            exact_micro[tp]
-        ), f"{lever} diverges from exact on micro/{tp}"
+    def test_matches_exact(self, tp):
+        assert verdict_signature(run("micro", tp)) == verdict_signature(
+            run_exact("micro", tp)
+        ), f"explorer diverges from exact on micro/{tp}"
 
 
 class TestDifferentialTiny:
     @pytest.mark.parametrize("tp", ("full", "no-pad"))
     def test_all_levers_match_exact(self, tp):
-        exact = run("tiny", tp, options=McOptions.exact())
-        fast = run("tiny", tp)
-        assert verdict_signature(fast) == verdict_signature(exact)
+        # Every reduction built into the explorer at once.
+        assert verdict_signature(run("tiny", tp)) == verdict_signature(
+            run_exact("tiny", tp)
+        )
 
 
 class TestPartialOrderReduction:
@@ -82,8 +98,7 @@ class TestPartialOrderReduction:
     def test_prunes_symmetric_lines(self):
         spec_kwargs = dict(irq_lines=(1, 2, 3))
         on = run("tiny", "full", **spec_kwargs)
-        off = run("tiny", "full", options=McOptions(por=False),
-                  **spec_kwargs)
+        off = run_without_por("tiny", "full", **spec_kwargs)
         assert on.stats.por_pruned > 0
         assert on.stats.states_visited < off.stats.states_visited
         assert (on.passed, on.exhaustive) == (off.passed, off.exhaustive)
@@ -91,8 +106,7 @@ class TestPartialOrderReduction:
     def test_preserves_violations_on_multi_line(self):
         spec_kwargs = dict(irq_lines=(1, 2))
         on = run("micro", "no-pad", **spec_kwargs)
-        off = run("micro", "no-pad", options=McOptions(por=False),
-                  **spec_kwargs)
+        off = run_without_por("micro", "no-pad", **spec_kwargs)
         assert not on.passed and not off.passed
         assert (
             on.minimal_counterexample().depth
@@ -104,8 +118,7 @@ class TestPartialOrderReduction:
         # signature must read the controller's pending heap correctly.
         spec_kwargs = dict(irq_lines=(1, 2, 3), irq_budget=2)
         on = run("micro", "full", **spec_kwargs)
-        off = run("micro", "full", options=McOptions(por=False),
-                  **spec_kwargs)
+        off = run_without_por("micro", "full", **spec_kwargs)
         assert on.stats.por_pruned > 0
 
         def cex_depth(report):
@@ -157,20 +170,14 @@ class TestProfileAndPresets:
 
 
 class TestHypothesisDifferential:
-    @given(
-        secret_b=st.integers(min_value=1, max_value=7),
-        por=st.booleans(),
-        incremental=st.booleans(),
-    )
+    @given(secret_b=st.integers(min_value=1, max_value=7))
     @settings(max_examples=6, deadline=None)
-    def test_random_levers_match_exact(self, secret_b, por, incremental):
+    def test_random_secrets_match_exact(self, secret_b):
         spec = McSpec.for_machine("micro", "full", secrets=(0, secret_b))
-        exact = ModelChecker(spec, options=McOptions.exact()).run()
-        levered = ModelChecker(
-            spec,
-            options=McOptions(por=por, incremental=incremental),
-        ).run()
-        assert verdict_signature(levered) == verdict_signature(exact)
+        with exact_explorer():
+            exact = ModelChecker(spec).run()
+        fast = ModelChecker(spec).run()
+        assert verdict_signature(fast) == verdict_signature(exact)
 
     @given(irq_budget=st.integers(min_value=0, max_value=2))
     @settings(max_examples=3, deadline=None)
@@ -178,6 +185,7 @@ class TestHypothesisDifferential:
         spec = McSpec.for_machine(
             "micro", "full", secrets=(0, 1), irq_budget=irq_budget
         )
-        exact = ModelChecker(spec, options=McOptions.exact()).run()
+        with exact_explorer():
+            exact = ModelChecker(spec).run()
         fast = ModelChecker(spec).run()
         assert verdict_signature(fast) == verdict_signature(exact)

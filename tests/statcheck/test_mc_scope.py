@@ -1,10 +1,10 @@
 """SC-2 scope must cover the model checker.
 
-Fingerprints cross process boundaries (the parallel explorer shards the
-frontier to fork workers by state hash), so any nondeterminism in
-``src/repro/mc`` silently desynchronises workers.  The determinism
-checker therefore owns that tree: the shipped code must lint clean, and
-a seeded violation must be caught.
+State counts, bitstate positions and the replay of spilled frontier
+paths must repeat from run to run of the same spec, so any
+nondeterminism in ``src/repro/mc`` silently changes reported results.
+The determinism checker therefore owns that tree: the shipped code must
+lint clean, and a seeded violation must be caught.
 """
 
 import shutil
