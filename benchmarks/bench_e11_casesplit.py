@@ -13,6 +13,7 @@ function actually read -- the "arguments of the unspecified function").
 """
 
 from repro.core import audit, dependency_profile, witnesses_from_kernel
+from repro.hardware import Evidence
 from repro.kernel import TimeProtectionConfig
 
 from _common import run_once
@@ -24,7 +25,7 @@ def _run():
     kernel = build_two_domain_system(
         secret=5,
         tp=TimeProtectionConfig.full(),
-        capture_footprints=True,
+        evidence=Evidence.everything(),
         observer_iterations=150,
         max_cycles=500_000,
     )

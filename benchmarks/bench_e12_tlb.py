@@ -12,6 +12,7 @@ perturbs Lo's TLB-sensitive walk timing under full TP.
 """
 
 from repro.core import secret_swap_experiment
+from repro.core.noninterference import SWAP_EVIDENCE
 from repro.hardware import Access, Compute, Halt, ReadTime, presets
 from repro.hardware.geometry import TlbGeometry
 from repro.hardware.memory import PhysicalMemory
@@ -76,6 +77,7 @@ def _system(secret):
     kernel.create_thread(hi, _remapper, data_pages=8, params={"secret": secret})
     kernel.create_thread(lo, _walker, data_pages=8)
     kernel.set_schedule(0, [(hi, None), (lo, None)])
+    kernel.declare(SWAP_EVIDENCE)
     kernel.run(max_cycles=500_000)
     return kernel
 

@@ -224,7 +224,6 @@ def _campaign_store_fixture(n_records: int = 100_000) -> Tuple[str, str, int]:
                     "attack": "e5",
                     "seed": i,
                     "params": {},
-                    "instrumentation": "full",
                     "derived_seed": (i * 2654435761) % (1 << 32),
                     "attempts": 1,
                     "worker": {"pid": 4242, "host": "bench"},

@@ -74,7 +74,6 @@ def _failure_record(
         "attack": trial.attack,
         "seed": trial.seed,
         "params": dict(trial.params),
-        "instrumentation": trial.instrumentation,
         "derived_seed": trial.derived_seed(),
         "attempts": int(payload.get("attempt", 1)),
         "worker": {"pid": os.getpid(), "host": socket.gethostname()},

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from . import registry
 
@@ -32,9 +32,6 @@ class TrialSpec:
     attack: str
     seed: int = 0
     params: Mapping[str, Any] = field(default_factory=dict)
-    # Instrumentation fidelity: "full" (per-touch evidence, proof-ready)
-    # or "counting" (aggregate counters only -- the sweep fast path).
-    instrumentation: str = "full"
 
     def key(self) -> str:
         """Stable identifier used for result storage and resume."""
@@ -44,9 +41,6 @@ class TrialSpec:
         )
         if self.params:
             base += f"/params={_params_fingerprint(self.params)}"
-        if self.instrumentation != "full":
-            # Appended conditionally so pre-existing stores keep their keys.
-            base += f"/instr={self.instrumentation}"
         return base
 
     def derived_seed(self) -> int:
@@ -70,15 +64,9 @@ class TrialSpec:
             attack=payload["attack"],
             seed=int(payload.get("seed", 0)),
             params=dict(payload.get("params", {})),
-            instrumentation=str(payload.get("instrumentation", "full")),
         )
 
     def validate(self) -> None:
-        if self.instrumentation not in ("full", "counting"):
-            raise KeyError(
-                f"unknown instrumentation {self.instrumentation!r}; "
-                f"choices: ['counting', 'full']"
-            )
         if self.machine not in registry.MACHINES:
             raise KeyError(
                 f"unknown machine {self.machine!r}; "
@@ -112,9 +100,6 @@ class CampaignSpec:
     seeds: Sequence[int] = (0,)
     attack_params: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     name: str = "campaign"
-    # Applied to every trial in the grid; "counting" trades proof-grade
-    # touch evidence for sweep throughput.
-    instrumentation: str = "full"
 
     def trials(self) -> List[TrialSpec]:
         """Expand the grid, skipping core-starved (machine, attack) pairs."""
@@ -141,7 +126,6 @@ class CampaignSpec:
                             attack=attack,
                             seed=int(seed),
                             params=params,
-                            instrumentation=self.instrumentation,
                         )
                         trial.validate()
                         out.append(trial)
@@ -158,14 +142,12 @@ class CampaignSpec:
                 attack: dict(params)
                 for attack, params in self.attack_params.items()
             },
-            "instrumentation": self.instrumentation,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
         known = {
             "name", "machines", "tps", "attacks", "seeds", "attack_params",
-            "instrumentation",
         }
         unknown = set(data) - known
         if unknown:
@@ -177,14 +159,9 @@ class CampaignSpec:
             seeds=tuple(int(s) for s in data.get("seeds", (0,))),
             attack_params=dict(data.get("attack_params", {})),
             name=str(data.get("name", "campaign")),
-            instrumentation=str(data.get("instrumentation", "full")),
         )
 
     @classmethod
     def from_json_file(cls, path: str) -> "CampaignSpec":
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
-
-
-def trial_keys(trials: Iterable[TrialSpec]) -> List[str]:
-    return [trial.key() for trial in trials]

@@ -15,7 +15,6 @@ import signal
 import socket
 import time
 import traceback
-from dataclasses import replace
 from typing import Any, Dict, Mapping
 
 from . import registry
@@ -61,7 +60,6 @@ def run_trial(payload: Mapping[str, Any]) -> Dict[str, Any]:
         "attack": trial.attack,
         "seed": trial.seed,
         "params": dict(trial.params),
-        "instrumentation": trial.instrumentation,
         "derived_seed": trial.derived_seed(),
         "attempts": attempt,
         "worker": {"pid": os.getpid(), "host": socket.gethostname()},
@@ -76,8 +74,6 @@ def run_trial(payload: Mapping[str, Any]) -> Dict[str, Any]:
         trial.validate()
         _seed_rngs(trial.derived_seed())
         tp = registry.TP_CONFIGS[trial.tp]()
-        if trial.instrumentation != tp.instrumentation:
-            tp = replace(tp, instrumentation=trial.instrumentation)
         machine_factory = registry.MACHINES[trial.machine]
         result = registry.ATTACKS[trial.attack].run(
             tp, machine_factory, trial.params

@@ -10,7 +10,7 @@ Ten subcommands::
     repro-tp inspect  [--machine M]
     repro-tp campaign [--machines M1,M2] [--tps T1,T2] [--attacks A1,A2]
                       [--seeds 0,1] [--workers N] [--store results.jsonl]
-                      [--instrumentation full|counting] [--genomes FILE]
+                      [--genomes FILE]
                       [--serve | --distributed] [--host H] [--port P]
                       [--shard-size N] [--lease-ttl S] [--status-interval S]
     repro-tp work     --coordinator URL [--jobs N] [--name ID]
@@ -364,7 +364,6 @@ def cmd_campaign(args) -> int:
             tps=tuple(t.strip() for t in args.tps.split(",") if t.strip()),
             attacks=attacks,
             seeds=tuple(int(s) for s in args.seeds.split(",") if s.strip()),
-            instrumentation=args.instrumentation,
         )
     try:
         trials = spec.trials()
@@ -724,10 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated attack names")
     campaign.add_argument("--seeds", default="0",
                           help="comma-separated integer seeds")
-    campaign.add_argument("--instrumentation", choices=("full", "counting"),
-                          default="full",
-                          help="touch instrumentation fidelity: 'counting' "
-                               "trades proof-grade evidence for throughput")
     campaign.add_argument("--workers", type=int, default=0,
                           help="worker processes (0 = one per available CPU)")
     campaign.add_argument("--store", default="campaign_results.jsonl",

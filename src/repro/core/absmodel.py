@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..hardware.machine import Machine
-from ..hardware.state import (
-    InstrumentationMode,
-    Scope,
-    StateCategory,
-    StateElement,
-)
+from ..hardware.state import Scope, StateCategory, StateElement
 
 
 @dataclass(frozen=True)
@@ -60,12 +55,6 @@ class AbstractHardwareModel:
 
     @classmethod
     def from_machine(cls, machine: Machine) -> "AbstractHardwareModel":
-        if machine.instrumentation.mode is InstrumentationMode.COUNTING:
-            raise ValueError(
-                "cannot build proof obligations from a counting-mode "
-                "machine: aggregate touch counts carry no per-index "
-                "evidence; re-run with instrumentation='full'"
-            )
         elements = []
         for element in machine.all_state_elements():
             elements.append(

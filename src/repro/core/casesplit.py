@@ -74,16 +74,12 @@ class CaseSplitAudit:
 def audit(kernel: Kernel, observer: Optional[str] = None) -> CaseSplitAudit:
     """Classify and check every captured step of an (already-run) kernel.
 
-    ``kernel.capture_footprints`` must have been True during the run.
-    ``observer`` restricts Cases 1/2a to one domain's steps (the paper
-    fixes Lo "without loss of generality"); by default all domains'
-    steps are audited, which is the stronger statement.
+    The run must have declared the case log with footprints
+    (``Evidence(cases=True, footprints=True)``).  ``observer`` restricts
+    Cases 1/2a to one domain's steps (the paper fixes Lo "without loss
+    of generality"); by default all domains' steps are audited, which is
+    the stronger statement.
     """
-    if not kernel.step_footprints:
-        raise ValueError(
-            "no step footprints captured; set kernel.capture_footprints = True "
-            "before running"
-        )
     witnesses = witnesses_from_kernel(kernel)
     if observer is not None:
         witnesses = [

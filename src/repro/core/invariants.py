@@ -10,7 +10,7 @@ Three invariant families are checked here:
 * **static allocation invariants** -- domain colour sets (and the
   kernel's reserved colour) are pairwise disjoint; kernel images are
   frame-disjoint across domains;
-* **dynamic touch invariants** -- replaying the instrumentation summary,
+* **dynamic touch invariants** -- replaying the declared touch sets,
   every touch of a partitionable element lies inside the partition the
   toucher is entitled to (user: its domain's colours; kernel-on-behalf:
   domain colours plus the kernel's shared colour; switch path: the union
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from ..hardware.state import StateCategory
+from ..hardware.state import Evidence, StateCategory
 from ..kernel.kernel import Kernel
 
 
@@ -132,6 +132,13 @@ def check_partition_touches(kernel: Kernel) -> List[Violation]:
         element.name: element
         for element in kernel.machine.all_state_elements()
     }
+    kernel.require_evidence(
+        Evidence(touches=frozenset(
+            name for name, element in elements_by_name.items()
+            if element.category is StateCategory.PARTITIONABLE
+        )),
+        "check_partition_touches",
+    )
     for (context, element_name), indices in sorted(
         kernel.machine.instrumentation.summary.items(),
         key=lambda item: (str(item[0][0]), item[0][1]),
@@ -210,11 +217,14 @@ def check_tlb_asid_isolation(kernel: Kernel) -> List[Violation]:
     for domain in kernel.domains.values():
         for tcb in domain.threads:
             asid_owner[tcb.space.asid] = domain.name
-    tlb_names = {
+    tlb_names = frozenset(
         element.name
         for element in kernel.machine.all_state_elements()
         if element.name.endswith(".tlb")
-    }
+    )
+    kernel.require_evidence(
+        Evidence(touches=tlb_names), "check_tlb_asid_isolation"
+    )
     for (context, element_name), indices in kernel.machine.instrumentation.summary.items():
         if element_name not in tlb_names or context is None:
             continue

@@ -23,8 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..hardware.state import InstrumentationMode
+from ..hardware.state import Evidence
 from ..kernel.kernel import Kernel
+
+#: What :func:`compare_finished_runs` reads beyond the observation
+#: traces: the switch snapshots behind the Lo-visible hardware compare.
+SWAP_EVIDENCE = Evidence(switches=True)
 
 
 @dataclass
@@ -132,7 +136,12 @@ def compare_finished_runs(
     The comparison half of :func:`secret_swap_experiment`, factored out
     so :func:`sweep_secrets` (which reuses one baseline run for every
     pair) and the two-run path judge divergence with the same code.
+    ``compare_hardware`` reads switch snapshots (:data:`SWAP_EVIDENCE`),
+    which both runs must have declared.
     """
+    if compare_hardware:
+        for kernel in (kernel_a, kernel_b):
+            kernel.require_evidence(SWAP_EVIDENCE, "compare_finished_runs")
     trace_a = kernel_a.observation_trace(observer_domain)
     trace_b = kernel_b.observation_trace(observer_domain)
     divergence = trace_divergence(trace_a, trace_b)
@@ -168,7 +177,8 @@ def secret_swap_experiment(
     """Run the system under two secrets and compare Lo's world.
 
     ``build_and_run(secret)`` must construct the *whole* system from
-    scratch (machine, kernel, domains, threads, schedule), run it, and
+    scratch (machine, kernel, domains, threads, schedule), declare
+    :data:`SWAP_EVIDENCE` when ``compare_hardware`` is on, run it, and
     return the kernel.  Determinism of the builder (fixed seeds, fixed
     creation order) is the caller's responsibility; everything in the
     simulator itself is deterministic.
@@ -181,19 +191,13 @@ def secret_swap_experiment(
     )
 
 
-def _run_unrecorded(
+def _run_compared(
     kernel: Kernel,
     max_cycles: int,
     on_kernel: Optional[Callable[[Kernel], None]],
 ) -> Kernel:
-    """Run a booted system without recording any proof evidence.
-
-    :func:`compare_finished_runs` reads only observation traces and
-    switch records, so step footprints and the touch recorder are off;
-    neither changes a simulated result.
-    """
-    kernel.capture_footprints = False
-    kernel.machine.instrumentation.mode = InstrumentationMode.OFF
+    """Run a booted system recording only what the comparison reads."""
+    kernel.declare(SWAP_EVIDENCE)
     kernel.run(max_cycles=max_cycles)
     if on_kernel is not None:
         on_kernel(kernel)
@@ -223,14 +227,14 @@ def sweep_secrets(
         raise ValueError("need at least two secrets to compare")
     reference = secrets[0]
     if baseline is None:
-        baseline = _run_unrecorded(build(reference), max_cycles, on_kernel)
+        baseline = _run_compared(build(reference), max_cycles, on_kernel)
     by_secret: Dict[Any, NonInterferenceResult] = {}
     for other in secrets[1:]:
         if other not in by_secret:
             by_secret[other] = compare_finished_runs(
                 baseline,
                 baseline if other == reference
-                else _run_unrecorded(build(other), max_cycles, on_kernel),
+                else _run_compared(build(other), max_cycles, on_kernel),
                 reference, other, observer_domain,
             )
     return [by_secret[other] for other in secrets[1:]]

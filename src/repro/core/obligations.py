@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..hardware.state import Evidence
 from ..kernel.kernel import Kernel
 from .absmodel import AbstractHardwareModel
 from .invariants import (
@@ -109,6 +110,7 @@ def po2_partitioning(kernel: Kernel) -> ObligationResult:
 
 def po3_flush_on_switch(kernel: Kernel) -> ObligationResult:
     """PO-3: every domain switch flushes all flushables to reset state."""
+    kernel.require_evidence(Evidence(switches=True), "PO-3")
     violations: List[str] = []
     records = kernel.switch_records
     if not kernel.tp.flush_on_switch:
@@ -232,9 +234,10 @@ def po7_kernel_shared_determinism(kernel: Kernel) -> ObligationResult:
       is history-dependent residue;
     * the snapshot is identical across all switches.
     """
+    kernel.require_evidence(Evidence(switches=True), "PO-7")
     violations: List[str] = []
     kernel_colours = sorted(kernel.allocator.kernel_colours)
-    records = [r for r in kernel.switch_records if r.llc_colour_fingerprints]
+    records = kernel.switch_records
     if kernel.tp.cache_colouring and not kernel_colours and len(kernel.domains) > 1:
         violations.append("no reserved kernel colour: shared kernel state unpartitioned")
     llc = kernel.machine.llc
@@ -276,7 +279,11 @@ def po7_kernel_shared_determinism(kernel: Kernel) -> ObligationResult:
 
 
 def check_all(kernel: Kernel, model: Optional[AbstractHardwareModel] = None) -> List[ObligationResult]:
-    """Discharge every obligation against one (already-run) kernel."""
+    """Discharge every obligation against one (already-run) kernel.
+
+    The run must have declared touch sets for the partitionable elements
+    and TLBs (PO-2) and switch snapshots (PO-3, PO-7).
+    """
     if model is None:
         model = AbstractHardwareModel.from_machine(kernel.machine)
     return [

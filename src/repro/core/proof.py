@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence
 
+from ..hardware.state import Evidence
 from ..kernel.kernel import Kernel
 from .absmodel import AbstractHardwareModel
 from .casesplit import CaseSplitAudit, audit
@@ -73,10 +74,11 @@ class TimeProtectionProof:
     """Prove (or refute) time protection for a system builder.
 
     The prover owns the runs it judges.  It runs ``secrets[0]`` with
-    step footprints captured and the touch recorder on, discharges the
+    every part of :class:`Evidence` declared, discharges the
     obligations, case split and unwinding conditions from that run, then
     hands it to :func:`sweep_secrets` as every pair's baseline; the other
-    secrets run once each with no evidence recorded.
+    secrets run once each recording only the switch snapshots the
+    comparison reads.
 
     Args:
         build: ``build(secret) -> Kernel`` -- boots the complete system
@@ -106,7 +108,7 @@ class TimeProtectionProof:
     def prove(self) -> ProofReport:
         """Run the full argument; returns the report."""
         reference = self.build(self.secrets[0])
-        reference.capture_footprints = True
+        reference.declare(Evidence.everything())
         reference.run(max_cycles=self.max_cycles)
         model = AbstractHardwareModel.from_machine(reference.machine)
         obligations = check_all(reference, model)

@@ -6,9 +6,10 @@ the microarchitectural state."  The proof never evaluates this function;
 it only needs to know its *argument list* -- which state elements (and
 which indices within them) a step's latency reads.
 
-The simulator records exactly that: with footprint capture enabled
-(``Kernel.capture_footprints``), every executed step stores the ordered
-list of (element, index, kind) touches its latency computation consulted.
+The simulator records exactly that: with footprints declared
+(``Evidence.footprints``), every entry of the kernel's case log stores
+the ordered list of (element, index, kind) touches its step's latency
+computation consulted.
 :class:`TimeFunctionWitness` wraps one such footprint and can answer the
 question at the heart of Case 1 of the proof (Sect. 5.2): *is every
 argument of this step's latency function confined to state the executing
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..hardware.state import StateCategory
+from ..hardware.state import Evidence, StateCategory
 from ..kernel.kernel import Kernel
 
 
@@ -59,8 +60,11 @@ class ConfinementReport:
 
 def witnesses_from_kernel(kernel: Kernel) -> List[TimeFunctionWitness]:
     """Wrap the kernel's captured footprints as witnesses."""
+    kernel.require_evidence(
+        Evidence(cases=True, footprints=True), "the case split"
+    )
     witnesses = []
-    for case, context, footprint in kernel.step_footprints:
+    for case, context, footprint in kernel.case_log:
         entries = tuple(
             FootprintEntry(element=element, index=index, kind=kind.value)
             for element, index, kind in footprint

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..hardware.state import Evidence
 from ..kernel.kernel import Kernel
 
 
@@ -97,6 +98,7 @@ def projection_entry(
 
 def lo_projection(kernel: Kernel, observer: str) -> List[Tuple]:
     """The Lo-relevant state projection at each switch into ``observer``."""
+    kernel.require_evidence(Evidence(switches=True), "lo_projection")
     domain = kernel.domains[observer]
     colours = sorted(domain.colours)
     kernel_colours = sorted(kernel.allocator.kernel_colours)
@@ -117,6 +119,7 @@ def check_unwinding(kernel: Kernel, observer: str) -> UnwindingCheck:
     domain = kernel.domains.get(observer)
     if domain is None:
         raise KeyError(f"no domain {observer!r}")
+    kernel.require_evidence(Evidence(switches=True), "check_unwinding")
     entries = [r for r in kernel.switch_records if r.to_domain == observer]
 
     # Condition 1: entry into Lo happens at schedule + pad (constant
@@ -155,8 +158,6 @@ def check_unwinding(kernel: Kernel, observer: str) -> UnwindingCheck:
     kernel_colours = sorted(kernel.allocator.kernel_colours)
     reference: Optional[Dict[int, tuple]] = None
     for number, record in enumerate(entries):
-        if not record.llc_colour_fingerprints:
-            continue
         snapshot = {
             colour: record.llc_colour_fingerprints.get(colour, ())
             for colour in kernel_colours

@@ -32,9 +32,9 @@ from .memory import Frame, PhysicalMemory
 from .mmu import AddressSpace, AddressSpaceManager, Mapping, TranslationFault
 from .prefetcher import StridePrefetcher
 from .state import (
+    Evidence,
     FlushResult,
     Instrumentation,
-    InstrumentationMode,
     Scope,
     StateCategory,
     StateElement,
@@ -57,13 +57,13 @@ __all__ = [
     "Compute",
     "Core",
     "CycleClock",
+    "Evidence",
     "FlushLine",
     "FlushResult",
     "Frame",
     "Halt",
     "Instruction",
     "Instrumentation",
-    "InstrumentationMode",
     "Interconnect",
     "InterruptController",
     "INSTRUCTION_BYTES",

@@ -25,13 +25,7 @@ from .interconnect import Interconnect, MbaConfig
 from .interrupts import InterruptController
 from .memory import PhysicalMemory
 from .prefetcher import StridePrefetcher
-from .state import (
-    CountingInstrumentation,
-    Instrumentation,
-    InstrumentationMode,
-    Scope,
-    StateCategory,
-)
+from .state import Instrumentation, Scope, StateCategory
 from .tlb import Tlb
 
 
@@ -90,7 +84,7 @@ class Machine:
         if config.smt and config.n_cores % 2:
             raise ValueError("SMT machines need an even number of cores")
         self.config = config
-        self.instrumentation = Instrumentation(InstrumentationMode.SUMMARY)
+        self.instrumentation = Instrumentation()
         self.memory = PhysicalMemory(
             total_frames=config.total_frames,
             page_size=config.page_size,
@@ -184,14 +178,8 @@ class Machine:
         immutable configuration (config, geometries, latency tables,
         Frame objects) is shared, mutable state is copied field by
         field.  SMT siblings keep sharing as in :meth:`__init__`: an odd
-        core reuses its even sibling's cloned private elements.  Raises
-        ``TypeError`` under counting instrumentation.
+        core reuses its even sibling's cloned private elements.
         """
-        if type(self.instrumentation) is not Instrumentation:
-            raise TypeError(
-                "clone_for_mc needs plain Instrumentation "
-                f"(got {type(self.instrumentation).__name__})"
-            )
         other = Machine.__new__(Machine)
         other.config = self.config
         other.instrumentation = self.instrumentation.clone()
@@ -223,22 +211,6 @@ class Machine:
             )
             other.cores.append(clone)
         return other
-
-    def use_counting_instrumentation(self) -> CountingInstrumentation:
-        """Swap in aggregate-count instrumentation (campaign fast path).
-
-        Rewires every state element to a fresh
-        :class:`CountingInstrumentation`, which records per-(domain,
-        element) touch counts but none of the per-index evidence the
-        proof layer audits.  Must be called before a kernel is booted on
-        this machine: kernel subsystems capture the instrumentation
-        reference at construction time.
-        """
-        counting = CountingInstrumentation()
-        self.instrumentation = counting
-        for element in self.all_state_elements():
-            element.instr = counting
-        return counting
 
     # ------------------------------------------------------------------
     # Enumeration for the abstract model and the kernel

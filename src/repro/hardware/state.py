@@ -17,9 +17,10 @@ security-oriented hardware-software contract (the aISA of Ge et al.
 
 Every element reports *touches* -- (element, index) pairs consulted or
 modified by an execution step -- to a shared :class:`Instrumentation`
-recorder.  The proof layer (``repro.core``) consumes these records to
-discharge the partitioning and flushing obligations without ever reasoning
-about concrete latencies, exactly as the paper proposes.
+recorder, which keeps the :class:`Evidence` its run declared.  The proof
+layer (``repro.core``) consumes these records to discharge the
+partitioning and flushing obligations without ever reasoning about
+concrete latencies, exactly as the paper proposes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import enum
 import hashlib
 import pickle
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 
 class StateCategory(enum.Enum):
@@ -63,66 +64,107 @@ class TouchKind(enum.Enum):
     UPDATE = "update"
 
 
-class InstrumentationMode(enum.Enum):
-    OFF = "off"
-    COUNTING = "counting"
-    SUMMARY = "summary"
+@dataclass(frozen=True, slots=True)
+class Evidence:
+    """What a run records about itself: declared by whoever reads it.
+
+    A consumer declares this on the kernel after boot and before the run
+    (``Kernel.declare``); the run then records exactly these parts, and a
+    reader of a part that was not declared raises ``ValueError``
+    (``Kernel.require_evidence``) instead of auditing an empty log.  The
+    default records nothing, which is what channel experiments, campaign
+    trials and synth fitness runs need.  Recording never changes a
+    simulated result: latencies are computed from concrete state.
+
+    * ``touches`` -- per-(context, element) touched-index sets for the
+      named elements (PO-2, TLB/ASID isolation); ``None`` names every
+      element;
+    * ``cases`` -- one case-log entry per executed step: its Sect. 5.2
+      case and context;
+    * ``footprints`` -- each case-log entry also carries the step's
+      ordered (element, index, kind) latency footprint (Cases 1/2a);
+      rides on the case log, so it needs ``cases``;
+    * ``switches`` -- switch snapshots: each switch record carries the
+      flushed elements' fingerprints and the LLC by colour and by way
+      owner (PO-3, PO-7, unwinding, the secret-swap hardware compare).
+    """
+
+    touches: Optional[FrozenSet[str]] = frozenset()
+    cases: bool = False
+    footprints: bool = False
+    switches: bool = False
+
+    def __post_init__(self) -> None:
+        if self.footprints and not self.cases:
+            raise ValueError("footprints ride on the case log: declare cases too")
+
+    @classmethod
+    def everything(cls) -> "Evidence":
+        """All four parts, touch sets for every element."""
+        return cls(touches=None, cases=True, footprints=True, switches=True)
+
+    def missing(self, needed: "Evidence") -> List[str]:
+        """The parts of ``needed`` this declaration leaves out, by name."""
+        gaps = []
+        if self.touches is not None:
+            if needed.touches is None:
+                gaps.append("touch sets of every element")
+            elif needed.touches - self.touches:
+                gaps.append(
+                    f"touch sets of {sorted(needed.touches - self.touches)}"
+                )
+        for part, label in (
+            ("cases", "the case log"),
+            ("footprints", "step footprints"),
+            ("switches", "switch snapshots"),
+        ):
+            if getattr(needed, part) and not getattr(self, part):
+                gaps.append(label)
+        return gaps
 
 
 class Instrumentation:
-    """Records which state each domain touches.
+    """The one recorder: records the declared evidence, nothing else.
 
-    ``SUMMARY`` mode keeps, per (domain, element), the set of touched
-    indices -- sufficient for the partitioning obligation (PO-2).
-    ``OFF`` disables recording for high-volume benchmark runs.
-    ``COUNTING`` (see :class:`CountingInstrumentation`) keeps only
-    aggregate per-(domain, element) touch counts: cheap enough for
-    campaign sweeps, but useless for proofs -- ``from_machine()`` refuses
-    to build proof obligations from a counting-mode run.
+    With touch sets declared it keeps, per (domain, element), the set of
+    touched indices -- sufficient for the partitioning obligation (PO-2);
+    with footprints declared it also appends every touch to
+    ``footprint``, which the kernel resets at each step boundary.
 
-    ``touch()`` runs on every simulated state access, so the recorder
-    keeps the current domain's ``element -> index set`` buckets in a flat
-    dict (switched in ``set_context``) instead of re-hashing a (domain,
+    ``touch()`` runs on every simulated state access, so with neither
+    declared it returns at its first test; otherwise the recorder keeps
+    the current domain's ``element -> index set`` buckets in a flat dict
+    (switched in ``set_context``) instead of re-hashing a (domain,
     element) tuple per touch; the buckets alias the entries of
     ``summary``, whose shape the proof layer reads directly.
+
+    ``current_domain`` is not evidence: CAT-style way quotas charge
+    fills to it (``Cache._owner_tag``), so ``set_context`` maintains it
+    whatever is declared.
     """
 
-    def __init__(self, mode: InstrumentationMode = InstrumentationMode.SUMMARY):
+    def __init__(self) -> None:
         self.summary: Dict[Tuple[Optional[str], str], Set[Hashable]] = {}
-        # Mutable execution context, maintained by the machine.
         self.current_domain: Optional[str] = None
-        self.current_core: int = 0
-        self.current_cycle: int = 0
-        # Per-step latency dependency footprint (the paper's "unspecified
-        # deterministic function" argument list); reset by the CPU at each
-        # instruction boundary when footprint tracking is enabled.
-        self.track_footprint = False
         self.footprint: List[Tuple[str, Hashable, TouchKind]] = []
-        # Optional element whitelist: when set, SUMMARY recording keeps
-        # per-index sets only for these element names.  Consumers that
-        # audit a single element (the model checker's partitioning check
-        # reads only the LLC) install the filter so every other element's
-        # touches cost one early return instead of a set insertion.
-        self.summary_elements: Optional[frozenset] = None
         # Per-domain bucket cache; ``_buckets`` is the current domain's.
         self._domain_buckets: Dict[Optional[str], Dict[str, Set[Hashable]]] = {}
         self._buckets: Dict[str, Set[Hashable]] = self._domain_buckets.setdefault(
             None, {}
         )
-        self.mode = mode
+        self.declare(Evidence())
 
-    @property
-    def mode(self) -> InstrumentationMode:
-        return self._mode
+    def declare(self, evidence: Evidence) -> None:
+        """Record ``evidence`` from now on (see ``Kernel.declare``)."""
+        self.evidence = evidence
+        # Hot-path copies of the touch-level parts.
+        self._elements = evidence.touches
+        self._footprints = evidence.footprints
+        self._recording = (
+            evidence.touches is None or bool(evidence.touches) or evidence.footprints
+        )
 
-    @mode.setter
-    def mode(self, value: InstrumentationMode) -> None:
-        # Mode is settable at runtime; the dispatch flag below keeps
-        # ``touch()`` off the enum.
-        self._mode = value
-        self._recording = value is InstrumentationMode.SUMMARY
-
-    def set_context(self, domain: Optional[str], core: int, cycle: int) -> None:
+    def set_context(self, domain: Optional[str]) -> None:
         if domain != self.current_domain:
             self.current_domain = domain
             buckets = self._domain_buckets.get(domain)
@@ -130,15 +172,13 @@ class Instrumentation:
                 buckets = {}
                 self._domain_buckets[domain] = buckets
             self._buckets = buckets
-        self.current_core = core
-        self.current_cycle = cycle
 
     def touch(self, element: str, index: Hashable, kind: TouchKind) -> None:
-        if self.track_footprint:
-            self.footprint.append((element, index, kind))
         if not self._recording:
             return
-        only = self.summary_elements
+        if self._footprints:
+            self.footprint.append((element, index, kind))
+        only = self._elements
         if only is not None and element not in only:
             return
         bucket = self._buckets.get(element)
@@ -147,9 +187,6 @@ class Instrumentation:
             self._buckets[element] = bucket
             self.summary[(self.current_domain, element)] = bucket
         bucket.add(index)
-
-    def reset_footprint(self) -> None:
-        self.footprint = []
 
     def clone(self) -> "Instrumentation":
         """An independent copy (for ``Machine.clone_for_mc``).
@@ -166,75 +203,12 @@ class Instrumentation:
             other.summary[(domain, element)] = fresh
             other._domain_buckets.setdefault(domain, {})[element] = fresh
         other.current_domain = self.current_domain
-        other.current_core = self.current_core
-        other.current_cycle = self.current_cycle
-        other.track_footprint = self.track_footprint
         other.footprint = list(self.footprint)
-        other.summary_elements = self.summary_elements
         other._buckets = other._domain_buckets.setdefault(
             self.current_domain, {}
         )
-        other.mode = self._mode
+        other.declare(self.evidence)
         return other
-
-    def touched_indices(self, domain: Optional[str], element: str) -> Set[Hashable]:
-        """Set of indices of ``element`` touched while ``domain`` ran."""
-        return set(self.summary.get((domain, element), set()))
-
-    def clear(self) -> None:
-        self.summary.clear()
-        self.footprint = []
-        self._domain_buckets.clear()
-        self._buckets = self._domain_buckets.setdefault(self.current_domain, {})
-
-
-class CountingInstrumentation(Instrumentation):
-    """Aggregate touch counters: the campaign-sweep fast path.
-
-    Keeps one integer per (domain, element) instead of per-index sets and
-    ordered events.  This preserves every *observable* of a channel
-    measurement (latencies are computed from concrete state, not from the
-    recorder) while shedding the per-touch set insertions that dominate
-    full instrumentation.  It records nothing the proof layer could audit
-    -- ``summary`` stays empty -- which is why
-    ``AbstractHardwareModel.from_machine`` rejects machines running in
-    this mode.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(InstrumentationMode.COUNTING)
-        self._domain_counts: Dict[Optional[str], Dict[str, int]] = {}
-        self._counts: Dict[str, int] = self._domain_counts.setdefault(None, {})
-
-    def set_context(self, domain: Optional[str], core: int, cycle: int) -> None:
-        if domain != self.current_domain:
-            self.current_domain = domain
-            counts = self._domain_counts.get(domain)
-            if counts is None:
-                counts = {}
-                self._domain_counts[domain] = counts
-            self._counts = counts
-        self.current_core = core
-        self.current_cycle = cycle
-
-    def touch(self, element: str, index: Hashable, kind: TouchKind) -> None:
-        if self.track_footprint:
-            self.footprint.append((element, index, kind))
-        counts = self._counts
-        counts[element] = counts.get(element, 0) + 1
-
-    def touch_counts(self) -> Dict[Tuple[Optional[str], str], int]:
-        """Aggregate touch counts as one plain (domain, element) -> n dict."""
-        return {
-            (domain, element): count
-            for domain, counts in self._domain_counts.items()
-            for element, count in counts.items()
-        }
-
-    def clear(self) -> None:
-        super().clear()
-        self._domain_counts.clear()
-        self._counts = self._domain_counts.setdefault(self.current_domain, {})
 
 
 @dataclass
@@ -263,8 +237,8 @@ class StateElement(abc.ABC):
         self.name = name
         self.category = category
         self.scope = scope
-        self.instr = instrumentation if instrumentation is not None else Instrumentation(
-            InstrumentationMode.OFF
+        self.instr = (
+            instrumentation if instrumentation is not None else Instrumentation()
         )
         # Set to True by the machine when two hardware threads share this
         # element concurrently (SMT); flushing is then ineffective and the

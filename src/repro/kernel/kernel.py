@@ -11,9 +11,11 @@ protection (Ge et al. [2019], as summarised in Sect. 4.2 of the paper):
   coloured address spaces, with the domain's kernel text also mapped
   read-only (the "shared text" surface that Flush+Reload attacks);
 * the run loop interleaves cores in global-time order, executing user
-  instructions, syscalls, interrupt deliveries and padded domain switches,
-  and records everything the proof layer needs: per-domain observation
-  traces, switch records, interrupt delivery records and state touches.
+  instructions, syscalls, interrupt deliveries and padded domain switches.
+  Every run keeps per-domain observation traces, switch records and
+  interrupt delivery records; the proof evidence on top of them (touch
+  sets, the case log, footprints, switch snapshots) is recorded only as
+  far as the run's consumer declared it (:meth:`Kernel.declare`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from ..hardware.cpu import Core, TrapKind
 from ..hardware.isa import Observation, ProgramContext
 from ..hardware.machine import Machine
 from ..hardware.mmu import AddressSpaceManager
+from ..hardware.state import Evidence
 from .colour_alloc import ColourAwareAllocator
 from .clone import KernelCloneManager
 from .ipc import Endpoint, EndpointTable
@@ -87,12 +90,6 @@ class Kernel:
         self.machine = machine
         self.tp = tp if tp is not None else TimeProtectionConfig.full()
         self.record_observations = record_observations
-        # Counting instrumentation must be installed before any kernel
-        # subsystem (SwitchPath, SyscallHandler) captures the machine's
-        # instrumentation reference.
-        counting = self.tp.instrumentation == "counting"
-        if counting:
-            machine.use_counting_instrumentation()
         line_size = machine.config.llc_geometry.line_size
         if kernel_image_pages is None:
             lines_per_page = max(1, machine.page_size // line_size)
@@ -123,14 +120,7 @@ class Kernel:
             n_lines=machine.config.irq_lines,
         )
         self.scheduler = DomainScheduler()
-        # Per-switch LLC fingerprints exist only as proof/audit evidence;
-        # counting-mode runs skip capturing them (a large per-switch cost).
-        self.switch_path = SwitchPath(
-            machine,
-            self.tp,
-            self.kernel_data_paddrs,
-            record_fingerprints=not counting,
-        )
+        self.switch_path = SwitchPath(machine, self.tp, self.kernel_data_paddrs)
         self.syscalls = SyscallHandler(
             endpoints=self.endpoints,
             irq_policy=self.irq_policy,
@@ -164,20 +154,13 @@ class Kernel:
         # the run loop consults this flag instead of scanning every step.
         self._finish_check_needed = True
         self.total_steps = 0
-        # Per-step latency dependency footprints (the paper's "unspecified
-        # deterministic function" argument lists), captured when
-        # ``capture_footprints`` is enabled.  Entries are
-        # (case, context, ((element, index, kind), ...)) with case one of
-        # "1" (user step), "2a" (trap), "2b" (domain switch).
-        self.capture_footprints = False
-        self.step_footprints: List[Tuple[str, str, Tuple]] = []
-        # Lightweight sibling of ``capture_footprints``: records only the
-        # (case, context) pairs of the Sect. 5.2 case split, without the
-        # per-touch footprint tuples.  The model checker's case-trace
-        # comparison needs exactly this and nothing more, so MC systems
-        # enable ``capture_cases`` instead of paying for full footprints.
-        self.capture_cases = False
-        self.step_cases: List[Tuple[str, str]] = []
+        # The Sect. 5.2 case log (``Evidence.cases``): one entry per
+        # executed step, (case, context, footprint) with case one of "1"
+        # (user step), "2a" (trap), "2b" (domain switch).  The footprint
+        # is the step's latency dependency list, ((element, index, kind),
+        # ...) -- the paper's "unspecified deterministic function"
+        # arguments -- when ``Evidence.footprints`` is declared, else ().
+        self.case_log: List[Tuple[str, str, Tuple]] = []
 
     # ------------------------------------------------------------------
     # Configuration surface
@@ -309,6 +292,29 @@ class Kernel:
         self.irq_policy.apply_masks(self.machine.cores[core_id].irq, first)
 
     # ------------------------------------------------------------------
+    # Evidence
+    # ------------------------------------------------------------------
+
+    def declare(self, evidence: Evidence) -> None:
+        """Record ``evidence`` in this run: after boot, before running.
+
+        A run records only what its consumer declared (nothing by
+        default); a later declaration replaces an earlier one.
+        """
+        if any(core.clock.now for core in self.machine.cores):
+            raise ValueError("declare evidence before the run starts")
+        self.machine.instrumentation.declare(evidence)
+
+    def require_evidence(self, needed: Evidence, reader: str) -> None:
+        """Raise ``ValueError`` unless this run declared all of ``needed``."""
+        gaps = self.machine.instrumentation.evidence.missing(needed)
+        if gaps:
+            raise ValueError(
+                f"{reader} reads {' and '.join(gaps)}, which this run did "
+                f"not declare; declare it with Kernel.declare before running"
+            )
+
+    # ------------------------------------------------------------------
     # Derived accessors
     # ------------------------------------------------------------------
 
@@ -346,8 +352,7 @@ class Kernel:
         mutable residue.  Thread programs must carry explicit state:
         raw generators cannot be copied, so model-checked systems build
         their threads from :class:`repro.kernel.objects.ReplayableProgram`.
-        Raises ``TypeError`` for anything else, and for machines running
-        counting instrumentation.
+        Raises ``TypeError`` for anything else.
         """
         machine = self.machine.clone_for_mc()
         other = Kernel.__new__(Kernel)
@@ -466,7 +471,6 @@ class Kernel:
         switch_path.machine = machine
         switch_path.tp = self.switch_path.tp
         switch_path.kernel_data_paddrs = self.switch_path.kernel_data_paddrs
-        switch_path.record_fingerprints = self.switch_path.record_fingerprints
         switch_path.records = list(self.switch_path.records)
         other.switch_path = switch_path
         other.syscalls = SyscallHandler(
@@ -495,10 +499,7 @@ class Kernel:
         other._threads_version = -1  # force recompute on the clone
         other._finish_check_needed = self._finish_check_needed
         other.total_steps = self.total_steps
-        other.capture_footprints = self.capture_footprints
-        other.step_footprints = list(self.step_footprints)
-        other.capture_cases = self.capture_cases
-        other.step_cases = list(self.step_cases)
+        other.case_log = list(self.case_log)
         fp_cache = getattr(self, "_mc_fp_cache", None)
         if fp_cache is not None:
             other._mc_fp_cache = dict(fp_cache)
@@ -646,18 +647,17 @@ class Kernel:
 
     def _execute_step(self, core: Core, domain: Domain, tcb: Tcb) -> None:
         instrumentation = self.machine.instrumentation
-        instrumentation.set_context(domain.name, core.core_id, core.clock.now)
-        if self.capture_footprints:
-            instrumentation.track_footprint = True
-            instrumentation.reset_footprint()
+        instrumentation.set_context(domain.name)
+        evidence = instrumentation.evidence
+        if evidence.footprints:
+            instrumentation.footprint = []
         case = self._execute_step_inner(core, domain, tcb)
-        if case is not None:
-            if self.capture_footprints:
-                self.step_footprints.append(
-                    (case, domain.name, tuple(instrumentation.footprint))
-                )
-            if self.capture_cases:
-                self.step_cases.append((case, domain.name))
+        if case is not None and evidence.cases:
+            self.case_log.append((
+                case,
+                domain.name,
+                tuple(instrumentation.footprint) if evidence.footprints else (),
+            ))
 
     def _execute_step_inner(
         self, core: Core, domain: Domain, tcb: Tcb
@@ -751,10 +751,7 @@ class Kernel:
 
     def _handle_irq(self, core: Core, domain: Domain, pending) -> None:
         """Deliver a device interrupt: kernel handler cost hits whoever runs."""
-        instrumentation = self.machine.instrumentation
-        instrumentation.set_context(
-            f"{domain.name}/kernel", core.core_id, core.clock.now
-        )
+        self.machine.instrumentation.set_context(f"{domain.name}/kernel")
         cycles = _IRQ_HANDLER_BASE_CYCLES
         image = domain.kernel_image
         if image is not None:
@@ -790,17 +787,18 @@ class Kernel:
             self.scheduler.advance(core_id, release_time=core.clock.now)
             return
         context = f"@switch:{from_domain.name}>{to_domain.name}"
-        self.machine.instrumentation.set_context(context, core_id, core.clock.now)
-        if self.capture_footprints:
-            self.machine.instrumentation.track_footprint = True
-            self.machine.instrumentation.reset_footprint()
+        instrumentation = self.machine.instrumentation
+        instrumentation.set_context(context)
+        evidence = instrumentation.evidence
+        if evidence.footprints:
+            instrumentation.footprint = []
         record = self.switch_path.execute(core, from_domain, to_domain, scheduled_at)
-        if self.capture_footprints:
-            self.step_footprints.append(
-                ("2b", context, tuple(self.machine.instrumentation.footprint))
-            )
-        if self.capture_cases:
-            self.step_cases.append(("2b", context))
+        if evidence.cases:
+            self.case_log.append((
+                "2b",
+                context,
+                tuple(instrumentation.footprint) if evidence.footprints else (),
+            ))
         self.scheduler.advance(core_id, release_time=record.released_at)
         self.irq_policy.apply_masks(core.irq, to_domain)
         self._current_tcb[core_id] = None

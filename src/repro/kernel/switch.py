@@ -16,11 +16,12 @@ On every domain switch the kernel:
    domain's slice end plus the previous domain's padding time
    (``Domain.pad_cycles``) -- by spinning on the hardware clock.
 
-Every switch emits a :class:`SwitchRecord` carrying timestamps and
-post-flush state fingerprints: the raw evidence from which the proof
-obligations PO-3 (flush applied), PO-4 (constant-time switch) and PO-5
-(padding sufficient) are discharged by timestamp comparison -- "reducing
-this to a functional property as well" (Sect. 5).
+Every switch emits a :class:`SwitchRecord` carrying timestamps and, when
+the run declared switch snapshots (``Evidence.switches``), post-flush
+state fingerprints and LLC snapshots: the raw evidence from which the
+proof obligations PO-3 (flush applied), PO-4 (constant-time switch) and
+PO-5 (padding sufficient) are discharged by timestamp comparison --
+"reducing this to a functional property as well" (Sect. 5).
 """
 
 from __future__ import annotations
@@ -123,12 +124,10 @@ class SwitchPath:
         machine: Machine,
         tp: TimeProtectionConfig,
         kernel_data_paddrs: List[int],
-        record_fingerprints: bool = True,
     ):
         self.machine = machine
         self.tp = tp
         self.kernel_data_paddrs = kernel_data_paddrs
-        self.record_fingerprints = record_fingerprints
         self.records: List[SwitchRecord] = []
 
     def llc_fingerprints_by_colour(self) -> Dict[int, Tuple]:
@@ -177,6 +176,7 @@ class SwitchPath:
         """
         entered_at = core.clock.now
         work_cycles = 0
+        snapshots = self.machine.instrumentation.evidence.switches
 
         # From-side switch code, fetched from the from-domain's image.
         work_cycles += self._run_switch_code(core, from_domain.kernel_image, side=0)
@@ -192,8 +192,9 @@ class SwitchPath:
                 result = element.flush()
                 flush_cycles += result.cycles
                 lines_written_back += result.lines_written_back
-                post_flush[element.name] = element.fingerprint()
-                reset_fps[element.name] = element.reset_fingerprint()
+                if snapshots:
+                    post_flush[element.name] = element.fingerprint()
+                    reset_fps[element.name] = element.reset_fingerprint()
                 flushed.append(element.name)
         core.clock.advance(flush_cycles)
 
@@ -235,14 +236,10 @@ class SwitchPath:
             reset_fingerprints=reset_fps,
             flushed_elements=tuple(flushed),
             llc_colour_fingerprints=(
-                self.llc_fingerprints_by_colour()
-                if self.record_fingerprints
-                else {}
+                self.llc_fingerprints_by_colour() if snapshots else {}
             ),
             llc_owner_fingerprints=(
-                self.llc_fingerprints_by_owner()
-                if self.record_fingerprints
-                else {}
+                self.llc_fingerprints_by_owner() if snapshots else {}
             ),
         )
         self.records.append(record)

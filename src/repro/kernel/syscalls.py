@@ -75,9 +75,7 @@ class SyscallHandler:
         costs = _OP_COSTS.get(syscall.op)
         if costs is None:
             raise UnknownSyscall(f"unknown syscall {syscall.op!r}")
-        self.instrumentation.set_context(
-            f"{domain.name}/kernel", core.core_id, core.clock.now
-        )
+        self.instrumentation.set_context(f"{domain.name}/kernel")
         self._charge_kernel_path(core, domain, *costs)
         outcome = self._dispatch(core, domain, tcb, syscall)
         return outcome

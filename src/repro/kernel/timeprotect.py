@@ -48,20 +48,6 @@ class TimeProtectionConfig:
     # kernel provides a conservative analytical bound as the default).
     default_pad_cycles: "int | None" = None
     default_ipc_min_cycles: int = 0
-    # Instrumentation fidelity for runs under this configuration:
-    # ``"full"`` keeps per-touch records (required by the proof layer),
-    # ``"counting"`` keeps only aggregate per-element touch counts and
-    # skips per-switch LLC fingerprints -- the campaign-sweep fast path.
-    # Channel observables (values and latencies) are identical either
-    # way; only the evidence recorded about a run differs.
-    instrumentation: str = "full"
-
-    def __post_init__(self) -> None:
-        if self.instrumentation not in ("full", "counting"):
-            raise ValueError(
-                f"instrumentation must be 'full' or 'counting', "
-                f"got {self.instrumentation!r}"
-            )
 
     @classmethod
     def full(cls, pad_cycles: "int | None" = None, padded_ipc: bool = False,

@@ -271,13 +271,10 @@ def state_fingerprint_incremental(kernel: Kernel, observer: str = "Lo") -> str:
         kernel.switch_records,
         lambda record: _dumps(_switch_item(record, labels, colours), 4),
     )
-    case_items = (
-        kernel.step_cases if kernel.capture_cases else kernel.step_footprints
-    )
     cases = _chain_digest(
         cache,
         "cases",
-        case_items,
+        kernel.case_log,
         lambda item: _dumps(
             (item[0], _relabel_context(item[1], labels)), 4
         ),

@@ -32,7 +32,14 @@ from ..core.noninterference import trace_divergence
 from ..core.unwinding import projection_entry
 from ..kernel.kernel import Kernel
 from .fingerprint import product_fingerprint, state_fingerprint_incremental
-from .spec import STEP, McSpec, apply_choice, build_system, is_terminal
+from .spec import (
+    MC_EVIDENCE,
+    STEP,
+    McSpec,
+    apply_choice,
+    build_system,
+    is_terminal,
+)
 
 OBSERVER = "Lo"
 
@@ -126,15 +133,12 @@ def _cached_projection(kernel: Kernel) -> Tuple:
 def _cached_lo_cases(kernel: Kernel) -> Tuple[str, ...]:
     """Case labels of every Lo-attributed step, with prefix memoisation.
 
-    Reads the Sect. 5.2 case log (items are ``(case, context, ...)`` in
-    either capture mode), keeps the steps attributed to Lo -- its own,
-    its kernel entries and switches into it -- and consumes only the
-    appended suffix.
+    Reads the Sect. 5.2 case log, keeps the steps attributed to Lo --
+    its own, its kernel entries and switches into it -- and consumes
+    only the appended suffix.
     """
     cache = _trace_cache(kernel)
-    source = (
-        kernel.step_cases if kernel.capture_cases else kernel.step_footprints
-    )
+    source = kernel.case_log
     length, acc = cache.get("lo_cases", (0, ()))
     if length > len(source):
         length, acc = 0, ()
@@ -168,8 +172,11 @@ def _check_pair(
     suffix needs comparing.  The built traces are memoised per kernel
     too, so each transition pays only for its appended suffix instead of
     rebuilding O(path)-long lists.  Reported divergence indices are
-    absolute, as a full-prefix comparison would report them.
+    absolute, as a full-prefix comparison would report them.  Both sides
+    must record :data:`MC_EVIDENCE`, as :func:`build_system` declares.
     """
+    kernel_a.require_evidence(MC_EVIDENCE, "the mc pair check")
+    kernel_b.require_evidence(MC_EVIDENCE, "the mc pair check")
     violations: List[McViolation] = []
     obs_from, proj_from, case_from = cursors
 

@@ -15,7 +15,11 @@ from __future__ import annotations
 
 from typing import Callable, Tuple
 
-from ..core.noninterference import NonInterferenceResult, secret_swap_experiment
+from ..core.noninterference import (
+    SWAP_EVIDENCE,
+    NonInterferenceResult,
+    secret_swap_experiment,
+)
 from ..kernel.kernel import Kernel
 from .report import McCounterexample
 from .spec import McSpec, apply_choice, build_system, run_to_terminal
@@ -36,6 +40,7 @@ def replay_build_and_run(
 
     def build_and_run(secret: int) -> Kernel:
         kernel = build_system(spec, secret)
+        kernel.declare(SWAP_EVIDENCE)
         for choice in path:
             apply_choice(kernel, choice, spec)
         run_to_terminal(kernel, spec)

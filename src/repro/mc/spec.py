@@ -29,6 +29,7 @@ from typing import Optional, Tuple
 
 from ..campaign.registry import MACHINES, TP_CONFIGS
 from ..hardware.isa import Access, Compute, Halt, ReadTime
+from ..hardware.state import Evidence
 from ..kernel.kernel import Kernel
 from ..kernel.objects import ReplayableProgram, ThreadState
 
@@ -134,19 +135,19 @@ class McSpec:
         )
 
 
+#: What the product checks read: the case labels (no footprints), the
+#: switch snapshots behind the Lo-projection and flush-reset checks, and
+#: touch sets of the LLC only -- the one element the per-transition
+#: partition audit (check_partition_touches) examines.
+MC_EVIDENCE = Evidence(touches=frozenset({"llc"}), cases=True, switches=True)
+
+
 def build_system(spec: McSpec, secret: int) -> Kernel:
     """Construct (but do not run) the model-checked system for a secret."""
     machine = MACHINES[spec.machine]()
     tp = TP_CONFIGS[spec.tp]()
     kernel = Kernel(machine, tp, kernel_image_pages=spec.kernel_image_pages)
-    # The checker needs the case-split labels, not per-touch footprints:
-    # capture_cases records exactly the (case, context) pairs the product
-    # comparison reads.  Summary instrumentation is likewise narrowed to
-    # the LLC -- the only element the per-transition partition audit
-    # (check_partition_touches) examines -- which removes the dominant
-    # per-touch bookkeeping cost from every explored transition.
-    kernel.capture_cases = True
-    machine.instrumentation.summary_elements = frozenset({"llc"})
+    kernel.declare(MC_EVIDENCE)
     hi = kernel.create_domain(
         "Hi", n_colours=1, slice_cycles=spec.slice_cycles,
         irq_lines=spec.irq_lines,

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hardware import Access, Compute, Halt, ReadTime, Syscall, presets
+from repro.core.noninterference import SWAP_EVIDENCE
+from repro.hardware import (
+    Access,
+    Compute,
+    Evidence,
+    Halt,
+    ReadTime,
+    Syscall,
+    presets,
+)
 from repro.kernel import Kernel, TimeProtectionConfig
 
 
@@ -73,15 +82,20 @@ def build_two_domain_system(
     tp: TimeProtectionConfig,
     max_cycles: int = MAX_CYCLES,
     machine_factory=presets.tiny_machine,
-    capture_footprints: bool = False,
+    evidence: Evidence = SWAP_EVIDENCE,
     observer_iterations: int = 120,
 ):
-    """:func:`boot_two_domain_system`, run to ``max_cycles``."""
+    """:func:`boot_two_domain_system`, run to ``max_cycles``.
+
+    The run records ``evidence``: by default what a secret-swap builder
+    records; obligation and case-split audits pass
+    ``Evidence.everything()``.
+    """
     kernel = boot_two_domain_system(
         secret, tp, machine_factory=machine_factory,
         observer_iterations=observer_iterations,
     )
-    kernel.capture_footprints = capture_footprints
+    kernel.declare(evidence)
     kernel.run(max_cycles=max_cycles)
     return kernel
 

@@ -14,15 +14,22 @@ from repro.core.obligations import (
     po6_interrupt_partitioning,
     po7_kernel_shared_determinism,
 )
-from repro.hardware import presets
+from repro.hardware import Evidence, presets
 from repro.kernel import TimeProtectionConfig
 
 from tests.conftest import build_two_domain_system
 
 
+def audited_system(secret, tp, **kwargs):
+    """The standard system, run recording everything the obligations read."""
+    return build_two_domain_system(
+        secret, tp, evidence=Evidence.everything(), **kwargs
+    )
+
+
 @pytest.fixture(scope="module")
 def protected_kernel():
-    return build_two_domain_system(secret=3, tp=TimeProtectionConfig.full())
+    return audited_system(secret=3, tp=TimeProtectionConfig.full())
 
 
 class TestAllPassOnProtectedSystem:
@@ -56,14 +63,14 @@ class TestPo1:
 
 class TestPo2:
     def test_fails_without_colouring(self):
-        kernel = build_two_domain_system(
+        kernel = audited_system(
             secret=3, tp=TimeProtectionConfig.full().without(cache_colouring=False)
         )
         result = po2_partitioning(kernel)
         assert not result.passed
 
     def test_fails_without_clone(self):
-        kernel = build_two_domain_system(
+        kernel = audited_system(
             secret=3, tp=TimeProtectionConfig.full().without(kernel_clone=False)
         )
         result = po2_partitioning(kernel)
@@ -73,14 +80,14 @@ class TestPo2:
 
 class TestPo3:
     def test_fails_without_flush(self):
-        kernel = build_two_domain_system(
+        kernel = audited_system(
             secret=3, tp=TimeProtectionConfig.full().without(flush_on_switch=False)
         )
         result = po3_flush_on_switch(kernel)
         assert not result.passed
 
     def test_fails_with_broken_flush_hardware(self):
-        kernel = build_two_domain_system(
+        kernel = audited_system(
             secret=3,
             tp=TimeProtectionConfig.full(),
             machine_factory=presets.tiny_broken_flush_machine,
@@ -92,14 +99,14 @@ class TestPo3:
 
 class TestPo4Po5:
     def test_po4_fails_without_padding(self):
-        kernel = build_two_domain_system(
+        kernel = audited_system(
             secret=3, tp=TimeProtectionConfig.full().without(pad_switch=False)
         )
         result = po4_constant_time_switch(kernel)
         assert not result.passed
 
     def test_po5_fails_with_tiny_pad(self):
-        kernel = build_two_domain_system(
+        kernel = audited_system(
             secret=3, tp=TimeProtectionConfig.full(pad_cycles=5)
         )
         result = po5_padding_sufficient(kernel)
@@ -107,7 +114,7 @@ class TestPo4Po5:
         assert any("overrun" in v.lower() or ">" in v for v in result.violations)
 
     def test_po4_reports_deviating_latency_with_tiny_pad(self):
-        kernel = build_two_domain_system(
+        kernel = audited_system(
             secret=3, tp=TimeProtectionConfig.full(pad_cycles=5)
         )
         result = po4_constant_time_switch(kernel)
@@ -150,7 +157,7 @@ class TestPo7:
         # Without cloning, domain syscall activity leaves master-image
         # lines in the kernel's shared colour: the post-switch state of
         # that colour then depends on history.
-        kernel = build_two_domain_system(
+        kernel = audited_system(
             secret=3, tp=TimeProtectionConfig.full().without(kernel_clone=False)
         )
         result = po7_kernel_shared_determinism(kernel)

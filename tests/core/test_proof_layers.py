@@ -13,7 +13,7 @@ from repro.core import (
     prove_time_protection,
     witnesses_from_kernel,
 )
-from repro.hardware import presets
+from repro.hardware import Evidence, presets
 from repro.kernel import TimeProtectionConfig
 
 from tests.conftest import (
@@ -25,7 +25,8 @@ from tests.conftest import (
 
 def build(secret, tp=None, **kwargs):
     return build_two_domain_system(
-        secret, tp or TimeProtectionConfig.full(), capture_footprints=True, **kwargs
+        secret, tp or TimeProtectionConfig.full(),
+        evidence=Evidence.everything(), **kwargs
     )
 
 

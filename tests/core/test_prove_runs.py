@@ -1,10 +1,10 @@
 """The prover runs each distinct secret once and records evidence once.
 
-The oracle here is the pairwise prover: one footprint-captured reference
-run for the obligations, then a fresh pair of footprint-captured runs
-per ``secrets[1:]`` entry -- 2(N-1)+1 runs for N secrets.  The
-simulator is deterministic, so the one-run-per-secret prover must
-produce a byte-identical report.
+The oracle here is the pairwise prover: one reference run recording all
+evidence for the obligations, then a fresh pair of runs recording the
+switch snapshots the comparison reads per ``secrets[1:]`` entry --
+2(N-1)+1 runs for N secrets.  The simulator is deterministic, so the
+one-run-per-secret prover must produce a byte-identical report.
 """
 
 import gc
@@ -26,6 +26,8 @@ from repro.core import (
     secret_swap_experiment,
     sweep_secrets,
 )
+from repro.core.noninterference import SWAP_EVIDENCE
+from repro.hardware import Evidence
 
 from tests.conftest import MAX_CYCLES, boot_two_domain_system
 
@@ -34,15 +36,15 @@ SECRETS = [5, 17, 3, 17, 5]
 
 
 def pairwise_prove(build, secrets, observer, max_cycles) -> ProofReport:
-    """The pairwise prover: 2(N-1)+1 runs, every one capturing evidence."""
+    """The pairwise prover: 2(N-1)+1 runs, every one recording evidence."""
 
-    def build_and_run(secret):
+    def build_and_run(secret, evidence=SWAP_EVIDENCE):
         kernel = build(secret)
-        kernel.capture_footprints = True
+        kernel.declare(evidence)
         kernel.run(max_cycles=max_cycles)
         return kernel
 
-    reference = build_and_run(secrets[0])
+    reference = build_and_run(secrets[0], Evidence.everything())
     model = AbstractHardwareModel.from_machine(reference.machine)
     obligations = check_all(reference, model)
     case_split = audit(reference)
@@ -127,8 +129,8 @@ def test_sweep_keeps_baseline_and_one_other_alive():
 
 
 def test_builder_without_footprint_flag_is_audited():
-    # boot_two_domain_system never sets capture_footprints; the prover
-    # turns it on for its reference run, so the case split always runs.
+    # boot_two_domain_system declares no evidence; the prover declares
+    # it for its reference run, so the case split always runs.
     report = TimeProtectionProof(
         booter("full"), [1, 9], "Lo", max_cycles=MAX_CYCLES
     ).prove()

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import check_all, prove_time_protection
 from repro.core.absmodel import AbstractHardwareModel
-from repro.hardware import Access, Compute, Halt, ReadTime, presets
+from repro.hardware import Access, Compute, Evidence, Halt, ReadTime, presets
 from repro.kernel import Kernel, TimeProtectionConfig
 
 from tests.conftest import (
@@ -54,6 +54,7 @@ class TestBrokenFlush:
             5,
             TimeProtectionConfig.full(),
             machine_factory=presets.tiny_broken_flush_machine,
+            evidence=Evidence.everything(),
         )
         results = {r.obligation_id: r for r in check_all(kernel)}
         assert not results["PO-3"].passed

@@ -1,118 +1,42 @@
-"""Differential tests for the counting-instrumentation fast path.
+"""What outlives the removed counting mode.
 
-Counting mode sheds per-index touch evidence for sweep throughput; it
-must not change anything a channel measurement can observe.  The tests
-here run the same (machine x tp x attack x seed) trial under both
-instrumentation modes and require bit-identical derived statistics,
-then check the guard rails: the proof layer refuses counting-mode
-machines, and the config/spec layers validate the mode string.
+Counting instrumentation (``campaign --instrumentation counting``) gave
+way to declared evidence (``tests/integration/test_evidence.py``): a
+campaign trial now records nothing, so no trial has an instrumentation
+setting.  Full-instrumentation trials never carried one in their keys,
+so stores written before the change still resume with nothing re-run;
+``/instr=counting`` keys ran under another derived seed, are not
+aliased, and re-run.  Per-element touch counts survive as a test fake
+for the synth novelty attribution (``tests/synth/novelty.py``).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import replace
-
-import pytest
-
-from repro.campaign.registry import ATTACKS, MACHINES, TP_CONFIGS
-from repro.campaign.spec import CampaignSpec, TrialSpec
-from repro.campaign.worker import run_trial
+from repro.campaign.registry import MACHINES
+from repro.campaign.spec import TrialSpec
 from repro.core import AbstractHardwareModel
-from repro.hardware.state import InstrumentationMode
-from repro.kernel import Kernel, TimeProtectionConfig
 
-
-def _run_attack(attack: str, instrumentation: str, seed: int = 7):
-    tp = replace(TP_CONFIGS["full"](), instrumentation=instrumentation)
-    random.seed(seed)
-    return ATTACKS[attack].run(
-        tp, MACHINES["tiny"], {"symbols": (1, 6), "rounds_per_run": 3}
-    )
-
-
-class TestFullVsCountingDifferential:
-    @pytest.mark.parametrize("attack", ["e5", "occupancy"])
-    def test_stats_are_bit_identical(self, attack):
-        full = _run_attack(attack, "full")
-        counting = _run_attack(attack, "counting")
-        assert counting.stats() == full.stats()
-        assert counting.samples == full.samples
-
-    def test_worker_trials_agree_across_modes(self, tmp_path):
-        records = {}
-        for mode in ("full", "counting"):
-            trial = TrialSpec(
-                machine="tiny",
-                tp="none",
-                attack="e5",
-                seed=3,
-                params={"symbols": (1, 8), "rounds_per_run": 3},
-                instrumentation=mode,
-            )
-            records[mode] = run_trial(trial.to_payload())
-        assert records["full"]["status"] == "ok"
-        assert records["counting"]["status"] == "ok"
-        assert (
-            records["counting"]["result"]["stats"]
-            == records["full"]["result"]["stats"]
-        )
-        # Distinct result-store keys: counting runs never shadow full runs.
-        assert records["full"]["key"] != records["counting"]["key"]
-        assert records["counting"]["key"].endswith("/instr=counting")
+from tests.synth.novelty import counting_machines
 
 
 class TestCountingGuardRails:
-    def test_proof_layer_refuses_counting_machines(self):
-        machine = MACHINES["tiny"]()
-        machine.use_counting_instrumentation()
-        assert machine.instrumentation.mode is InstrumentationMode.COUNTING
-        with pytest.raises(ValueError, match="counting"):
-            AbstractHardwareModel.from_machine(machine)
-
     def test_full_mode_machine_still_extractable(self):
         machine = MACHINES["tiny"]()
         model = AbstractHardwareModel.from_machine(machine)
         assert model.elements
 
-    def test_kernel_applies_counting_from_config(self):
-        machine = MACHINES["tiny"]()
-        tp = replace(TimeProtectionConfig.none(), instrumentation="counting")
-        Kernel(machine, tp)
-        assert machine.instrumentation.mode is InstrumentationMode.COUNTING
-
-    def test_config_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="instrumentation"):
-            replace(TimeProtectionConfig.none(), instrumentation="sampled")
-
-    def test_trial_spec_validates_mode(self):
-        trial = TrialSpec(
-            machine="tiny", tp="none", attack="e5", instrumentation="bogus"
-        )
-        with pytest.raises(KeyError, match="instrumentation"):
-            trial.validate()
-
     def test_full_mode_key_is_unchanged(self):
         """Pre-existing result stores must keep resolving their keys."""
         trial = TrialSpec(machine="tiny", tp="full", attack="e5", seed=2)
-        assert "instr" not in trial.key()
-
-    def test_campaign_spec_round_trips_instrumentation(self):
-        spec = CampaignSpec(
-            machines=("tiny",),
-            tps=("none",),
-            attacks=("e5",),
-            seeds=(0, 1),
-            instrumentation="counting",
-        )
-        rebuilt = CampaignSpec.from_dict(spec.to_dict())
-        assert rebuilt.instrumentation == "counting"
-        trials = rebuilt.trials()
-        assert trials
-        assert all(t.instrumentation == "counting" for t in trials)
+        assert trial.key() == "machine=tiny/tp=full/attack=e5/seed=2"
 
     def test_counting_machine_still_counts_touches(self):
-        machine = MACHINES["tiny"]()
-        counting = machine.use_counting_instrumentation()
+        machine = counting_machines(MACHINES["tiny"])()
+        machine.instrumentation.set_context("Lo")
         machine.cores[0].l1d.access(0x100, write=True)
-        assert sum(counting.touch_counts().values()) > 0
+        counts = machine.instrumentation.counts
+        assert counts[("Lo", "core0.l1d")] > 0
+        assert all(
+            element.instr is machine.instrumentation
+            for element in machine.all_state_elements()
+        )

@@ -13,7 +13,7 @@ from repro.core import (
     check_all,
     secret_swap_experiment,
 )
-from repro.hardware import presets
+from repro.hardware import Evidence, presets
 from repro.kernel import TimeProtectionConfig
 
 from tests.conftest import build_two_domain_system
@@ -21,12 +21,13 @@ from tests.conftest import build_two_domain_system
 pytestmark = pytest.mark.slow
 
 
-def build(secret, tp=TimeProtectionConfig.full()):
+def build(secret, tp=TimeProtectionConfig.full(), **kwargs):
     return build_two_domain_system(
         secret,
         tp,
         machine_factory=presets.desktop_machine,
         max_cycles=1_500_000,
+        **kwargs,
     )
 
 
@@ -45,7 +46,7 @@ class TestDesktopScale:
         assert desktop.pad_wcet_estimate > tiny.pad_wcet_estimate
 
     def test_obligations_pass(self):
-        kernel = build(5)
+        kernel = build(5, evidence=Evidence.everything())
         failed = [r for r in check_all(kernel) if not r.passed]
         assert not failed, "\n".join(str(r) for r in failed)
 

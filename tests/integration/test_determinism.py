@@ -5,6 +5,7 @@ noninterference results are only meaningful if the *sole* source of
 difference between two runs is the secret.
 """
 
+from repro.hardware import Evidence
 from repro.kernel import TimeProtectionConfig
 
 from tests.conftest import build_two_domain_system
@@ -47,9 +48,11 @@ class TestDeterminism:
             )
 
     def test_footprint_capture_does_not_change_timing(self):
-        plain = build_two_domain_system(5, TimeProtectionConfig.full())
+        plain = build_two_domain_system(
+            5, TimeProtectionConfig.full(), evidence=Evidence()
+        )
         audited = build_two_domain_system(
-            5, TimeProtectionConfig.full(), capture_footprints=True
+            5, TimeProtectionConfig.full(), evidence=Evidence.everything()
         )
         assert plain.observation_trace("Lo") == audited.observation_trace("Lo")
         assert [c.clock.now for c in plain.machine.cores] == [

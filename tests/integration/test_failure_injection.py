@@ -17,7 +17,7 @@ from repro.core.obligations import (
     po4_constant_time_switch,
     po6_interrupt_partitioning,
 )
-from repro.hardware import presets
+from repro.hardware import Evidence, presets
 from repro.kernel import Kernel, TimeProtectionConfig
 
 from tests.conftest import (
@@ -36,6 +36,7 @@ def build_with(patch, machine_factory=presets.tiny_machine, run_cycles=300_000):
     kernel.create_thread(hi, secret_striding_trojan, params={"secret": 5})
     kernel.create_thread(lo, timing_observer)
     kernel.set_schedule(0, [(hi, None), (lo, None)])
+    kernel.declare(Evidence.everything())
     patch(kernel)
     kernel.run(max_cycles=run_cycles)
     return kernel

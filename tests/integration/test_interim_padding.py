@@ -128,10 +128,12 @@ class TestInterimPadding:
                 lo, receiver, params={"ep": endpoint.endpoint_id, "out": out}
             )
             kernel.set_schedule(0, [(hi, None), (lo, None)])
+            kernel.declare(SWAP_EVIDENCE)
             kernel.run(max_cycles=150_000)
             return kernel
 
         from repro.core import secret_swap_experiment
+        from repro.core.noninterference import SWAP_EVIDENCE
 
         result = secret_swap_experiment(build, 1, 9, observer_domain="Lo")
         assert result.holds, str(result)

@@ -11,7 +11,16 @@ domain, and each secret domain learns nothing from the other.
 import pytest
 
 from repro.core import check_all, secret_swap_experiment
-from repro.hardware import Access, Compute, Halt, ReadTime, Syscall, presets
+from repro.core.noninterference import SWAP_EVIDENCE
+from repro.hardware import (
+    Access,
+    Compute,
+    Evidence,
+    Halt,
+    ReadTime,
+    Syscall,
+    presets,
+)
 from repro.kernel import Kernel, TimeProtectionConfig
 
 
@@ -38,7 +47,8 @@ def observer_program(ctx):
     yield Halt()
 
 
-def build_three_domain(secret_a, secret_b, tp=None, max_cycles=450_000):
+def build_three_domain(secret_a, secret_b, tp=None, max_cycles=450_000,
+                       evidence=SWAP_EVIDENCE):
     machine = presets.tiny_machine()
     kernel = Kernel(machine, tp or TimeProtectionConfig.full())
     domain_a = kernel.create_domain("A", n_colours=2, slice_cycles=3000)
@@ -50,6 +60,7 @@ def build_three_domain(secret_a, secret_b, tp=None, max_cycles=450_000):
     kernel.set_schedule(
         0, [(domain_a, None), (observer, None), (domain_b, None)]
     )
+    kernel.declare(evidence)
     kernel.run(max_cycles=max_cycles)
     return kernel
 
@@ -64,7 +75,7 @@ class TestThreeDomains:
                 assert not (domains[i] & domains[j])
 
     def test_obligations_pass(self):
-        kernel = build_three_domain(3, 4)
+        kernel = build_three_domain(3, 4, evidence=Evidence.everything())
         failed = [r for r in check_all(kernel) if not r.passed]
         assert not failed, "\n".join(str(r) for r in failed)
 

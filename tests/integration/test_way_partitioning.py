@@ -13,7 +13,7 @@ import pytest
 
 from repro.attacks import primeprobe
 from repro.core import check_all, prove_time_protection, secret_swap_experiment
-from repro.hardware import presets
+from repro.hardware import Evidence, presets
 from repro.hardware.cache import Cache, LatencyParams
 from repro.hardware.geometry import CacheGeometry
 from repro.hardware.state import Scope, StateCategory
@@ -42,7 +42,7 @@ class TestCacheQuotaMechanism:
         return cache
 
     def _fill_as(self, cache, owner, addresses):
-        cache.instr.set_context(owner, 0, 0)
+        cache.instr.set_context(owner)
         for address in addresses:
             cache.access(address)
 
@@ -59,7 +59,7 @@ class TestCacheQuotaMechanism:
         self._fill_as(cache, "A", [i * stride for i in range(3)])
         self._fill_as(cache, "B", [(100 + i) * stride for i in range(20)])
         # All of A's lines survived B's thrashing.
-        cache.instr.set_context("A", 0, 0)
+        cache.instr.set_context("A")
         for i in range(3):
             assert cache.access(i * stride).hit is True
 
@@ -108,7 +108,9 @@ class TestWayPartitionedKernel:
         assert result.holds, str(result)
 
     def test_all_obligations_pass(self):
-        kernel = build_two_domain_system(5, WAY_TP)
+        kernel = build_two_domain_system(
+            5, WAY_TP, evidence=Evidence.everything()
+        )
         failed = [r for r in check_all(kernel) if not r.passed]
         assert not failed, "\n".join(str(r) for r in failed)
 

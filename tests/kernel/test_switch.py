@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.hardware import presets
+from repro.hardware import Evidence, presets
 from repro.kernel import Kernel, TimeProtectionConfig
 from repro.kernel.switch import estimate_pad_cycles
 
 
-def boot_kernel(tp, machine=None):
+def boot_kernel(tp, machine=None, evidence=Evidence(switches=True)):
     machine = machine or presets.tiny_machine()
     kernel = Kernel(machine, tp)
+    kernel.declare(evidence)
     hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=2000)
     lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=2000)
     return machine, kernel, hi, lo
@@ -95,10 +96,18 @@ class TestEvidence:
         assert set(record.llc_colour_fingerprints) == set(range(machine.n_colours))
 
     def test_fingerprints_skippable_for_speed(self):
-        machine, kernel, hi, lo = boot_kernel(TimeProtectionConfig.full())
-        kernel.switch_path.record_fingerprints = False
-        record = execute_switch(kernel, machine, hi, lo)
+        machine, kernel, hi, lo = boot_kernel(
+            TimeProtectionConfig.full(), evidence=Evidence()
+        )
+        record = execute_switch(kernel, machine, hi, lo, dirty_lines=4)
         assert record.llc_colour_fingerprints == {}
+        assert record.llc_owner_fingerprints == {}
+        assert record.post_flush_fingerprints == {}
+        assert record.reset_fingerprints == {}
+        # The flush itself still happens: only the snapshots are skipped.
+        assert set(record.flushed_elements) == {
+            e.name for e in machine.flushable_elements_of_core(0)
+        }
 
     def test_kernel_data_sweep_normalises_shared_colour(self):
         machine, kernel, hi, lo = boot_kernel(TimeProtectionConfig.full())

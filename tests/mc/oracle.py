@@ -48,16 +48,9 @@ from repro.mc.product import OBSERVER, McViolation, ProductState
 
 
 def case_trace(kernel: Kernel) -> Tuple[Tuple[str, str], ...]:
-    """The (case, context) sequence of the Sect. 5.2 case split.
-
-    Prefers the lightweight ``capture_cases`` log; systems still running
-    with full footprint capture derive the same pairs from the footprint
-    log, so either capture mode feeds the checker identically.
-    """
-    if kernel.capture_cases:
-        return tuple(kernel.step_cases)
+    """The (case, context) sequence of the Sect. 5.2 case split."""
     return tuple(
-        (case, context) for case, context, _footprint in kernel.step_footprints
+        (case, context) for case, context, _footprint in kernel.case_log
     )
 
 

@@ -13,7 +13,7 @@ from repro.mc import (
     product_fingerprint,
     state_fingerprint_incremental,
 )
-from repro.mc.spec import hi_step, lo_step
+from repro.mc.spec import MC_EVIDENCE, hi_step, lo_step
 
 from .oracle import canonical_state, state_fingerprint
 
@@ -69,7 +69,7 @@ class TestSymmetry:
         tp = TP_CONFIGS[spec.tp]()
         kernel = Kernel(
             machine, tp, kernel_image_pages=spec.kernel_image_pages)
-        kernel.capture_footprints = True
+        kernel.declare(MC_EVIDENCE)
         hi = kernel.create_domain(
             trojan_name, n_colours=1, slice_cycles=spec.slice_cycles,
             irq_lines=spec.irq_lines,

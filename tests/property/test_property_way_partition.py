@@ -41,7 +41,7 @@ OWNER_BASE = {"A": 0x0000, "B": 0x10000, "@kernel": 0x20000}
 
 def run_sequence(cache, sequence):
     for owner, offset, write in sequence:
-        cache.instr.set_context(owner, 0, 0)
+        cache.instr.set_context(owner)
         cache.access(OWNER_BASE[owner] + offset, write=write)
 
 
@@ -82,7 +82,7 @@ class TestWayQuotaProperties:
             if line in bucket:
                 bucket.remove(line)
             bucket.append(line)
-        cache.instr.set_context("A", 0, 0)
+        cache.instr.set_context("A")
         for set_index, lines in expected.items():
             for line in lines[-QUOTAS["A"]:]:
                 assert cache.probe(line), (

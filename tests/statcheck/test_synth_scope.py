@@ -52,13 +52,15 @@ class TestSynthScope:
         ), [f.render() for f in findings]
 
     def test_seeded_set_iteration_in_novelty_is_caught(self, tmp_path):
+        # The novelty attribution moved to tests/synth/novelty.py; the
+        # same set-order violation is now seeded into runner.py.
         synth = tmp_path / "synth"
         shutil.copytree(REPO / "src" / "repro" / "synth", synth)
-        novelty = synth / "novelty.py"
-        source = novelty.read_text()
-        needle = "def touched_elements(\n"
-        assert needle in source, "novelty.py changed; update this fixture"
-        novelty.write_text(source.replace(
+        runner = synth / "runner.py"
+        source = runner.read_text()
+        needle = "def experiment(\n"
+        assert needle in source, "runner.py changed; update this fixture"
+        runner.write_text(source.replace(
             needle,
             "def _unstable_listing(elements):\n"
             "    return [element for element in set(elements)]\n\n\n"
@@ -69,7 +71,7 @@ class TestSynthScope:
         assert not report.clean
         findings = [f for f in report.findings if f.checker == "SC-2"]
         assert any(
-            f.rule == "set-order" and f.path.endswith("novelty.py")
+            f.rule == "set-order" and f.path.endswith("runner.py")
             for f in findings
         ), [f.render() for f in findings]
 

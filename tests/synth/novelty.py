@@ -2,25 +2,61 @@
 
 An evolved genome claiming a "new" channel needs more than nonzero
 mutual information -- it needs attribution.  This module runs an evolved
-genome once per symbol under ``CountingInstrumentation`` and asks, per
-``(domain, element)`` counter, whether the count observed *in the spy's
-domain* depends on the secret.  Elements whose spy-side counts vary
-across symbols are the state the channel flows through; re-running on a
-prefetcher-ablated machine (:func:`ablate_prefetcher`) then isolates
-the capacity that flows through that element.
+genome once per symbol on machines whose recorder is a
+:class:`CountingRecorder` and asks, per ``(domain, element)`` counter,
+whether the count observed *in the spy's domain* depends on the secret.
+Elements whose spy-side counts vary across symbols are the state the
+channel flows through; re-running on a prefetcher-ablated machine
+(:func:`ablate_prefetcher`) then isolates the capacity that flows
+through that element.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..kernel.timeprotect import TimeProtectionConfig
-from .genome import Genome
-from .runner import experiment
+from repro.hardware.state import Instrumentation
+from repro.kernel.timeprotect import TimeProtectionConfig
+from repro.synth.genome import Genome
+from repro.synth.runner import experiment
 
 #: One per-symbol counter profile: (domain, element) -> touch count.
 CounterProfile = Dict[Tuple[Optional[str], str], int]
+
+
+class CountingRecorder(Instrumentation):
+    """A recorder fake that counts every touch per (domain, element).
+
+    It counts every touch whatever the run declared, so no evidence
+    declaration can hide one from it.  Latencies read concrete state,
+    never the recorder, so counting changes no simulated result.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.counts: CounterProfile = {}
+
+    def touch(self, element, index, kind) -> None:
+        key = (self.current_domain, element)
+        self.counts[key] = self.counts.get(key, 0) + 1
+
+
+def counting_machines(machine_factory: Callable) -> Callable:
+    """Machine factory whose machines record through a CountingRecorder.
+
+    Installed before any kernel boots on the machine, because kernel
+    subsystems capture the machine's recorder at construction.
+    """
+
+    def build():
+        machine = machine_factory()
+        recorder = CountingRecorder()
+        machine.instrumentation = recorder
+        for element in machine.all_state_elements():
+            element.instr = recorder
+        return machine
+
+    return build
 
 
 def ablate_prefetcher(machine_factory: Callable) -> Callable:
@@ -61,20 +97,20 @@ def genome_counter_profiles(
     forwarded to :func:`repro.synth.runner.experiment` so genomes tuned
     against a specific allocation layout profile under that same layout.
     """
-    counting = replace(tp, instrumentation="counting")
+    counting = counting_machines(machine_factory)
     profiles: Dict[int, CounterProfile] = {}
 
     def run_symbol(symbol: int) -> None:
         captured: List[CounterProfile] = []
         experiment(
+            tp,
             counting,
-            machine_factory,
             genome,
             victim=victim,
             symbols=(symbol,),
             rounds_per_run=rounds_per_run,
             on_kernel=lambda kernel: captured.append(
-                dict(kernel.machine.instrumentation.touch_counts())
+                dict(kernel.machine.instrumentation.counts)
             ),
             **runner_kwargs,
         )

@@ -7,8 +7,9 @@
    element -- a channel no ``repro.attacks`` program carries: disabling
    the prefetcher collapses the genome's capacity below the open-channel
    threshold while leaving every hand-written attack's measurement
-   *bit-identical* -- with ``CountingInstrumentation`` per-element
-   counters as the attribution evidence.
+   *bit-identical* -- with per-element touch counters (the
+   ``CountingRecorder`` fake in ``tests/synth/novelty.py``) as the
+   attribution evidence.
 3. Under full TP, every discovered genome's capacity falls below the
    estimator noise floor.
 """
@@ -17,17 +18,18 @@ import pytest
 
 from repro.campaign.registry import ATTACKS, MACHINES, TP_CONFIGS
 from repro.synth import ChannelGuessEnv, EvolutionSearch, SearchConfig
-from repro.synth.novelty import (
-    ablate_prefetcher,
-    genome_counter_profiles,
-    sensitive_elements,
-    touched_elements,
-)
 from repro.synth.runner import (
     PREFETCH_RESIDUE_GENOME,
     PREFETCH_RESIDUE_VICTIM_PARAMS,
     PRIME_PROBE_GENOME,
     experiment,
+)
+
+from tests.synth.novelty import (
+    ablate_prefetcher,
+    genome_counter_profiles,
+    sensitive_elements,
+    touched_elements,
 )
 
 #: Capacity above this is an open channel (matches benchmarks/_common.py).
@@ -153,7 +155,7 @@ class TestNovelPrefetcherChannel:
         assert normal.stats() == ablated.stats()
 
     def test_counter_evidence_attributes_the_channel(self):
-        # CountingInstrumentation: the spy drives the prefetcher element
+        # Touch counters: the spy drives the prefetcher element
         # every round, and its secret-sensitive spy-side counters are the
         # caches the prefetch fills land in -- state modulated by the
         # victim's secret through the prefetcher's (last_addr, stride).

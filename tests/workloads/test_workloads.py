@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware import presets
+from repro.hardware import Evidence, presets
 from repro.kernel import Kernel, ThreadState, TimeProtectionConfig
 from repro.workloads import (
     branchy_compute,
@@ -83,8 +83,9 @@ class TestTableCrypto:
             params={"key": [3, 7], "blocks_per_slice": 2},
         )
         kernel.set_schedule(0, [(domain, None)])
+        kernel.declare(Evidence(touches=frozenset({"llc"})))
         kernel.run(max_cycles=100_000)
-        touched = machine.instrumentation.touched_indices("Hi", "llc")
+        touched = machine.instrumentation.summary.get(("Hi", "llc"))
         assert touched  # the table walk reached the cache hierarchy
 
 
