@@ -4,13 +4,14 @@ Not a paper experiment: this benchmarks the orchestration subsystem that
 regenerates the paper's config-matrix evaluations.  A 12-trial
 (machine x tp x attack x seed) grid is run three ways — the old-style
 serial ``for`` loop over experiment calls, the campaign executor with
-``n_workers=1`` (orchestration overhead), and the campaign executor with
-a multi-process pool (parallel speedup) — and a resumed re-run, which
-must execute zero trials.
+one in-process worker (orchestration overhead), and the campaign
+executor with forked workers (parallel speedup) — and a resumed re-run,
+which must execute zero trials.
 
-Shape asserted: the executor's serial overhead is small, resume is ~free,
-and on a multi-core host the pool beats the serial loop.  On a single
--core host the speedup assertion is skipped (there is nothing to win).
+Shape asserted: the executor's in-process overhead is small, resume is
+~free, and on a multi-core host the forked workers beat the serial loop.
+On a single-core host the speedup assertion is skipped (there is nothing
+to win).
 """
 
 import os
@@ -63,18 +64,18 @@ def test_e13_campaign_speedup(benchmark, tmp_path):
     assert len(serial_results) == n_trials
 
     t0 = time.perf_counter()
-    _store1, report1 = _run_campaign(tmp_path, 1, "serial")
+    _store1, report1 = _run_campaign(tmp_path, 1, "in-process")
     campaign_serial_s = time.perf_counter() - t0
 
     n_workers = max(2, min(4, os.cpu_count() or 1))
     t0 = time.perf_counter()
     store, report = run_once(
-        benchmark, _run_campaign, tmp_path, n_workers, "pool"
+        benchmark, _run_campaign, tmp_path, n_workers, "forked"
     )
-    pool_s = time.perf_counter() - t0
+    forked_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _store2, resumed = _run_campaign(tmp_path, n_workers, "pool")
+    _store2, resumed = _run_campaign(tmp_path, n_workers, "forked")
     resume_s = time.perf_counter() - t0
 
     print(f"\n=== E13: {n_trials}-trial campaign, {n_workers} workers ===")
@@ -82,8 +83,8 @@ def test_e13_campaign_speedup(benchmark, tmp_path):
     print("-" * 52)
     for label, seconds in (
         ("hand-written serial loop", serial_s),
-        ("campaign engine, 1 worker", campaign_serial_s),
-        (f"campaign engine, {n_workers} workers", pool_s),
+        ("campaign engine, 1 in-process", campaign_serial_s),
+        (f"campaign engine, {n_workers} forked", forked_s),
         ("resumed re-run", resume_s),
     ):
         print(f"{label:32s} {seconds:>10.2f} {serial_s / seconds:>7.1f}x")
@@ -95,8 +96,8 @@ def test_e13_campaign_speedup(benchmark, tmp_path):
     assert resumed.executed == 0 and resumed.skipped == n_trials
     # Resume must be far cheaper than running (it only reads the store).
     assert resume_s < serial_s / 4
-    # Orchestration overhead of the serial executor stays modest.
+    # Orchestration overhead of the in-process worker stays modest.
     assert campaign_serial_s < serial_s * 1.6
     if (os.cpu_count() or 1) >= 2:
-        # The pool must beat the hand-written serial loop outright.
-        assert pool_s < serial_s
+        # Forked workers must beat the hand-written serial loop outright.
+        assert forked_s < serial_s

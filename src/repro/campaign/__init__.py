@@ -5,23 +5,19 @@ Y on machine Z?" — is a sweep over (machine preset × TP config × attack
 × seed).  This subsystem makes such sweeps declarative and cheap:
 
 * :class:`CampaignSpec` names the grid;
-* :class:`CampaignExecutor` / :func:`run_campaign` fan trials out over a
-  ``multiprocessing`` pool with per-trial timeout and bounded retry;
+* :func:`run_campaign` leases trials one at a time from a coordinator
+  to worker loops — one in this process, or N forked — with per-trial
+  timeout and bounded retry;
 * :class:`ResultStore` appends one JSONL record per finished trial and
   lets a re-run *resume*, skipping trials already answered on disk;
   :func:`open_store` picks the sqlite backend for ``.sqlite/.db`` paths;
-* :mod:`repro.campaign.service` scales the same grid past one host: a
-  lease coordinator over HTTP plus a worker fleet (see that package);
+* :mod:`repro.campaign.service` is that coordinator and worker loop; it
+  also serves a grid over HTTP to workers on other hosts;
 * ``repro.analysis.summary`` pivots a store into the paper-style
   (machine × TP config) channel-capacity matrix.
 """
 
-from .executor import (
-    CampaignExecutor,
-    CampaignReport,
-    default_workers,
-    run_campaign,
-)
+from .executor import CampaignReport, default_workers, run_campaign
 from .progress import ProgressReporter
 from .registry import (
     ATTACKS,
@@ -39,12 +35,11 @@ from .store import (
     deterministic_view,
     open_store,
 )
-from .worker import TrialTimeout, run_trial
+from .worker import run_trial
 
 __all__ = [
     "ATTACKS",
     "AttackEntry",
-    "CampaignExecutor",
     "CampaignReport",
     "CampaignSpec",
     "MACHINES",
@@ -54,7 +49,6 @@ __all__ = [
     "STATUS_OK",
     "TP_CONFIGS",
     "TrialSpec",
-    "TrialTimeout",
     "default_workers",
     "deterministic_view",
     "open_store",

@@ -1,29 +1,37 @@
-"""Fan trials out over a worker pool, with retry, resume and progress.
+"""Run a campaign grid through the lease coordinator, with resume.
 
-The executor is deliberately boring engineering: expand the grid, drop
-trials the store already answered, push the rest through a
-``multiprocessing`` pool (or a serial loop for ``n_workers=1``), retry
-failed attempts a bounded number of times, and append exactly one final
-record per trial to the store as results arrive — never in a batch at
-the end, so an interrupted campaign loses at most the in-flight trials.
+Every campaign runs on the service machinery (:mod:`.service`): the
+trials the store has not answered become a
+:class:`~.service.leases.LeaseTable` of one-trial leases, a
+:class:`~.service.coordinator.Coordinator` is the only store writer, and
+:class:`~.service.worker.ServiceWorker` loops run the trials, retrying
+failed attempts a bounded number of times.  One worker runs in this
+process and calls the coordinator directly; more are forked and reach
+it over loopback HTTP (:func:`~.service.fleet.run_fleet`).  Records are
+appended as trials finish, never in a batch at the end, so an
+interrupted campaign loses at most the in-flight trials.
+
+The service modules load on the first :func:`run_campaign` call:
+``import repro.cli`` imports this package for its registries, and every
+command but ``campaign`` and ``synth --jobs`` would otherwise pay for
+them at start-up.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 from .progress import ProgressReporter
 from .spec import CampaignSpec, TrialSpec
-from .store import STATUS_OK, ResultStore
-from .worker import run_trial
+from .store import ResultStore, open_store
 
-# Poll interval while waiting on pool results; trials take O(seconds),
-# so 20ms adds no measurable latency while keeping the loop responsive.
-_POLL_S = 0.02
+#: A lease holds one trial, so no worker idles while a trial is unleased.
+_SHARD_SIZE = 1
+#: How long a forked worker may hold a lease without sending a result or
+#: heartbeat before its trial is re-issued to another worker.
+_LEASE_TTL_S = 30.0
 
 
 def default_workers() -> int:
@@ -44,12 +52,12 @@ class CampaignReport:
     succeeded: int = 0
     failed: int = 0
     retries: int = 0
+    completed: bool = True
     wall_time_s: float = 0.0
-    records: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def all_ok(self) -> bool:
-        return self.failed == 0
+        return self.completed and self.failed == 0
 
     def summary(self) -> str:
         return (
@@ -57,191 +65,8 @@ class CampaignReport:
             f"({self.succeeded} ok, {self.failed} failed, "
             f"{self.retries} retried attempt(s)), {self.skipped} resumed, "
             f"{self.wall_time_s:.1f}s wall"
+            + ("" if self.completed else " [INCOMPLETE]")
         )
-
-
-def _payload(trial: TrialSpec, attempt: int, timeout_s: float) -> Dict[str, Any]:
-    payload = trial.to_payload()
-    payload["attempt"] = attempt
-    payload["timeout_s"] = timeout_s
-    return payload
-
-
-class CampaignExecutor:
-    """Runs a campaign grid against a result store.
-
-    Parameters
-    ----------
-    store : ResultStore or path
-        Where finished-trial records land, one JSONL line each.
-    n_workers : int
-        Pool size; ``1`` means a plain serial loop in this process (no
-        fork, easiest to debug, and what the benchmark baselines).
-    timeout_s : float
-        Per-trial wall-clock budget, enforced inside the worker via
-        ``SIGALRM``; ``0`` disables it.
-    max_retries : int
-        How many times a failed trial is re-attempted (so a trial runs at
-        most ``max_retries + 1`` times).
-    resume : bool
-        Skip trials whose key already has a successful record on disk.
-    """
-
-    def __init__(
-        self,
-        store: Union[ResultStore, str],
-        n_workers: int = 1,
-        timeout_s: float = 0.0,
-        max_retries: int = 1,
-        resume: bool = True,
-        reporter: Optional[ProgressReporter] = None,
-        quiet: bool = False,
-    ):
-        self.store = store if isinstance(store, ResultStore) else ResultStore(store)
-        self.n_workers = max(1, int(n_workers))
-        self.timeout_s = float(timeout_s)
-        self.max_retries = max(0, int(max_retries))
-        self.resume = resume
-        self._reporter = reporter
-        self.quiet = quiet
-
-    # -- public API -------------------------------------------------------
-
-    def run(
-        self, campaign: Union[CampaignSpec, Sequence[TrialSpec]]
-    ) -> CampaignReport:
-        trials = (
-            campaign.trials()
-            if isinstance(campaign, CampaignSpec)
-            else list(campaign)
-        )
-        label = campaign.name if isinstance(campaign, CampaignSpec) else "campaign"
-        started = time.perf_counter()
-
-        completed = self.store.completed_keys() if self.resume else set()
-        todo = [trial for trial in trials if trial.key() not in completed]
-        report = CampaignReport(total=len(trials), skipped=len(trials) - len(todo))
-
-        reporter = self._reporter or ProgressReporter(
-            total=len(todo), label=label, enabled=not self.quiet
-        )
-        reporter.start(self.n_workers, report.skipped)
-
-        if todo:
-            if self.n_workers == 1:
-                self._run_serial(todo, report, reporter)
-            else:
-                self._run_pool(todo, report, reporter)
-
-        report.wall_time_s = time.perf_counter() - started
-        reporter.finish()
-        return report
-
-    # -- execution strategies ---------------------------------------------
-
-    def _finish_trial(
-        self,
-        record: Dict[str, Any],
-        report: CampaignReport,
-        reporter: ProgressReporter,
-    ) -> None:
-        self.store.append(record)
-        report.records.append(record)
-        report.executed += 1
-        if record.get("status") == STATUS_OK:
-            report.succeeded += 1
-        else:
-            report.failed += 1
-        reporter.update(record)
-
-    def _run_serial(
-        self,
-        todo: List[TrialSpec],
-        report: CampaignReport,
-        reporter: ProgressReporter,
-    ) -> None:
-        for trial in todo:
-            attempt = 1
-            while True:
-                record = run_trial(_payload(trial, attempt, self.timeout_s))
-                if record["status"] == STATUS_OK or attempt > self.max_retries:
-                    break
-                attempt += 1
-                report.retries += 1
-            self._finish_trial(record, report, reporter)
-
-    def _run_pool(
-        self,
-        todo: List[TrialSpec],
-        report: CampaignReport,
-        reporter: ProgressReporter,
-    ) -> None:
-        # fork shares the (possibly test-extended) attack registry with
-        # workers; fall back to the platform default where unavailable.
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX
-            context = multiprocessing.get_context()
-
-        with context.Pool(processes=self.n_workers) as pool:
-            pending = {
-                trial.key(): (
-                    trial,
-                    1,
-                    pool.apply_async(
-                        run_trial, (_payload(trial, 1, self.timeout_s),)
-                    ),
-                )
-                for trial in todo
-            }
-            while pending:
-                progressed = False
-                for key in list(pending):
-                    trial, attempt, handle = pending[key]
-                    if not handle.ready():
-                        continue
-                    progressed = True
-                    try:
-                        record = handle.get()
-                    except Exception as exc:
-                        # The worker process itself died (run_trial never
-                        # raises); synthesise a failure record.
-                        record = _crash_record(trial, attempt, exc)
-                    if record["status"] != STATUS_OK and attempt <= self.max_retries:
-                        report.retries += 1
-                        pending[key] = (
-                            trial,
-                            attempt + 1,
-                            pool.apply_async(
-                                run_trial,
-                                (_payload(trial, attempt + 1, self.timeout_s),),
-                            ),
-                        )
-                        continue
-                    del pending[key]
-                    self._finish_trial(record, report, reporter)
-                if not progressed:
-                    time.sleep(_POLL_S)
-
-
-def _crash_record(
-    trial: TrialSpec, attempt: int, exc: Exception
-) -> Dict[str, Any]:
-    return {
-        "key": trial.key(),
-        "machine": trial.machine,
-        "tp": trial.tp,
-        "attack": trial.attack,
-        "seed": trial.seed,
-        "params": dict(trial.params),
-        "derived_seed": trial.derived_seed(),
-        "attempts": attempt,
-        "worker": None,
-        "status": "failed",
-        "result": None,
-        "error": f"worker crashed: {exc!r}",
-        "wall_time_s": 0.0,
-    }
 
 
 def run_campaign(
@@ -253,13 +78,65 @@ def run_campaign(
     resume: bool = True,
     quiet: bool = False,
 ) -> CampaignReport:
-    """One-call convenience wrapper around :class:`CampaignExecutor`."""
-    executor = CampaignExecutor(
-        store=store,
-        n_workers=n_workers,
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-        resume=resume,
-        quiet=quiet,
+    """Run a campaign grid against a result store.
+
+    Parameters
+    ----------
+    store : ResultStore or path
+        Where finished-trial records land (:func:`open_store` picks the
+        backend for a path).
+    n_workers : int
+        ``1`` runs the worker loop in this process (no fork: easiest to
+        debug, and what the benchmark measures); more fork that many
+        workers.
+    timeout_s : float
+        Per-trial wall-clock budget, enforced by running each attempt in
+        a child process; ``0`` disables it.
+    max_retries : int
+        How many times a failed trial is re-attempted (so a trial runs at
+        most ``max_retries + 1`` times).
+    resume : bool
+        Skip trials whose key already has a successful record on disk.
+    """
+    from .service.coordinator import Coordinator
+    from .service.fleet import run_fleet
+    from .service.leases import LeaseTable, plan_payloads
+    from .service.worker import ServiceWorker
+
+    store = open_store(store)
+    trials = (
+        campaign.trials()
+        if isinstance(campaign, CampaignSpec)
+        else list(campaign)
     )
-    return executor.run(campaign)
+    label = campaign.name if isinstance(campaign, CampaignSpec) else "campaign"
+    n_workers = max(1, int(n_workers))
+
+    completed = store.completed_keys() if resume else set()
+    todo = [trial for trial in trials if trial.key() not in completed]
+    table = LeaseTable(
+        plan_payloads(todo, timeout_s=float(timeout_s)),
+        shard_size=_SHARD_SIZE,
+        lease_ttl_s=_LEASE_TTL_S,
+        max_retries=max(0, int(max_retries)),
+    )
+    reporter = ProgressReporter(
+        total=len(todo), label=label, enabled=not quiet
+    )
+    coordinator = Coordinator(table, store, campaign=label, reporter=reporter)
+    report = CampaignReport(total=len(trials), skipped=len(trials) - len(todo))
+    started = coordinator.clock()
+    reporter.start(n_workers, report.skipped)
+
+    if n_workers == 1:
+        ServiceWorker(coordinator, worker_id="local").run()
+    elif not table.done:
+        report.completed = run_fleet(coordinator, n_workers)
+
+    report.executed = table.stats.accepted
+    report.succeeded = table.stats.succeeded
+    report.failed = table.stats.failed
+    report.retries = coordinator.retries
+    report.wall_time_s = coordinator.clock() - started
+    reporter.finish()
+    return report

@@ -141,7 +141,7 @@ def register_attack(
     """Register a custom attack so campaigns can refer to it by name.
 
     With the default ``fork`` start method on POSIX, attacks registered
-    before the worker pool starts are visible inside workers too.
+    before a campaign forks its workers are visible inside them too.
     """
     entry = AttackEntry(
         description or name, runner, dict(defaults or {}), needs_cores

@@ -1,52 +1,54 @@
-"""Distributed campaign service: lease coordinator + HTTP worker fleet.
+"""Campaign service: the lease coordinator and its worker loop.
 
-The single-host pool (``campaign.executor``) tops out at one machine.
-This package promotes the campaign engine to a *service*:
+Every campaign runs on this package (``campaign.executor.run_campaign``),
+and ``campaign --serve`` / ``repro-tp work`` run it past one host:
 
 * :mod:`leases` — a deterministic, clock-injected lease table that
   shards a campaign grid into idempotent batches of trial payloads.
   Leases carry a deadline and a generation counter; an expired lease is
   re-issued with only its unresolved trials, so worker churn never
   loses work and no trial is double-counted.
-* :mod:`coordinator` — an ``asyncio`` HTTP server over the lease table
-  and a :class:`~repro.campaign.store.ResultStore`: ``POST /lease``,
-  ``POST /heartbeat``, ``POST /results``, ``GET /status``.  The
-  coordinator is the *only* store writer, so a sqlite store needs no
-  cross-process locking.
-* :mod:`worker` — a stdlib (``urllib``) worker loop that pulls leases,
-  runs trials through the existing :func:`~repro.campaign.worker
-  .run_trial` path, enforces per-trial deadlines portably (child
-  process, no ``SIGALRM``), and streams results back with bounded
-  exponential backoff + seeded jitter.
-* :mod:`fleet` — ``campaign --distributed``: coordinator plus N local
-  worker processes, with dead workers respawned until the grid drains.
+* :mod:`coordinator` — request routing over the lease table and a
+  :class:`~repro.campaign.store.ResultStore` (``/lease``,
+  ``/heartbeat``, ``/results``, ``/status``), plus the ``asyncio`` HTTP
+  server that serves it.  The coordinator is the *only* store writer,
+  so a sqlite store needs no cross-process locking, and it refuses
+  malformed results before writing any.
+* :mod:`worker` — the worker loop that pulls leases, runs trials
+  through :func:`~repro.campaign.worker.run_trial`, enforces per-trial
+  deadlines portably (child process, no signals), and sends results
+  back: by direct call to an in-process coordinator, or over ``urllib``
+  with bounded exponential backoff + seeded jitter.
+* :mod:`fleet` — N forked local workers over a loopback coordinator.
 * :mod:`status` — the live ``/status`` payload: progress counters plus
   the streaming (machine × tp) capacity matrix.
 
-Determinism note (the SC-2 story): every simulated quantity still
-derives from ``CycleClock`` and the per-trial derived seed, exactly as
-in the pool path — the same ``run_trial`` runs the trial, so records
-are bit-identical modulo the volatile wall-clock/worker metadata.
-Service-side *operational* timing (lease deadlines, heartbeats, retry
-backoff) is injected as a clock callable so the lease logic itself is
-deterministic under test; jitter comes from an explicitly seeded
-``random.Random``.
+The HTTP halves (``asyncio``, ``urllib.request``) load only when a
+server starts or a worker makes an HTTP request, so an in-process
+campaign imports neither.
+
+Determinism note (the SC-2 story): every simulated quantity derives
+from ``CycleClock`` and the per-trial derived seed — the same
+``run_trial`` runs every trial, so records are bit-identical modulo the
+volatile wall-clock/worker metadata at any worker count.  Service-side
+*operational* timing (lease deadlines, heartbeats, retry backoff) is
+injected as a clock callable so the lease logic itself is deterministic
+under test; jitter comes from an explicitly seeded ``random.Random``.
 """
 
-from .coordinator import CoordinatorServer
-from .fleet import FleetReport, run_distributed_campaign
 from .leases import LeaseTable, plan_payloads
 from .protocol import BackoffPolicy
-from .worker import CoordinatorUnreachable, ServiceWorker, run_trial_with_deadline
+from .worker import (
+    CoordinatorUnreachable,
+    ServiceWorker,
+    run_trial_with_deadline,
+)
 
 __all__ = [
     "BackoffPolicy",
-    "CoordinatorServer",
     "CoordinatorUnreachable",
-    "FleetReport",
     "LeaseTable",
     "ServiceWorker",
     "plan_payloads",
-    "run_distributed_campaign",
     "run_trial_with_deadline",
 ]

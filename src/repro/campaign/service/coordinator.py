@@ -1,11 +1,15 @@
-"""The campaign coordinator: leases over HTTP, results into the store.
+"""The campaign coordinator: leases out, results into the store.
 
-A deliberately minimal ``asyncio`` HTTP/1.1 server (stdlib only, one
-request per connection) over a :class:`~.leases.LeaseTable` and a
-result store.  The coordinator is the single store writer: workers
-stream records over ``POST /results`` and the coordinator appends each
-*newly resolved* record exactly once, so the JSONL and sqlite backends
-both see strictly append-only, duplicate-free traffic.
+:class:`Coordinator` routes requests onto a :class:`~.leases.LeaseTable`
+and a result store, and is every campaign's single store writer:
+workers submit records to ``/results`` and the coordinator validates
+them, then appends each *newly resolved* record exactly once, so the
+JSONL and sqlite backends both see strictly append-only, duplicate-free
+traffic.  An in-process worker calls :meth:`Coordinator.handle`
+directly; :class:`CoordinatorServer` serves the same routes over a
+deliberately minimal ``asyncio`` HTTP/1.1 server (stdlib only, one
+request per connection).  ``asyncio`` is imported only where the server
+runs, so a campaign that never serves never loads it.
 
 Host time never touches trial content here — the lease clock is an
 injected callable (``clock=time.monotonic`` at the composition root),
@@ -16,16 +20,18 @@ wall-clock waivers.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from ..progress import ProgressReporter
-from ..store import ResultStore
+from ..store import STATUS_FAILED, STATUS_OK, ResultStore
 from . import protocol
 from .leases import ACCEPTED, LeaseTable
 from .status import status_payload
+
+if TYPE_CHECKING:
+    import asyncio
 
 #: How often the background sweep re-checks lease deadlines, as a
 #: fraction of the TTL (bounded below so tiny TTLs don't spin).
@@ -50,6 +56,8 @@ class Coordinator:
         self.reporter = reporter
         self.clock = clock
         self.workers_seen: Dict[str, int] = {}
+        #: Re-run attempts summed over accepted records' ``attempts``.
+        self.retries = 0
         self.on_done: Optional[Callable[[], None]] = None
 
     # -- request routing ---------------------------------------------------
@@ -94,10 +102,13 @@ class Coordinator:
     def _results(
         self, body: Dict[str, Any], now: float
     ) -> Tuple[int, Dict[str, Any]]:
+        records = body.get("records", [])
+        error = _invalid_records(records)
+        if error:
+            return 400, {"error": error}
         self._note_worker(body)
         shard = int(body.get("shard", -1))
         generation = int(body.get("generation", -1))
-        records = body.get("records") or []
         outcomes = {"accepted": 0, "duplicate": 0, "unknown": 0}
         for record in records:
             outcome = self.table.submit(shard, generation, record, now)
@@ -105,6 +116,9 @@ class Coordinator:
                 record = dict(record)
                 record["campaign"] = self.campaign
                 self.store.append(record)
+                attempts = record.get("attempts")
+                if isinstance(attempts, int) and attempts > 1:
+                    self.retries += attempts - 1
                 if self.reporter is not None:
                     self.reporter.update(record)
                 outcomes["accepted"] += 1
@@ -127,6 +141,21 @@ class Coordinator:
         if self.table.done and self.on_done is not None:
             callback, self.on_done = self.on_done, None
             callback()
+
+
+def _invalid_records(records: Any) -> Optional[str]:
+    """Why a ``/results`` batch must be refused whole, or ``None``."""
+    if not isinstance(records, list):
+        return f"'records' must be a list, got {type(records).__name__}"
+    for record in records:
+        if not isinstance(record, dict):
+            return f"a record must be an object, got {type(record).__name__}"
+        status = record.get("status")
+        if status not in (STATUS_OK, STATUS_FAILED):
+            return f"record status must be 'ok' or 'failed', got {status!r}"
+        if status == STATUS_OK and not isinstance(record.get("result"), dict):
+            return f"ok record {record.get('key')!r} has no 'result' object"
+    return None
 
 
 async def _read_request(
@@ -237,6 +266,8 @@ class CoordinatorServer:
     # -- server internals --------------------------------------------------
 
     def _run(self) -> None:
+        import asyncio
+
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
@@ -247,6 +278,8 @@ class CoordinatorServer:
             loop.close()
 
     async def _serve(self) -> None:
+        import asyncio
+
         self._stop_event = asyncio.Event()
         server = await asyncio.start_server(self._handle, sock=self._sock)
         sweep = asyncio.ensure_future(self._sweep_loop())
@@ -259,6 +292,8 @@ class CoordinatorServer:
             await server.wait_closed()
 
     async def _sweep_loop(self) -> None:
+        import asyncio
+
         interval = max(
             _MIN_SWEEP_S, self.coordinator.table.lease_ttl_s * _SWEEP_FRACTION
         )
@@ -286,7 +321,7 @@ class CoordinatorServer:
                 status, payload = 500, {"error": repr(error)}
             writer.write(_http_response(status, payload))
             await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except (ConnectionError, EOFError):  # incl. IncompleteReadError
             pass
         finally:
             try:

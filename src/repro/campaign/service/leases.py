@@ -25,6 +25,7 @@ Invariants the tests pin down:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -141,6 +142,12 @@ class LeaseTable:
                 self._shard_of[p["key"]] = shard.shard_id
             self.shards.append(shard)
         self.total = len(keyed)
+        # Indexes that keep acquire/expire independent of the grid size
+        # (a local campaign leases one trial per shard): a min-heap of
+        # shard ids that may be available (entries a stale submission
+        # finished are skipped when popped), and the leased shard ids.
+        self._available: List[int] = list(range(len(self.shards)))
+        self._leased: Dict[int, None] = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -163,12 +170,15 @@ class LeaseTable:
     def expire(self, now: float) -> List[int]:
         """Return overdue leased shards to the queue; list what expired."""
         expired = []
-        for shard in self.shards:
-            if shard.state == LEASED and now >= shard.deadline:
+        for shard_id in sorted(self._leased):
+            shard = self.shards[shard_id]
+            if now >= shard.deadline:
+                del self._leased[shard_id]
                 shard.state = AVAILABLE if shard.pending else DONE
                 shard.owner = ""
                 if shard.pending:
-                    expired.append(shard.shard_id)
+                    heapq.heappush(self._available, shard_id)
+                    expired.append(shard_id)
                     self.stats.leases_expired += 1
         return expired
 
@@ -180,12 +190,14 @@ class LeaseTable:
         as-is.
         """
         self.expire(now)
-        for shard in self.shards:
+        while self._available:
+            shard = self.shards[heapq.heappop(self._available)]
             if shard.state == AVAILABLE and shard.pending:
                 shard.generation += 1
                 shard.state = LEASED
                 shard.owner = worker
                 shard.deadline = now + self.lease_ttl_s
+                self._leased[shard.shard_id] = None
                 self.stats.leases_issued += 1
                 return {
                     "shard": shard.shard_id,
@@ -244,6 +256,7 @@ class LeaseTable:
         if not shard.pending:
             shard.state = DONE
             shard.owner = ""
+            self._leased.pop(shard.shard_id, None)
         return ACCEPTED
 
     # -- reporting ---------------------------------------------------------

@@ -1,24 +1,26 @@
-"""The HTTP worker loop: pull leases, run trials, stream results back.
+"""The worker loop: pull leases, run trials, send results back.
 
-Trials run through the *existing* :func:`repro.campaign.worker.run_trial`
-path — same registries, same per-trial seeding — so a record produced
-by a fleet worker is bit-identical (modulo volatile wall-clock/worker
-metadata) to the one the single-host pool would have written for the
-same trial spec.
+Every campaign worker is this loop.  It talks to its coordinator either
+directly (the one worker of ``run_campaign(..., n_workers=1)``, in the
+coordinator's own process) or over HTTP (forked local workers and
+``repro-tp work``).  Trials run through
+:func:`repro.campaign.worker.run_trial` — same registries, same
+per-trial seeding — so a record is bit-identical (modulo volatile
+wall-clock/worker metadata) whichever way its worker ran.
 
 Two robustness mechanisms live here rather than in ``run_trial``:
 
-* **Portable deadlines.**  The pool path enforces per-trial budgets
-  with ``SIGALRM``, which is unix-only and cannot interrupt C-level
-  loops.  The service path instead runs the trial in a child process
-  and enforces the deadline from outside (`run_trial_with_deadline`):
-  poll-join, then ``terminate()`` — works on any platform and kills
-  genuinely wedged trials.  Between polls the worker heartbeats its
-  lease so a slow trial is not mistaken for a dead worker.
-* **Bounded backoff.**  Coordinator connection failures back off
-  exponentially with *seeded* jitter (:class:`~.protocol.BackoffPolicy`)
-  and give up after ``max_failures`` consecutive misses with
-  :class:`CoordinatorUnreachable`.
+* **Portable deadlines.**  A trial with a budget runs in a child
+  process and the deadline is enforced from outside
+  (`run_trial_with_deadline`): poll-join, then ``terminate()`` — works
+  on any platform and kills genuinely wedged trials, even in C-level
+  loops.  Between polls the worker heartbeats its lease so a slow trial
+  is not mistaken for a dead worker.
+* **Bounded backoff.**  HTTP connection failures back off exponentially
+  with *seeded* jitter (:class:`~.protocol.BackoffPolicy`) and give up
+  after ``max_failures`` consecutive misses with
+  :class:`CoordinatorUnreachable`.  An in-process coordinator is never
+  retried: its errors propagate as themselves.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ import os
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional
-
-from urllib import request as urlrequest
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from ..spec import TrialSpec
 from ..store import STATUS_FAILED, STATUS_OK
 from ..worker import run_trial
 from . import protocol
+from .coordinator import Coordinator
 
 
 class CoordinatorUnreachable(Exception):
@@ -43,8 +44,8 @@ class CoordinatorUnreachable(Exception):
 
 
 def _mp_context():
-    # fork shares test-registered attacks with trial children, matching
-    # the pool executor; spawn still works (run_trial is module-level).
+    # fork shares test-registered attacks with workers and trial
+    # children; spawn still works (run_trial is module-level).
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX
@@ -101,13 +102,9 @@ def run_trial_with_deadline(
     if timeout_s <= 0:
         return run_trial(dict(payload))
     ctx = mp_context or _mp_context()
-    # The child gets timeout_s=0: the deadline lives out here, so the
-    # unix-only SIGALRM path in run_trial is never armed.
-    child_payload = dict(payload)
-    child_payload["timeout_s"] = 0
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     process = ctx.Process(
-        target=_deadline_child, args=(child_payload, child_conn)
+        target=_deadline_child, args=(dict(payload), child_conn)
     )
     started = clock()
     process.start()
@@ -129,7 +126,7 @@ def run_trial_with_deadline(
             process.join()
         record = _failure_record(
             payload,
-            f"trial exceeded its {timeout_s}s deadline "
+            f"trial timed out: exceeded its {timeout_s}s deadline "
             f"(terminated by the portable watchdog)",
             clock() - started,
         )
@@ -173,11 +170,16 @@ class WorkerStats:
 
 
 class ServiceWorker:
-    """One lease-pulling worker loop against a coordinator URL."""
+    """One lease-pulling worker loop against a coordinator.
+
+    ``coordinator`` is a base URL, called over HTTP with bounded-backoff
+    retry, or a :class:`~.coordinator.Coordinator` in this process,
+    called directly: no socket, no thread, no retry.
+    """
 
     def __init__(
         self,
-        coordinator_url: str,
+        coordinator: Union[str, Coordinator],
         worker_id: str = "",
         max_retries: Optional[int] = None,
         flush_every: int = 1,
@@ -188,7 +190,10 @@ class ServiceWorker:
         sleep: Callable[[float], None] = time.sleep,
         log: Optional[Callable[[str], None]] = None,
     ):
-        self.url = coordinator_url.rstrip("/")
+        if isinstance(coordinator, str):
+            self.url, self.coordinator = coordinator.rstrip("/"), None
+        else:
+            self.url, self.coordinator = "in-process", coordinator
         self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
         self.max_retries = max_retries
         self.flush_every = max(1, int(flush_every))
@@ -201,9 +206,18 @@ class ServiceWorker:
         self.stats = WorkerStats()
         self._ctx = _mp_context()
 
-    # -- HTTP --------------------------------------------------------------
+    # -- transport ---------------------------------------------------------
 
     def _request(self, path: str, payload: Mapping[str, Any]) -> Dict[str, Any]:
+        if self.coordinator is not None:
+            status, response = self.coordinator.handle(
+                "POST", path, dict(payload)
+            )
+            if status != 200:
+                raise RuntimeError(f"coordinator refused {path}: {response}")
+            return response
+        from urllib import request as urlrequest
+
         request = urlrequest.Request(
             self.url + path,
             data=protocol.encode(payload),
@@ -214,7 +228,9 @@ class ServiceWorker:
             return protocol.decode(resp.read())
 
     def _call(self, path: str, payload: Mapping[str, Any]) -> Dict[str, Any]:
-        """Request with bounded-backoff retry on connection failures."""
+        """Request with bounded-backoff retry on HTTP connection failures."""
+        if self.coordinator is not None:
+            return self._request(path, payload)
         while True:
             try:
                 response = self._request(path, payload)

@@ -11,7 +11,7 @@ Ten subcommands::
     repro-tp campaign [--machines M1,M2] [--tps T1,T2] [--attacks A1,A2]
                       [--seeds 0,1] [--workers N] [--store results.jsonl]
                       [--genomes FILE]
-                      [--serve | --distributed] [--host H] [--port P]
+                      [--serve] [--host H] [--port P]
                       [--shard-size N] [--lease-ttl S] [--status-interval S]
     repro-tp work     --coordinator URL [--jobs N] [--name ID]
                       [--flush-every N] [--max-failures N]
@@ -31,16 +31,16 @@ over the reachable product state space of a small machine (``micro`` or
 ``tiny``): exit 0 when clean, 1 with a minimal replayable counterexample
 otherwise.  ``channels`` measures the attack suite under the chosen
 configuration.  ``inspect`` extracts and prints the abstract hardware
-model (Sect. 5.1) of a machine.  ``campaign`` fans a whole (machine ×
-tp × attack × seed) grid out over a worker pool, appends one JSONL
+model (Sect. 5.1) of a machine.  ``campaign`` runs a whole (machine ×
+tp × attack × seed) grid through a lease coordinator — one worker in
+this process, or ``--workers N`` forked ones — appends one JSONL
 record per trial, resumes past completed trials on re-run, and prints
 the (machine × tp) channel-capacity matrix; ``--genomes`` registers
 evolved genomes from a saved file as extra attacks for the grid.  A
 ``--store`` path ending in ``.sqlite``/``.sqlite3``/``.db`` selects the
 indexed sqlite backend instead of JSONL.  ``campaign --serve`` runs the
-grid as a lease *coordinator* (workers attach with ``repro-tp work``)
-with a live ``/status`` capacity view; ``campaign --distributed`` also
-spawns the local worker fleet itself.  ``work`` is the worker half:
+grid as an HTTP *coordinator* (workers attach with ``repro-tp work``)
+with a live ``/status`` capacity view.  ``work`` is the worker half:
 pull leases from a coordinator URL, run trials, stream results back.
 ``store`` inspects (``info``) or converts (``migrate``, either
 direction, order-preserving) result stores.
@@ -249,9 +249,9 @@ def cmd_inspect(args) -> int:
 def _campaign_serve(args, spec, trials, store) -> int:
     """``campaign --serve``: coordinator only; workers attach remotely."""
     from .campaign import ProgressReporter
-    from .campaign.service import CoordinatorServer, LeaseTable, plan_payloads
+    from .campaign.service import LeaseTable, plan_payloads
     from .campaign.service import protocol
-    from .campaign.service.coordinator import Coordinator
+    from .campaign.service.coordinator import Coordinator, CoordinatorServer
     from .campaign.service.status import format_status
 
     completed = store.completed_keys() if not args.fresh else set()
@@ -298,33 +298,6 @@ def _campaign_serve(args, spec, trials, store) -> int:
         reporter.finish()
     print(format_status(coordinator.status()))
     return 0 if table.stats.failed == 0 else 1
-
-
-def _campaign_distributed(args, spec, store) -> int:
-    """``campaign --distributed``: coordinator + local worker fleet."""
-    from .analysis.summary import capacity_matrix
-    from .campaign import default_workers
-    from .campaign.service import run_distributed_campaign
-
-    report = run_distributed_campaign(
-        spec,
-        store,
-        n_workers=args.workers if args.workers > 0 else default_workers(),
-        shard_size=args.shard_size,
-        lease_ttl_s=args.lease_ttl,
-        timeout_s=args.timeout,
-        max_retries=args.retries,
-        resume=not args.fresh,
-        quiet=args.quiet,
-        host=args.host,
-        port=args.port,
-    )
-    print(f"campaign {spec.name!r} (distributed): {report.summary()}")
-    print(f"store: {store.path} ({len(store)} record(s))")
-    if not args.no_summary:
-        print()
-        print(capacity_matrix(store.records()))
-    return 0 if report.all_ok else 1
 
 
 def cmd_campaign(args) -> int:
@@ -378,8 +351,6 @@ def cmd_campaign(args) -> int:
     store = open_store(args.store)
     if args.serve:
         return _campaign_serve(args, spec, trials, store)
-    if args.distributed:
-        return _campaign_distributed(args, spec, store)
     report = run_campaign(
         spec,
         store,
@@ -709,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = subparsers.add_parser(
         "campaign",
-        help="run a (machine x tp x attack x seed) grid over a worker pool",
+        help="run a (machine x tp x attack x seed) grid over local workers",
     )
     campaign.add_argument(
         "--spec", default="",
@@ -724,28 +695,26 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--seeds", default="0",
                           help="comma-separated integer seeds")
     campaign.add_argument("--workers", type=int, default=0,
-                          help="worker processes (0 = one per available CPU)")
+                          help="workers (1 = in this process, N > 1 = "
+                               "forked; 0 = one per available CPU)")
     campaign.add_argument("--store", default="campaign_results.jsonl",
                           help="result store path (resume target); a "
                                ".sqlite/.sqlite3/.db suffix selects the "
                                "indexed sqlite backend")
-    mode = campaign.add_mutually_exclusive_group()
-    mode.add_argument("--serve", action="store_true",
-                      help="run as a lease coordinator over HTTP; workers "
-                           "attach with 'repro-tp work'")
-    mode.add_argument("--distributed", action="store_true",
-                      help="run coordinator + local worker fleet instead of "
-                           "the in-process pool")
+    campaign.add_argument("--serve", action="store_true",
+                          help="run as a lease coordinator over HTTP; "
+                               "workers attach with 'repro-tp work'")
     campaign.add_argument("--host", default="127.0.0.1",
-                          help="coordinator bind address for --serve / "
-                               "--distributed")
+                          help="with --serve: coordinator bind address")
     campaign.add_argument("--port", type=int, default=0,
-                          help="coordinator port (0 = pick a free one)")
+                          help="with --serve: coordinator port "
+                               "(0 = pick a free one)")
     campaign.add_argument("--shard-size", type=int, default=8,
-                          help="trials per lease shard")
+                          help="with --serve: trials per lease shard")
     campaign.add_argument("--lease-ttl", type=float, default=30.0,
-                          help="lease deadline in seconds; an expired lease "
-                               "re-issues its unresolved trials")
+                          help="with --serve: lease deadline in seconds; an "
+                               "expired lease re-issues its unresolved "
+                               "trials")
     campaign.add_argument("--status-interval", type=float, default=0.0,
                           help="with --serve: print the /status capacity "
                                "view every S seconds (0 = only at the end)")
@@ -820,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full alphabet sweeps per evaluation")
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--jobs", type=int, default=1,
-                       help="campaign-pool workers per generation "
+                       help="forked campaign workers per generation "
                             "(1 = in-process serial)")
     synth.add_argument("--store", default="synth_fitness.jsonl",
                        help="JSONL fitness cache for --jobs > 1")

@@ -39,10 +39,6 @@ class AbstractElement:
     concurrently_shared: bool
     n_partitions: int
 
-    @property
-    def is_managed(self) -> bool:
-        return self.effective_category is not StateCategory.UNMANAGED
-
 
 @dataclass
 class AbstractHardwareModel:

@@ -85,9 +85,6 @@ class AddressSpace:
             addresses.append(base + (entry_index * 8) % self.page_size)
         return addresses
 
-    def mapped_pages(self) -> List[int]:
-        return sorted(self._mappings)
-
     def frames(self) -> List[Frame]:
         """All frames mapped in this address space (plus the root)."""
         result = [self.root_frame]

@@ -116,9 +116,6 @@ class ColourAwareAllocator:
         colours = self._colour_filter(domain_name)
         return self.memory.alloc_frames(count, colours)
 
-    def alloc_frame_for_domain(self, domain_name: str) -> Frame:
-        return self.memory.alloc_frame(self._colour_filter(domain_name))
-
     def alloc_kernel_frames(self, count: int) -> List[Frame]:
         """Frames for the shared kernel region (reserved colour)."""
         colours = self.kernel_colours if self.colouring_enabled else None

@@ -190,8 +190,3 @@ class Domain:
         ]
         return min(times) if times else None
 
-    def all_done(self) -> bool:
-        return all(
-            tcb.state in (ThreadState.DONE, ThreadState.FAULTED)
-            for tcb in self.threads
-        )

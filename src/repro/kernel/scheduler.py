@@ -72,9 +72,6 @@ class DomainScheduler:
         state.slice_end = resolved[0][1]
         self._cores[core_id] = state
 
-    def has_schedule(self, core_id: int) -> bool:
-        return core_id in self._cores
-
     def state(self, core_id: int) -> CoreScheduleState:
         return self._cores[core_id]
 

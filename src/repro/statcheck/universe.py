@@ -226,14 +226,6 @@ class Universe:
             result.extend(self.classes_by_name.get(name, []))
         return result
 
-    def element_containers(self) -> Dict[str, Set[str]]:
-        """Class name -> its registered state-container attribute names."""
-        return {
-            cls.name: set(cls.containers)
-            for cls in self.element_classes()
-            if cls.containers
-        }
-
     def class_ancestry(self, cls: ClassInfo) -> List[ClassInfo]:
         """``cls`` plus its in-universe ancestors (method resolution)."""
         seen: Set[str] = set()

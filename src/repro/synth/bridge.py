@@ -2,10 +2,10 @@
 
 Two directions:
 
-* **Search -> pool.**  :class:`CampaignEvaluator` is a drop-in
+* **Search -> campaign.**  :class:`CampaignEvaluator` is a drop-in
   ``BatchEvaluator`` for :class:`~repro.synth.search.EvolutionSearch`
-  that fans each generation's genome evaluations across the PR-1
-  multiprocessing pool instead of running them serially.  Every genome
+  that runs each generation's genome evaluations as a campaign on
+  forked workers instead of running them serially.  Every genome
   evaluation is an ordinary campaign trial of the ``synth`` attack whose
   params carry the genome dict, so the JSONL store doubles as a
   *fitness cache*: a genome's trial key fingerprints its params, and
@@ -39,7 +39,7 @@ GENOME_FILE_VERSION = 1
 
 
 class CampaignEvaluator:
-    """Evaluate genome batches on the campaign worker pool.
+    """Evaluate genome batches as campaigns on forked workers.
 
     Order-preserving: result ``i`` belongs to genome ``i``.  Failed or
     timed-out trials evaluate to fitness 0 rather than raising, so one
@@ -85,8 +85,8 @@ class CampaignEvaluator:
         self, genomes: Sequence[Union[Genome, dict]]
     ) -> List[EpisodeEvaluation]:
         trials = [self.trial_for(genome) for genome in genomes]
-        # Duplicate genomes share a trial key; the pool collapses them
-        # and the store answers every copy below.
+        # Duplicate genomes share a trial key; the lease table collapses
+        # them and the store answers every copy below.
         run_campaign(
             trials,
             store=self.store,

@@ -5,7 +5,7 @@ probe sweeps, kernel-text flushes and reloads, branch training, and
 yield-to-victim waits -- plus a decoder that turns the timed
 measurements of one round into a channel observation.  Genes are plain
 frozen dataclasses with small integer fields, so genomes serialise to
-JSON, pickle across the campaign pool, and mutate by integer jitter.
+JSON, travel to campaign workers, and mutate by integer jitter.
 
 Compilation targets :class:`repro.kernel.objects.ReplayableProgram`: the
 genome dict rides in ``ctx.params`` and a module-level step function

@@ -150,7 +150,7 @@ class SearchReport:
 
 #: Evaluator contract: genomes -> evaluations, order-preserving.  The
 #: in-process default maps ``env.evaluate``; the campaign bridge fans
-#: the same call across the worker pool.
+#: the same call across forked campaign workers.
 BatchEvaluator = Callable[[Sequence[Genome]], List[EpisodeEvaluation]]
 
 

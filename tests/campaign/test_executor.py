@@ -1,4 +1,6 @@
-"""Executor behaviour: resume, retry, determinism, parallel pool, CLI."""
+"""Executor behaviour: resume, retry, determinism, forked workers."""
+
+import os
 
 import pytest
 
@@ -119,6 +121,29 @@ class TestSerialExecution:
         )
         assert rerun.executed == 1 and rerun.skipped == 0
 
+    def test_one_worker_runs_in_this_process(self, fake_attacks, tmp_path):
+        # The benchmark meters this process: its kernel steps must run here.
+        store = ResultStore(str(tmp_path / "r.jsonl"))
+        run_campaign(_spec(("quick",)), store, n_workers=1, quiet=True)
+        (record,) = store.records()
+        assert record["worker"]["pid"] == os.getpid()
+
+    def test_duplicate_trial_keys_collapse(self, fake_attacks, tmp_path):
+        store = ResultStore(str(tmp_path / "r.jsonl"))
+        trial = TrialSpec("tiny", "full", "quick", seed=0)
+        report = run_campaign([trial, trial], store, n_workers=1, quiet=True)
+        assert report.total == 2 and report.executed == 1
+        assert len(store.records()) == 1
+
+    def test_store_error_propagates_as_itself(self, fake_attacks, tmp_path):
+        class FullDisk(ResultStore):
+            def append(self, record):
+                raise OSError(28, "No space left on device")
+
+        store = FullDisk(str(tmp_path / "r.jsonl"))
+        with pytest.raises(OSError, match="No space left"):
+            run_campaign(_spec(("quick",)), store, n_workers=1, quiet=True)
+
 
 class TestDeterminism:
     def test_same_seed_gives_identical_stored_record(self, tmp_path):
@@ -164,6 +189,16 @@ class TestParallelExecution:
             spec, store, n_workers=2, max_retries=0, quiet=True
         )
         assert rerun.skipped == 2 and rerun.executed == 2
+
+    def test_forked_retries_are_counted(self, fake_attacks, tmp_path):
+        store = ResultStore(str(tmp_path / "r.jsonl"))
+        report = run_campaign(
+            _spec(("always-fails",)), store, n_workers=2, max_retries=2,
+            quiet=True,
+        )
+        assert report.failed == 1 and report.retries == 2
+        (record,) = store.records()
+        assert record["attempts"] == 3
 
 
 class TestTimeout:

@@ -1,11 +1,13 @@
-"""Fleet behaviour: churn survival, resume identity, pool equivalence.
+"""Forked workers: churn survival, resume identity, one-worker equivalence.
 
-The acceptance bar: a coordinator + 2-worker fleet must complete its
-grid even when one worker is SIGKILLed mid-lease, never losing or
-double-counting a trial, and the surviving records' deterministic views
-must equal what the single-host pool produces for the same grid.
+The acceptance bar: a coordinator + 2-worker fleet — what
+``run_campaign(..., n_workers=2)`` runs — must complete its grid even
+when one worker is SIGKILLed mid-lease, never losing or double-counting
+a trial, and the surviving records' deterministic views must equal what
+the in-process ``n_workers=1`` run produces for the same grid.
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -22,7 +24,6 @@ from repro.campaign import (
     run_campaign,
     unregister_attack,
 )
-from repro.campaign.service import run_distributed_campaign
 from repro.campaign.service.coordinator import Coordinator, CoordinatorServer
 from repro.campaign.service.fleet import _fleet_worker_main
 from repro.campaign.service.leases import LeaseTable, plan_payloads
@@ -41,14 +42,21 @@ def _slow_attack(tp, machine_factory, **params):
     return _quick_attack(tp, machine_factory)
 
 
+def _half_second_attack(tp, machine_factory, **params):
+    time.sleep(0.5)
+    return _quick_attack(tp, machine_factory)
+
+
 @pytest.fixture
 def fake_attacks():
     # Registered before any fork: worker children inherit the registry.
     register_attack("quick", _quick_attack)
     register_attack("slow", _slow_attack)
+    register_attack("half-second", _half_second_attack)
     yield
     unregister_attack("quick")
     unregister_attack("slow")
+    unregister_attack("half-second")
 
 
 def _spec(attack="quick", seeds=(0, 1, 2)):
@@ -62,36 +70,56 @@ def _views(store):
     return {r["key"]: deterministic_view(r) for r in store.records()}
 
 
+def _resolved(store):
+    """Resolved-key count read through a fresh handle: the coordinator's
+    server thread appends through ``store`` meanwhile, and a JSONL
+    store's read cache is not safe to share across threads."""
+    return len(open_store(store.path).completed_keys())
+
+
 class TestDistributedRun:
-    def test_fleet_matches_pool_bit_for_bit(self, fake_attacks, tmp_path):
+    def test_fleet_matches_one_worker_bit_for_bit(
+        self, fake_attacks, tmp_path
+    ):
         spec = _spec()
-        pool_store = ResultStore(str(tmp_path / "pool.jsonl"))
-        run_campaign(spec, pool_store, n_workers=2, quiet=True)
+        one_store = ResultStore(str(tmp_path / "one.jsonl"))
+        run_campaign(spec, one_store, n_workers=1, quiet=True)
         fleet_store = open_store(str(tmp_path / "fleet.sqlite"))
-        report = run_distributed_campaign(
-            spec, fleet_store, n_workers=2, shard_size=2, quiet=True
-        )
+        report = run_campaign(spec, fleet_store, n_workers=2, quiet=True)
         assert report.completed and report.all_ok
         assert report.executed == 6
-        assert _views(fleet_store) == _views(pool_store)
+        assert _views(fleet_store) == _views(one_store)
 
-    def test_fleet_resumes_past_pool_records(self, fake_attacks, tmp_path):
+    def test_fleet_resumes_past_one_worker_records(
+        self, fake_attacks, tmp_path
+    ):
         spec = _spec()
         store = ResultStore(str(tmp_path / "r.jsonl"))
         run_campaign(spec, store, n_workers=1, quiet=True)
-        report = run_distributed_campaign(
-            spec, store, n_workers=2, quiet=True
-        )
+        report = run_campaign(spec, store, n_workers=2, quiet=True)
         assert report.completed
         assert report.skipped == 6 and report.executed == 0
         assert len(store.records()) == 6  # nothing re-appended
 
     def test_empty_grid_short_circuits(self, fake_attacks, tmp_path):
-        report = run_distributed_campaign(
+        report = run_campaign(
             [], ResultStore(str(tmp_path / "r.jsonl")), n_workers=2,
             quiet=True,
         )
         assert report.completed and report.total == 0
+
+    def test_every_worker_gets_trials(self, fake_attacks, tmp_path):
+        """Leases hold one trial, so two workers split four slow trials
+        between them instead of one worker taking a batch of all four."""
+        store = ResultStore(str(tmp_path / "r.jsonl"))
+        report = run_campaign(
+            _spec(attack="half-second", seeds=(0, 1)), store, n_workers=2,
+            quiet=True,
+        )
+        assert report.all_ok and report.executed == 4
+        pids = {record["worker"]["pid"] for record in store.records()}
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert not multiprocessing.active_children()  # all stopped
 
 
 class TestChurnSurvival:
@@ -130,7 +158,7 @@ class TestChurnSurvival:
             # Let the fleet get into its leases, then kill w0 dead —
             # SIGKILL, no cleanup, mid-trial.
             deadline = time.monotonic() + 30
-            while len(store.completed_keys()) < 2:
+            while _resolved(store) < 2:
                 assert time.monotonic() < deadline, "fleet never progressed"
                 time.sleep(0.05)
             os.kill(workers[0].pid, signal.SIGKILL)
@@ -159,7 +187,7 @@ class TestChurnSurvival:
         table, server, workers = self._start_fleet(spec, store, tmp_path)
         try:
             deadline = time.monotonic() + 30
-            while len(store.completed_keys()) < 1:
+            while _resolved(store) < 1:
                 assert time.monotonic() < deadline, "fleet never progressed"
                 time.sleep(0.05)
         finally:
@@ -171,9 +199,7 @@ class TestChurnSurvival:
         resolved_early = len(store.completed_keys())
         assert resolved_early < 6, "fleet finished before the kill"
         # Restart: the new fleet leases only the unresolved remainder.
-        report = run_distributed_campaign(
-            spec, store, n_workers=2, shard_size=1, quiet=True
-        )
+        report = run_campaign(spec, store, n_workers=2, quiet=True)
         assert report.completed
         assert report.skipped == resolved_early
         serial_store = ResultStore(str(tmp_path / "serial.jsonl"))
@@ -185,12 +211,12 @@ class TestChurnSurvival:
 
 @pytest.mark.slow
 class TestThousandTrialAcceptance:
-    def test_1000_trials_with_worker_killed_matches_pool(
+    def test_1000_trials_with_worker_killed_matches_one_worker(
         self, fake_attacks, tmp_path
     ):
-        """The ISSUE acceptance sweep: >=1000 trials through a 2-worker
-        fleet with one worker killed partway, sqlite store, deterministic
-        views equal to the pool run's."""
+        """The acceptance sweep: >=1000 trials through a 2-worker fleet
+        with one worker killed partway, sqlite store, deterministic views
+        equal to the in-process one-worker run's."""
         spec = _spec(seeds=tuple(range(500)))  # 500 seeds x 2 tps = 1000
         assert len(spec.trials()) == 1000
         fleet_store = open_store(str(tmp_path / "fleet.sqlite"))
@@ -200,7 +226,7 @@ class TestThousandTrialAcceptance:
         )
         try:
             deadline = time.monotonic() + 120
-            while len(fleet_store.completed_keys()) < 100:
+            while _resolved(fleet_store) < 100:
                 assert time.monotonic() < deadline, "fleet never progressed"
                 time.sleep(0.05)
             os.kill(workers[0].pid, signal.SIGKILL)
@@ -214,7 +240,7 @@ class TestThousandTrialAcceptance:
                     worker.terminate()
             server.stop()
         assert table.done and len(fleet_store) == 1000
-        pool_store = ResultStore(str(tmp_path / "pool.jsonl"))
-        report = run_campaign(spec, pool_store, n_workers=2, quiet=True)
+        one_store = ResultStore(str(tmp_path / "one.jsonl"))
+        report = run_campaign(spec, one_store, n_workers=1, quiet=True)
         assert report.all_ok
-        assert _views(fleet_store) == _views(pool_store)
+        assert _views(fleet_store) == _views(one_store)

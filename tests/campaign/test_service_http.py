@@ -81,7 +81,7 @@ class TestEndpoints:
         })
         assert beat["ok"] is True
         record = {"key": lease["trials"][0]["key"], "status": "ok",
-                  "result": None}
+                  "result": {"stats": {}}}
         outcome = _post(url, "/results", {
             "worker": "t0", "shard": lease["shard"],
             "generation": lease["generation"], "records": [record],
@@ -124,6 +124,63 @@ class TestEndpoints:
         assert excinfo.value.code in (400, 500)
         # Server still answers afterwards.
         assert _post(url, "/lease", {"worker": "t0"})["lease"] is not None
+
+
+def _bad_results(key):
+    """``/results`` bodies the coordinator must refuse whole."""
+    good = {"key": key, "status": "ok", "result": {"stats": {}}}
+    return {
+        "records-not-a-list": {"records": "not a list"},
+        "record-not-an-object": {"records": [["not", "an", "object"]]},
+        "unknown-status": {"records": [{"key": key, "status": "done"}]},
+        "ok-without-result": {"records": [{"key": key, "status": "ok"}]},
+        "ok-with-null-result": {
+            "records": [{"key": key, "status": "ok", "result": None}],
+        },
+        "one-bad-record-spoils-the-batch": {
+            "records": [good, {"key": key, "status": "ok"}],
+        },
+    }
+
+
+_BAD_CASES = sorted(_bad_results("k"))
+
+
+class TestResultValidation:
+    """The coordinator is every campaign's store writer: malformed
+    results are a 400 with nothing written, in process and over HTTP."""
+
+    def _leased(self, coordinator):
+        status, response = coordinator.handle(
+            "POST", "/lease", {"worker": "t0"}
+        )
+        assert status == 200
+        lease = response["lease"]
+        return lease, lease["trials"][0]["key"]
+
+    @pytest.mark.parametrize("case", _BAD_CASES)
+    def test_in_process_rejects(self, tmp_path, case):
+        store = ResultStore(str(tmp_path / "r.jsonl"))
+        table = LeaseTable(plan_payloads(_trials(2)), shard_size=2)
+        coordinator = Coordinator(table, store)
+        lease, key = self._leased(coordinator)
+        body = dict(_bad_results(key)[case], shard=lease["shard"],
+                    generation=lease["generation"], worker="t0")
+        status, response = coordinator.handle("POST", "/results", body)
+        assert status == 400 and response["error"]
+        assert store.records() == [] and not table.resolved
+
+    @pytest.mark.parametrize("case", _BAD_CASES)
+    def test_http_rejects(self, live_server, case):
+        url, table, store, coordinator = live_server
+        lease = _post(url, "/lease", {"worker": "t0"})["lease"]
+        key = lease["trials"][0]["key"]
+        body = dict(_bad_results(key)[case], shard=lease["shard"],
+                    generation=lease["generation"], worker="t0")
+        with pytest.raises(urlerror.HTTPError) as excinfo:
+            _post(url, "/results", body)
+        assert excinfo.value.code == 400
+        assert store.records() == [] and not table.resolved
 
 
 class TestServiceWorker:

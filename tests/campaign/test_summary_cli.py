@@ -1,8 +1,14 @@
 """The analysis pivot and the ``repro-tp campaign`` subcommand."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.analysis.summary import capacity_matrix, format_matrix, pivot_records
 from repro.campaign import ResultStore
@@ -129,3 +135,40 @@ class TestCampaignCli:
         ])
         assert code == 2
         assert "known attacks" in capsys.readouterr().err
+
+    def test_distributed_option_is_unknown(self, tmp_path, capsys):
+        # --workers N runs forked workers over the lease coordinator.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "campaign", "--attacks", "e5", "--distributed",
+                "--store", str(tmp_path / "x.jsonl"),
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestImportGuard:
+    def test_one_worker_campaign_loads_no_http_modules(self, tmp_path):
+        """The HTTP halves stay off the path the benchmark measures."""
+        script = (
+            "import json, sys\n"
+            "import repro.cli\n"
+            "http = ('asyncio', 'urllib.request')\n"
+            "after_import = [m for m in http if m in sys.modules]\n"
+            "code = repro.cli.main(['campaign', '--machines', 'tiny',\n"
+            "    '--tps', 'full', '--attacks', 'e5', '--seeds', '0',\n"
+            "    '--workers', '1', '--store', sys.argv[1], '--quiet'])\n"
+            "after_run = [m for m in http if m in sys.modules]\n"
+            "print(json.dumps([code, after_import, after_run]))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "r.jsonl")],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        code, after_import, after_run = json.loads(
+            done.stdout.strip().splitlines()[-1]
+        )
+        assert (code, after_import, after_run) == (0, [], [])
