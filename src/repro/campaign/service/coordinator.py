@@ -65,6 +65,11 @@ class Coordinator:
     def handle(
         self, method: str, path: str, body: Dict[str, Any]
     ) -> Tuple[int, Dict[str, Any]]:
+        """Answer one request; a malformed one is a 400 that changes nothing."""
+        if not isinstance(body, dict):
+            return 400, {
+                "error": f"body must be a JSON object, got {type(body).__name__}"
+            }
         now = self.clock()
         if method == "POST" and path == protocol.LEASE_PATH:
             return self._lease(body, now)
@@ -93,9 +98,12 @@ class Coordinator:
     def _heartbeat(
         self, body: Dict[str, Any], now: float
     ) -> Tuple[int, Dict[str, Any]]:
+        error = _invalid_lease_id(body)
+        if error:
+            return 400, {"error": error}
         self._note_worker(body)
         ok = self.table.heartbeat(
-            int(body.get("shard", -1)), int(body.get("generation", -1)), now
+            body.get("shard", -1), body.get("generation", -1), now
         )
         return 200, {"ok": ok, "done": self.table.done}
 
@@ -103,12 +111,12 @@ class Coordinator:
         self, body: Dict[str, Any], now: float
     ) -> Tuple[int, Dict[str, Any]]:
         records = body.get("records", [])
-        error = _invalid_records(records)
+        error = _invalid_records(records) or _invalid_lease_id(body)
         if error:
             return 400, {"error": error}
         self._note_worker(body)
-        shard = int(body.get("shard", -1))
-        generation = int(body.get("generation", -1))
+        shard = body.get("shard", -1)
+        generation = body.get("generation", -1)
         outcomes = {"accepted": 0, "duplicate": 0, "unknown": 0}
         for record in records:
             outcome = self.table.submit(shard, generation, record, now)
@@ -143,6 +151,18 @@ class Coordinator:
             callback()
 
 
+def _invalid_lease_id(body: Dict[str, Any]) -> Optional[str]:
+    """Why a request's ``shard``/``generation`` is refused, or ``None``.
+
+    Either may be absent (-1, which names no lease).
+    """
+    for name in ("shard", "generation"):
+        value = body.get(name, -1)
+        if type(value) is not int:
+            return f"'{name}' must be an integer, got {type(value).__name__}"
+    return None
+
+
 def _invalid_records(records: Any) -> Optional[str]:
     """Why a ``/results`` batch must be refused whole, or ``None``."""
     if not isinstance(records, list):
@@ -150,6 +170,9 @@ def _invalid_records(records: Any) -> Optional[str]:
     for record in records:
         if not isinstance(record, dict):
             return f"a record must be an object, got {type(record).__name__}"
+        key = record.get("key")
+        if not isinstance(key, str):
+            return f"a record key must be a string, got {type(key).__name__}"
         status = record.get("status")
         if status not in (STATUS_OK, STATUS_FAILED):
             return f"record status must be 'ok' or 'failed', got {status!r}"

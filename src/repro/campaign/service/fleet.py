@@ -12,6 +12,8 @@ entry point against a remote coordinator.
 
 from __future__ import annotations
 
+import sys
+
 from .coordinator import Coordinator, CoordinatorServer
 from .protocol import BackoffPolicy
 from .worker import CoordinatorUnreachable, ServiceWorker, _mp_context
@@ -32,18 +34,26 @@ def _fleet_worker_main(
     worker_id: str,
     backoff_seed: int,
     flush_every: int,
-) -> int:
+    max_failures: int = 8,
+) -> None:
+    """A worker process's entry point: exits with the worker's code.
+
+    ``multiprocessing`` ignores a target's return value, so the code
+    (0, or 3 when the coordinator stayed unreachable) is the process's
+    exit status, which its parent reads as ``Process.exitcode``.
+    """
     worker = ServiceWorker(
         url,
         worker_id=worker_id,
         flush_every=flush_every,
+        max_failures=max_failures,
         backoff=BackoffPolicy(seed=backoff_seed),
     )
     try:
         worker.run()
     except CoordinatorUnreachable:
-        return _WORKER_UNREACHABLE
-    return _WORKER_OK
+        sys.exit(_WORKER_UNREACHABLE)
+    sys.exit(_WORKER_OK)
 
 
 def run_fleet(coordinator: Coordinator, n_workers: int) -> bool:

@@ -387,6 +387,7 @@ def cmd_work(args) -> int:
                     f"{args.name or 'w'}{index}",
                     args.seed + index,
                     args.flush_every,
+                    args.max_failures,
                 ),
             )
             for index in range(args.jobs)

@@ -54,7 +54,12 @@ class CacheLine:
 
 @dataclass(slots=True)
 class AccessResult:
-    """Outcome of a single cache lookup."""
+    """Outcome of a single cache lookup.
+
+    A hit returns the cache's prebuilt result for its set, shared by
+    every hit on that set (and by ``clone_for_mc`` copies), so callers
+    read these results and never mutate them.
+    """
 
     hit: bool
     set_index: int
@@ -128,6 +133,10 @@ class Cache(StateElement):
         self.hit_cycles = latency.hit_cycles
         self.writeback_cycles_per_line = latency.writeback_cycles_per_line
         self._sets: List[List[CacheLine]] = [[] for _ in range(geometry.sets)]
+        # One immutable hit result per set: a hit allocates nothing.
+        self._hits: List[AccessResult] = [
+            AccessResult(True, set_index) for set_index in range(geometry.sets)
+        ]
         self._tick = 0  # monotonic stamp source for LRU/FIFO ordering
         # Tree-PLRU direction bits, one vector per set (ways-1 internal
         # nodes of a binary tree over the ways).
@@ -143,9 +152,9 @@ class Cache(StateElement):
     def clone_for_mc(self, instrumentation) -> "Cache":
         """An independent copy sharing only immutable configuration.
 
-        Geometry, latency params and precomputed masks are frozen or
-        write-once, so the clone aliases them; per-line state is rebuilt
-        with fresh :class:`CacheLine` objects.
+        Geometry, latency params, precomputed masks and the prebuilt hit
+        results are frozen or write-once, so the clone aliases them;
+        per-line state is rebuilt with fresh :class:`CacheLine` objects.
         """
         other = Cache.__new__(Cache)
         other.name = self.name
@@ -178,6 +187,7 @@ class Cache(StateElement):
             ]
             for lines in self._sets
         ]
+        other._hits = self._hits
         other._tick = self._tick
         other._plru_bits = list(self._plru_bits)
         other.way_quota = dict(self.way_quota)
@@ -197,8 +207,9 @@ class Cache(StateElement):
         set_index = (paddr >> self._offset_bits) & self._index_mask
         tag = paddr >> self._tag_shift
         instr = self.instr
-        name = self.name
-        instr.touch(name, set_index, _WRITE if write else _READ)
+        recording = instr.recording
+        if recording:
+            instr.touch(self.name, set_index, _WRITE if write else _READ)
         lines = self._sets[set_index]
         self._tick += 1
         tick = self._tick
@@ -214,7 +225,7 @@ class Cache(StateElement):
                     if write and not line.dirty:
                         line.dirty = True
                         self._fp_version += 1
-                    return AccessResult(True, set_index)
+                    return self._hits[set_index]
         else:
             for way, line in enumerate(lines):
                 if line.tag == tag:
@@ -224,26 +235,36 @@ class Cache(StateElement):
                     if write and not line.dirty:
                         line.dirty = True
                         self._fp_version += 1
-                    return AccessResult(True, set_index)
+                    return self._hits[set_index]
         # Miss: fill, possibly evicting the replacement victim.
         self._fp_version += 1
-        owner = self._owner_tag() if self.way_quota else None
+        if self.way_quota:
+            owner = self._owner_tag()
+            victim_way = self._fill_victim(set_index, lines, owner)
+        else:
+            owner = None
+            victim_way = (
+                self._select_victim(set_index, lines)
+                if len(lines) >= self._ways
+                else None
+            )
         dirty_writeback = False
         evicted_tag = None
-        victim_way = self._fill_victim(set_index, lines, owner)
         if victim_way is not None:
-            victim = lines.pop(victim_way)
+            victim = lines[victim_way]
             evicted_tag = victim.tag
             dirty_writeback = victim.dirty
-            instr.touch(name, set_index, _EVICT)
-            lines.insert(victim_way, CacheLine(tag, write, tick, owner))
+            if recording:
+                instr.touch(self.name, set_index, _EVICT)
+            lines[victim_way] = CacheLine(tag, write, tick, owner)
             if self._is_plru:
                 self._plru_point_away(set_index, victim_way)
         else:
             lines.append(CacheLine(tag, write, tick, owner))
             if self._is_plru:
                 self._plru_point_away(set_index, len(lines) - 1)
-        instr.touch(name, set_index, _FILL)
+        if recording:
+            instr.touch(self.name, set_index, _FILL)
         return AccessResult(False, set_index, dirty_writeback, evicted_tag)
 
     def _owner_tag(self) -> Optional[str]:
@@ -263,14 +284,14 @@ class Cache(StateElement):
     def _fill_victim(
         self, set_index: int, lines: List[CacheLine], owner: Optional[str]
     ) -> Optional[int]:
-        """Way to evict for a fill, or None to append into a free way.
+        """Way to evict for a fill under way quotas, or None to append.
 
-        Without way quotas this is plain capacity eviction.  With quotas
-        (CAT-style), a fill first recycles the owner's own lines once its
-        quota is reached, then free ways, then the unowned shared pool --
-        and never steals another partition's quota'd lines unless the
-        configuration over-committed the associativity (logged as a
-        violation).
+        With quotas (CAT-style), a fill first recycles the owner's own
+        lines once its quota is reached, then free ways, then the
+        unowned shared pool -- and never steals another partition's
+        quota'd lines unless the configuration over-committed the
+        associativity (logged as a violation).  Without quotas,
+        ``access`` evicts by ``_select_victim`` alone.
         """
         quota = self.way_quota.get(owner) if owner is not None else None
         if quota is not None:
@@ -279,8 +300,6 @@ class Cache(StateElement):
                 return min(own, key=lambda i: lines[i].stamp)
         if len(lines) < self._ways:
             return None
-        if not self.way_quota:
-            return self._select_victim(set_index, lines)
         shared = [
             i
             for i, line in enumerate(lines)
@@ -299,13 +318,17 @@ class Cache(StateElement):
 
     def _select_victim(self, set_index: int, lines: List[CacheLine]) -> int:
         """Index of the way to evict from a full set (deterministic)."""
-        if self.policy is ReplacementPolicy.PLRU:
+        if self._is_plru:
             return self._plru_victim(set_index)
-        # LRU and FIFO both evict the minimum stamp: LRU refreshes the
-        # stamp on every hit, FIFO stamps only at fill time.
+        # LRU and FIFO both evict the minimum stamp (the first way holding
+        # it): LRU refreshes the stamp on every hit, FIFO stamps only at
+        # fill time.
         oldest_way = 0
-        for way, line in enumerate(lines):
-            if line.stamp < lines[oldest_way].stamp:
+        oldest = lines[0].stamp
+        for way in range(1, len(lines)):
+            stamp = lines[way].stamp
+            if stamp < oldest:
+                oldest = stamp
                 oldest_way = way
         return oldest_way
 
@@ -356,7 +379,7 @@ class Cache(StateElement):
             if line.tag == tag:
                 lines.remove(line)
                 self._fp_version += 1
-                self.instr.touch(self.name, set_index, TouchKind.EVICT)
+                self._touch(set_index, TouchKind.EVICT)
                 return True
         return False
 

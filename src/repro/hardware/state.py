@@ -131,12 +131,14 @@ class Instrumentation:
     with footprints declared it also appends every touch to
     ``footprint``, which the kernel resets at each step boundary.
 
-    ``touch()`` runs on every simulated state access, so with neither
-    declared it returns at its first test; otherwise the recorder keeps
-    the current domain's ``element -> index set`` buckets in a flat dict
-    (switched in ``set_context``) instead of re-hashing a (domain,
-    element) tuple per touch; the buckets alias the entries of
-    ``summary``, whose shape the proof layer reads directly.
+    ``recording`` is true when touch sets or footprints are declared.
+    The elements test it before every ``touch()`` call, so a run that
+    declares neither makes none: its per-access cost is one attribute
+    test.  When recording, the recorder keeps the current domain's
+    ``element -> index set`` buckets in a flat dict (switched in
+    ``set_context``) instead of re-hashing a (domain, element) tuple per
+    touch; the buckets alias the entries of ``summary``, whose shape the
+    proof layer reads directly.
 
     ``current_domain`` is not evidence: CAT-style way quotas charge
     fills to it (``Cache._owner_tag``), so ``set_context`` maintains it
@@ -160,7 +162,7 @@ class Instrumentation:
         # Hot-path copies of the touch-level parts.
         self._elements = evidence.touches
         self._footprints = evidence.footprints
-        self._recording = (
+        self.recording = (
             evidence.touches is None or bool(evidence.touches) or evidence.footprints
         )
 
@@ -174,8 +176,7 @@ class Instrumentation:
             self._buckets = buckets
 
     def touch(self, element: str, index: Hashable, kind: TouchKind) -> None:
-        if not self._recording:
-            return
+        """Record one touch; callers skip the call unless ``recording``."""
         if self._footprints:
             self.footprint.append((element, index, kind))
         only = self._elements
@@ -255,7 +256,9 @@ class StateElement(abc.ABC):
         self._fp_digest: Optional[tuple] = None
 
     def _touch(self, index: Hashable, kind: TouchKind) -> None:
-        self.instr.touch(self.name, index, kind)
+        instr = self.instr
+        if instr.recording:
+            instr.touch(self.name, index, kind)
 
     def cached_fingerprint(self) -> Hashable:
         """``fingerprint()``, memoised against ``_fp_version``."""

@@ -33,6 +33,22 @@ _READ = TouchKind.READ
 
 
 @dataclass(slots=True)
+class TlbLookupResult:
+    """Outcome of a TLB lookup.
+
+    Results are shared, never mutated: every miss returns ``_MISS`` and
+    every hit the result its entry built at fill time.
+    """
+
+    hit: bool
+    frame_number: Optional[int] = None
+    writable: bool = True
+
+
+_MISS = TlbLookupResult(False)
+
+
+@dataclass(slots=True)
 class TlbEntry:
     asid: int
     vpage: int
@@ -40,13 +56,8 @@ class TlbEntry:
     writable: bool
     stamp: int
     generation: int  # address-space generation at fill time
-
-
-@dataclass(slots=True)
-class TlbLookupResult:
-    hit: bool
-    frame_number: Optional[int] = None
-    writable: bool = True
+    # What a hit on this entry returns (immutable, so clones share it).
+    result: TlbLookupResult
 
 
 class Tlb(StateElement):
@@ -88,6 +99,7 @@ class Tlb(StateElement):
                 writable=entry.writable,
                 stamp=entry.stamp,
                 generation=entry.generation,
+                result=entry.result,
             )
             for key, entry in self._entries.items()
         }
@@ -101,12 +113,14 @@ class Tlb(StateElement):
     def lookup(self, asid: int, vpage: int) -> TlbLookupResult:
         self._tick += 1
         key = (asid, vpage)
-        self.instr.touch(self.name, key, _READ)
+        instr = self.instr
+        if instr.recording:
+            instr.touch(self.name, key, _READ)
         entry = self._entries.get(key)
         if entry is None:
-            return TlbLookupResult(False)
+            return _MISS
         entry.stamp = self._tick
-        return TlbLookupResult(True, entry.frame_number, entry.writable)
+        return entry.result
 
     def fill(
         self,
@@ -130,6 +144,7 @@ class Tlb(StateElement):
             writable=writable,
             stamp=self._tick,
             generation=generation,
+            result=TlbLookupResult(True, frame_number, writable),
         )
         self._touch((asid, vpage), TouchKind.FILL)
 

@@ -24,7 +24,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..hardware.cpu import Core, TrapKind
+from ..hardware.cpu import Core, StepResult, TrapKind
 from ..hardware.isa import Observation, ProgramContext
 from ..hardware.machine import Machine
 from ..hardware.mmu import AddressSpaceManager
@@ -47,6 +47,11 @@ _TIMER_TICK_CYCLES = 30
 _IRQ_HANDLER_LINES = 10
 _IRQ_HANDLER_LINE_OFFSET = 160
 _IRQ_HANDLER_BASE_CYCLES = 30
+
+_READY = ThreadState.READY
+# What a resumed program receives when its last step left no
+# observation; ``Observation`` is frozen, so one instance serves all.
+_NO_OBSERVATION = Observation()
 
 
 @dataclass(slots=True)
@@ -577,6 +582,13 @@ class Kernel:
         return True
 
     def _step_core(self, core: Core, max_cycles: int) -> None:
+        """One scheduler step on ``core``: the only kernel call per step.
+
+        A user instruction runs inline here.  Domain switches, interrupt
+        deliveries, idling and trapped steps (HALT, FAULT, syscalls) go to
+        helpers, off the user-instruction path.  The evidence plan is
+        fixed once the run starts (``declare``), so it is read directly.
+        """
         core_id = core.core_id
         state = self.scheduler.state(core_id)
         now = core.clock.now
@@ -595,25 +607,68 @@ class Kernel:
             return
         if self.endpoints.n_endpoints:
             self._unblock_receivers()
-        tcb = self._pick_thread(core, domain, now)
-        if tcb is None:
-            self._idle(core, domain, now, switch_at)
+        # Keep the current thread while it can run (inlined
+        # Tcb.runnable); otherwise pick the domain's next one.
+        tcb = self._current_tcb.get(core_id)
+        if (
+            tcb is None
+            or tcb.domain is not domain
+            or tcb.state is not _READY
+            or (tcb.wake_time is not None and now < tcb.wake_time)
+        ):
+            tcb = domain.next_runnable(core_id, now)
+            self._current_tcb[core_id] = tcb
+            if tcb is None:
+                self._idle(core, domain, now, switch_at)
+                return
+        name = domain.name
+        instrumentation = self.machine.instrumentation
+        if instrumentation.current_domain != name:
+            instrumentation.set_context(name)
+        evidence = instrumentation.evidence
+        if evidence.footprints:
+            instrumentation.footprint = []
+        delivered = tcb.pending_obs
+        tcb.pending_obs = None
+        try:
+            if tcb.started:
+                instruction = tcb.program.send(
+                    _NO_OBSERVATION if delivered is None else delivered
+                )
+            else:
+                instruction = next(tcb.program)
+                tcb.started = True
+        except StopIteration:
+            self._retire(core, tcb, ThreadState.DONE)
+            core.clock.advance(1)
             return
-        self._execute_step(core, domain, tcb)
-
-    # -- thread selection ------------------------------------------------
-
-    def _pick_thread(self, core: Core, domain: Domain, now: int) -> Optional[Tcb]:
-        current = self._current_tcb.get(core.core_id)
-        if current is not None and current.domain is domain:
-            # Inlined current.runnable(now); this test runs every step.
-            if current.state is ThreadState.READY:
-                wake = current.wake_time
-                if wake is None or now >= wake:
-                    return current
-        tcb = domain.next_runnable(core.core_id, now)
-        self._current_tcb[core.core_id] = tcb
-        return tcb
+        # Inlined tcb.normalise_pc(): wrap the synthetic pc back into the
+        # code region without a per-step method call.
+        code_size = tcb.code_size
+        if code_size > 0:
+            rel = tcb.pc - tcb.code_base
+            if rel < 0 or rel >= code_size:
+                tcb.pc = tcb.code_base + rel % code_size
+        result = core.execute_user(tcb.space, tcb.pc, instruction)
+        tcb.pc = result.new_pc
+        tcb.steps_executed += 1
+        if result.trap is None:
+            value = result.value
+            latency = result.latency
+            tcb.pending_obs = Observation(value, latency)
+            if self.record_observations:
+                self.observations[name].append(
+                    ObservationRecord(tcb.name, value, latency)
+                )
+            case: Optional[str] = "1"
+        else:
+            case = self._trap(core, domain, tcb, result)
+        if case is not None and evidence.cases:
+            self.case_log.append((
+                case,
+                name,
+                tuple(instrumentation.footprint) if evidence.footprints else (),
+            ))
 
     def _idle(self, core: Core, domain: Domain, now: int, switch_at: int) -> None:
         """Nothing runnable: advance to the next relevant event.
@@ -643,72 +698,27 @@ class Kernel:
             # Ensure forward progress even on degenerate schedules.
             core.clock.advance(1)
 
-    # -- program execution -----------------------------------------------
+    # -- trapped user steps ------------------------------------------------
 
-    def _execute_step(self, core: Core, domain: Domain, tcb: Tcb) -> None:
-        instrumentation = self.machine.instrumentation
-        instrumentation.set_context(domain.name)
-        evidence = instrumentation.evidence
-        if evidence.footprints:
-            instrumentation.footprint = []
-        case = self._execute_step_inner(core, domain, tcb)
-        if case is not None and evidence.cases:
-            self.case_log.append((
-                case,
-                domain.name,
-                tuple(instrumentation.footprint) if evidence.footprints else (),
-            ))
+    def _retire(self, core: Core, tcb: Tcb, final: ThreadState) -> None:
+        """``tcb`` finished (DONE) or faulted: it never runs again."""
+        tcb.state = final
+        self._finish_check_needed = True
+        self._current_tcb[core.core_id] = None
 
-    def _execute_step_inner(
-        self, core: Core, domain: Domain, tcb: Tcb
+    def _trap(
+        self, core: Core, domain: Domain, tcb: Tcb, result: StepResult
     ) -> Optional[str]:
-        delivered = tcb.pending_obs if tcb.pending_obs is not None else Observation()
-        tcb.pending_obs = None
-        try:
-            if not tcb.started:
-                instruction = next(tcb.program)
-                tcb.started = True
-            else:
-                instruction = tcb.program.send(delivered)
-        except StopIteration:
-            tcb.state = ThreadState.DONE
-            self._finish_check_needed = True
-            self._current_tcb[core.core_id] = None
-            core.clock.advance(1)
+        """Handle a user step that trapped; returns its case (None: HALT)."""
+        trap = result.trap
+        if trap.kind is TrapKind.HALT:
+            self._retire(core, tcb, ThreadState.DONE)
             return None
-        # Inlined tcb.normalise_pc(): wrap the synthetic pc back into the
-        # code region without a per-step method call.
-        code_size = tcb.code_size
-        if code_size > 0:
-            rel = tcb.pc - tcb.code_base
-            if rel < 0 or rel >= code_size:
-                tcb.pc = tcb.code_base + rel % code_size
-        result = core.execute_user(tcb.space, tcb.pc, instruction)
-        tcb.pc = result.new_pc
-        tcb.steps_executed += 1
-        if result.trap is None:
-            value = result.value
-            latency = result.latency
-            tcb.pending_obs = Observation(value, latency)
-            # _record() inlined: this is the once-per-user-step case.
-            if self.record_observations:
-                self.observations[domain.name].append(
-                    ObservationRecord(tcb.name, value, latency)
-                )
-            return "1"
-        if result.trap.kind is TrapKind.HALT:
-            tcb.state = ThreadState.DONE
-            self._finish_check_needed = True
-            self._current_tcb[core.core_id] = None
-            return None
-        if result.trap.kind is TrapKind.FAULT:
-            tcb.state = ThreadState.FAULTED
-            self._finish_check_needed = True
-            self._current_tcb[core.core_id] = None
+        if trap.kind is TrapKind.FAULT:
+            self._retire(core, tcb, ThreadState.FAULTED)
             return "2a"
-        # Syscall.
         before = core.clock.now
-        outcome = self.syscalls.handle(core, domain, tcb, result.trap.syscall)
+        outcome = self.syscalls.handle(core, domain, tcb, trap.syscall)
         kernel_latency = (core.clock.now - before) + result.latency
         if outcome.blocked:
             self._current_tcb[core.core_id] = None
@@ -755,11 +765,12 @@ class Kernel:
         cycles = _IRQ_HANDLER_BASE_CYCLES
         image = domain.kernel_image
         if image is not None:
-            for line in range(_IRQ_HANDLER_LINES):
-                paddr = image.line_paddr(_IRQ_HANDLER_LINE_OFFSET + line)
-                cycles += core.cached_access(paddr, write=False, fetch=True)
+            for paddr in image.text_lines(
+                _IRQ_HANDLER_LINE_OFFSET, _IRQ_HANDLER_LINES
+            ):
+                cycles += core.cached_access(paddr, False, True)
         for word in range(2):
-            cycles += core.cached_access(self.kernel_data_paddrs[word], write=False)
+            cycles += core.cached_access(self.kernel_data_paddrs[word], False)
         core.clock.advance(cycles)
         self.irq_deliveries.append(
             IrqDeliveryRecord(

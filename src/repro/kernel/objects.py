@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Set
+from typing import Generator, List, Optional, Set, Tuple
 
 from ..hardware.isa import Observation
 from ..hardware.memory import Frame
@@ -87,12 +87,25 @@ class KernelImage:
     domain-coloured frames; otherwise all domains share the master image
     ("even read-only sharing of code is sufficient for creating a
     channel", Sect. 4.2).
+
+    An image's frames never change after boot, so the physical address
+    of every text line is computed once, into ``line_paddrs``; the
+    kernel's handlers fetch their text through :meth:`text_lines`.
     """
 
     name: str
     frames: List[Frame]
     page_size: int
     line_size: int
+    line_paddrs: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        page_size = self.page_size
+        self.line_paddrs = tuple(
+            frame.base_paddr(page_size) + offset
+            for frame in self.frames
+            for offset in range(0, page_size, self.line_size)
+        )
 
     @property
     def size_bytes(self) -> int:
@@ -103,10 +116,24 @@ class KernelImage:
         return self.size_bytes // self.line_size
 
     def line_paddr(self, line_index: int) -> int:
-        """Physical address of the ``line_index``-th cache line of text."""
-        offset = (line_index % self.n_lines) * self.line_size
-        frame = self.frames[offset // self.page_size]
-        return frame.base_paddr(self.page_size) + offset % self.page_size
+        """Physical address of the ``line_index``-th cache line of text.
+
+        Indices wrap modulo the image size: a handler whose offset lies
+        past the end of a small image reuses its first lines.
+        """
+        table = self.line_paddrs
+        return table[line_index % len(table)]
+
+    def text_lines(self, first: int, count: int) -> Tuple[int, ...]:
+        """Addresses of ``count`` consecutive text lines from ``first``.
+
+        Equal to ``line_paddr(first + i)`` for each ``i``, wrapping alike.
+        """
+        table = self.line_paddrs
+        first %= len(table)
+        if first + count <= len(table):
+            return table[first:first + count]
+        return tuple(self.line_paddr(first + i) for i in range(count))
 
 
 @dataclass(slots=True)

@@ -254,10 +254,8 @@ class SwitchPath:
         if image is None:
             return 0
         cycles = 0
-        base = side * SWITCH_CODE_LINES
-        for line in range(SWITCH_CODE_LINES):
-            paddr = image.line_paddr(base + line)
-            cycles += core.cached_access(paddr, write=False, fetch=True)
+        for paddr in image.text_lines(side * SWITCH_CODE_LINES, SWITCH_CODE_LINES):
+            cycles += core.cached_access(paddr, False, True)
         core.clock.advance(cycles)
         return cycles
 
@@ -265,7 +263,7 @@ class SwitchPath:
         """The baseline kernel's switch-time data accesses (no sweep)."""
         cycles = 0
         for paddr in self.kernel_data_paddrs[:4]:
-            cycles += core.cached_access(paddr, write=False)
+            cycles += core.cached_access(paddr, False)
         core.clock.advance(cycles)
         return cycles
 
@@ -278,6 +276,6 @@ class SwitchPath:
         """
         cycles = 0
         for paddr in self.kernel_data_paddrs:
-            cycles += core.cached_access(paddr, write=False)
+            cycles += core.cached_access(paddr, False)
         core.clock.advance(cycles)
         return cycles

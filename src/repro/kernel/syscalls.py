@@ -90,11 +90,10 @@ class SyscallHandler:
         cycles = _HANDLER_BASE_CYCLES
         image = domain.kernel_image
         if image is not None:
-            for line in range(n_lines):
-                paddr = image.line_paddr(line_offset + line)
-                cycles += core.cached_access(paddr, write=False, fetch=True)
-        for word in range(min(n_data, len(self.kernel_data_paddrs))):
-            cycles += core.cached_access(self.kernel_data_paddrs[word], write=False)
+            for paddr in image.text_lines(line_offset, n_lines):
+                cycles += core.cached_access(paddr, False, True)
+        for paddr in self.kernel_data_paddrs[:n_data]:
+            cycles += core.cached_access(paddr, False)
         core.clock.advance(cycles)
 
     # ------------------------------------------------------------------

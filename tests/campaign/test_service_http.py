@@ -140,10 +140,37 @@ def _bad_results(key):
         "one-bad-record-spoils-the-batch": {
             "records": [good, {"key": key, "status": "ok"}],
         },
+        "list-key-after-a-good-record": {
+            "records": [good, dict(good, key=[key])],
+        },
+        "null-shard": {"shard": None, "records": [good]},
+        "list-shard": {"shard": [0], "records": [good]},
+        "null-generation": {"generation": None, "records": [good]},
+        "list-generation": {"generation": [1], "records": [good]},
     }
 
 
 _BAD_CASES = sorted(_bad_results("k"))
+
+#: ``/heartbeat`` bodies naming no valid lease id.
+_BAD_HEARTBEATS = {
+    "null-shard": {"shard": None},
+    "list-shard": {"shard": [0]},
+    "null-generation": {"generation": None},
+    "list-generation": {"generation": [1]},
+}
+
+#: A JSON list where every endpoint expects an object.
+_LIST_BODY = ["not", "an", "object"]
+_POST_PATHS = ("/heartbeat", "/lease", "/results")
+
+
+def _lease_body(lease, case):
+    """``case`` over a well-formed request for ``lease`` (case wins)."""
+    body = {"shard": lease["shard"], "generation": lease["generation"],
+            "worker": "t0"}
+    body.update(case)
+    return body
 
 
 class TestResultValidation:
@@ -164,8 +191,7 @@ class TestResultValidation:
         table = LeaseTable(plan_payloads(_trials(2)), shard_size=2)
         coordinator = Coordinator(table, store)
         lease, key = self._leased(coordinator)
-        body = dict(_bad_results(key)[case], shard=lease["shard"],
-                    generation=lease["generation"], worker="t0")
+        body = _lease_body(lease, _bad_results(key)[case])
         status, response = coordinator.handle("POST", "/results", body)
         assert status == 400 and response["error"]
         assert store.records() == [] and not table.resolved
@@ -175,10 +201,57 @@ class TestResultValidation:
         url, table, store, coordinator = live_server
         lease = _post(url, "/lease", {"worker": "t0"})["lease"]
         key = lease["trials"][0]["key"]
-        body = dict(_bad_results(key)[case], shard=lease["shard"],
-                    generation=lease["generation"], worker="t0")
+        body = _lease_body(lease, _bad_results(key)[case])
         with pytest.raises(urlerror.HTTPError) as excinfo:
             _post(url, "/results", body)
+        assert excinfo.value.code == 400
+        assert store.records() == [] and not table.resolved
+
+
+class TestRequestValidation:
+    """Malformed ``/heartbeat`` lease ids and non-object bodies are a
+    400 that changes nothing, in process and over HTTP."""
+
+    def _coordinator(self, tmp_path):
+        store = ResultStore(str(tmp_path / "r.jsonl"))
+        table = LeaseTable(plan_payloads(_trials(2)), shard_size=2)
+        coordinator = Coordinator(table, store)
+        status, response = coordinator.handle(
+            "POST", "/lease", {"worker": "t0"}
+        )
+        assert status == 200
+        return coordinator, response["lease"]
+
+    @pytest.mark.parametrize("case", sorted(_BAD_HEARTBEATS))
+    def test_in_process_heartbeat_rejects(self, tmp_path, case):
+        coordinator, lease = self._coordinator(tmp_path)
+        body = _lease_body(lease, _BAD_HEARTBEATS[case])
+        status, response = coordinator.handle("POST", "/heartbeat", body)
+        assert status == 400 and response["error"]
+        assert coordinator.table.stats.heartbeats == 0
+
+    @pytest.mark.parametrize("case", sorted(_BAD_HEARTBEATS))
+    def test_http_heartbeat_rejects(self, live_server, case):
+        url, table, _store, _coordinator = live_server
+        lease = _post(url, "/lease", {"worker": "t0"})["lease"]
+        body = _lease_body(lease, _BAD_HEARTBEATS[case])
+        with pytest.raises(urlerror.HTTPError) as excinfo:
+            _post(url, "/heartbeat", body)
+        assert excinfo.value.code == 400
+        assert table.stats.heartbeats == 0
+
+    @pytest.mark.parametrize("path", _POST_PATHS)
+    def test_in_process_list_body_rejects(self, tmp_path, path):
+        coordinator, _lease = self._coordinator(tmp_path)
+        status, response = coordinator.handle("POST", path, _LIST_BODY)
+        assert status == 400 and "JSON object" in response["error"]
+        assert coordinator.store.records() == []
+
+    @pytest.mark.parametrize("path", _POST_PATHS)
+    def test_http_list_body_rejects(self, live_server, path):
+        url, table, store, _coordinator = live_server
+        with pytest.raises(urlerror.HTTPError) as excinfo:
+            _post(url, path, _LIST_BODY)
         assert excinfo.value.code == 400
         assert store.records() == [] and not table.resolved
 

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -183,10 +184,7 @@ class TestLint:
         shutil.copytree(REPO / "src" / "repro" / "hardware", hardware)
         cache_py = hardware / "cache.py"
         source = cache_py.read_text()
-        needle = (
-            "                self.instr.touch(self.name, set_index, "
-            "TouchKind.EVICT)\n"
-        )
+        needle = "                self._touch(set_index, TouchKind.EVICT)\n"
         assert needle in source
         cache_py.write_text(source.replace(needle, "", 1))
         assert main(["lint", str(hardware)]) == 1
@@ -423,3 +421,30 @@ class TestSynth:
         code = main(["synth", "--victim", "bogus", *SYNTH_FAST])
         assert code == 2
         assert "invalid synth environment" in capsys.readouterr().err
+
+
+class TestWork:
+    """``work`` against a coordinator nobody serves (port 1)."""
+
+    UNSERVED = "http://127.0.0.1:1"
+
+    def test_forked_workers_report_real_exit_codes(self, capsys):
+        """Each forked worker gives up after ``--max-failures`` misses and
+        exits 3; the command says so and exits 1, within seconds."""
+        started = time.monotonic()
+        code = main([
+            "work", "--coordinator", self.UNSERVED, "--jobs", "2",
+            "--max-failures", "1", "--quiet",
+        ])
+        elapsed = time.monotonic() - started
+        assert "2 worker(s) exited: [3, 3]" in capsys.readouterr().out
+        assert code == 1
+        assert elapsed < 5.0
+
+    def test_one_worker_exits_three(self, capsys):
+        code = main([
+            "work", "--coordinator", self.UNSERVED, "--max-failures", "1",
+            "--quiet",
+        ])
+        assert code == 3
+        assert "coordinator unreachable" in capsys.readouterr().err

@@ -25,7 +25,7 @@ from repro.campaign.registry import ATTACKS, MACHINES, TP_CONFIGS
 from repro.cli import main
 from repro.core import audit, check_all, check_unwinding
 from repro.core.noninterference import compare_finished_runs
-from repro.hardware import Evidence
+from repro.hardware import Evidence, Instrumentation
 from repro.kernel import Kernel, TimeProtectionConfig
 from repro.mc import McSpec, ProductState, build_system
 from repro.mc.spec import STEP
@@ -54,21 +54,39 @@ def built_kernels(monkeypatch):
     return kernels, declaring
 
 
+# Small inputs; e4 and the branch channel send a fixed bit alphabet.
+_BIT_PARAMS = {"rounds_per_run": 3, "sweep_rounds": 1}
+_PARAMS = {"e4": _BIT_PARAMS, "branch": _BIT_PARAMS}
+
+
 def _run_attack(attack: str, tp: str, seed: int = 7):
     random.seed(seed)
     return ATTACKS[attack].run(
         TP_CONFIGS[tp](), MACHINES["tiny"],
-        {"symbols": (1, 6), "rounds_per_run": 3},
+        _PARAMS.get(attack, {"symbols": (1, 6), "rounds_per_run": 3}),
     )
+
+
+# Declared runs, by id: (attack, evidence).  Touch sets alone open the
+# recorder's ``recording`` gate without the case log.
+_DECLARED = {
+    "e5": ("e5", Evidence.everything()),
+    "occupancy": ("occupancy", Evidence.everything()),
+    "e4-touches": ("e4", Evidence(touches=None)),
+    "e5-touches": ("e5", Evidence(touches=None)),
+    "occupancy-touches": ("occupancy", Evidence(touches=None)),
+}
 
 
 class TestDifferential:
     @pytest.mark.parametrize("tp", ["none", "full", "way"])
-    @pytest.mark.parametrize("attack", ["e5", "occupancy"])
-    def test_stats_are_bit_identical(self, attack, tp, built_kernels):
+    @pytest.mark.parametrize(
+        "attack, evidence", list(_DECLARED.values()), ids=list(_DECLARED)
+    )
+    def test_stats_are_bit_identical(self, attack, evidence, tp, built_kernels):
         kernels, declaring = built_kernels
         bare = _run_attack(attack, tp)
-        declaring[0] = Evidence.everything()
+        declaring[0] = evidence
         recorded_from = len(kernels)
         recorded = _run_attack(attack, tp)
         assert recorded.samples == bare.samples
@@ -78,10 +96,27 @@ class TestDifferential:
         audited = kernels[recorded_from:]
         assert audited
         assert all(k.machine.instrumentation.summary for k in audited)
-        assert all(k.case_log for k in audited)
+        assert all(bool(k.case_log) == evidence.cases for k in audited)
 
 
 class TestChannelRunsRecordNothing:
+    @pytest.mark.parametrize("tp", ["none", "full", "way"])
+    def test_no_touch_call_when_nothing_is_declared(self, tp, monkeypatch):
+        """No element calls the recorder: ``touch`` is never entered on
+        cache and TLB lookups, fills and evictions, ``clflush`` (e4),
+        the prefetcher or the branch predictor (branch)."""
+        calls = []
+        touch = Instrumentation.touch
+
+        def counted(self, element, index, kind):
+            calls.append(element)
+            return touch(self, element, index, kind)
+
+        monkeypatch.setattr(Instrumentation, "touch", counted)
+        for attack in ("branch", "e4", "e5", "occupancy"):
+            _run_attack(attack, tp)
+        assert calls == []
+
     def test_switches_and_touches_leave_no_evidence(self, built_kernels):
         kernels, _declaring = built_kernels
         _run_attack("e5", "full")

@@ -72,6 +72,28 @@ class TestKernelClone:
         image = manager.master
         assert image.line_paddr(image.n_lines) == image.line_paddr(0)
 
+    def test_line_table_matches_frame_arithmetic(self):
+        """The precomputed table, wrap-around included, for the master
+        image and a clone: handler offsets past a small image's end wrap."""
+        allocator, manager = make_clone_manager()
+        domain = make_domain("A", allocator.assign_domain_colours("A", 2))
+        clone = manager.image_for_domain(domain)
+        assert clone is not manager.master
+        for image in (manager.master, clone):
+            n_lines = image.n_lines
+            assert len(image.line_paddrs) == n_lines
+            for index in range(2 * n_lines):
+                offset = (index % n_lines) * image.line_size
+                frame = image.frames[offset // image.page_size]
+                expected = (
+                    frame.base_paddr(image.page_size)
+                    + offset % image.page_size
+                )
+                assert image.line_paddr(index) == expected
+                assert image.text_lines(index, 3) == tuple(
+                    image.line_paddr(index + step) for step in range(3)
+                )
+
 
 class TestDomainScheduler:
     def _two_domains(self):

@@ -58,8 +58,7 @@ class TestRealTreeMutation:
     NEEDLE = (
         "                lines.remove(line)\n"
         "                self._fp_version += 1\n"
-        "                self.instr.touch(self.name, set_index, "
-        "TouchKind.EVICT)\n"
+        "                self._touch(set_index, TouchKind.EVICT)\n"
     )
 
     def test_deleting_touch_from_cache_is_caught(self, tmp_path):

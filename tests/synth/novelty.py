@@ -36,6 +36,10 @@ class CountingRecorder(Instrumentation):
         super().__init__()
         self.counts: CounterProfile = {}
 
+    def declare(self, evidence) -> None:
+        super().declare(evidence)
+        self.recording = True  # the elements call touch() for every access
+
     def touch(self, element, index, kind) -> None:
         key = (self.current_domain, element)
         self.counts[key] = self.counts.get(key, 0) + 1
