@@ -198,17 +198,15 @@ def _run_statcheck_lint():
 
 
 #: Lazily-built store fixture shared across ``campaign_store`` repeats.
-_STORE_FIXTURE: Dict[str, Tuple[str, str, int]] = {}
+_STORE_FIXTURE: Dict[str, Tuple[str, int]] = {}
 
 
-def _campaign_store_fixture(n_records: int = 100_000) -> Tuple[str, str, int]:
-    """A 100k-record JSONL store plus its sqlite migration, built once."""
-    if "paths" not in _STORE_FIXTURE:
+def _campaign_store_fixture(n_records: int = 100_000) -> Tuple[str, int]:
+    """A 100k-record JSONL store, built once."""
+    if "path" not in _STORE_FIXTURE:
         import json
         import os
         import tempfile
-
-        from ..campaign.store_sqlite import migrate_store
 
         directory = tempfile.mkdtemp(prefix="bench_campaign_store_")
         jsonl_path = os.path.join(directory, "store.jsonl")
@@ -245,41 +243,26 @@ def _campaign_store_fixture(n_records: int = 100_000) -> Tuple[str, str, int]:
                     "wall_time_s": 0.5,
                 }
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
-        sqlite_path = os.path.join(directory, "store.sqlite")
-        migrate_store(jsonl_path, sqlite_path)
-        _STORE_FIXTURE["paths"] = (jsonl_path, sqlite_path, n_records)
-    return _STORE_FIXTURE["paths"]
+        _STORE_FIXTURE["path"] = (jsonl_path, n_records)
+    return _STORE_FIXTURE["path"]
 
 
 def _run_campaign_store():
     # The resume-check hot path at sweep scale: ``completed_keys()`` on
-    # a fresh store handle (so neither backend serves from a warm
-    # instance cache).  The JSONL side pays a whole-file parse; the
-    # sqlite side is an index lookup.  The ISSUE acceptance bar -- the
-    # indexed lookup at least 10x faster at 100k records -- rides along
-    # as the ``speedup_sqlite_vs_jsonl`` side metric.
+    # a fresh store handle, so it pays the whole-file parse instead of
+    # serving from a warm instance cache.
     import time
 
     from ..campaign.store import ResultStore
-    from ..campaign.store_sqlite import SqliteResultStore
 
-    jsonl_path, sqlite_path, n_records = _campaign_store_fixture()
+    jsonl_path, n_records = _campaign_store_fixture()
     started = time.perf_counter()
     jsonl_keys = ResultStore(jsonl_path).completed_keys()
     jsonl_elapsed = time.perf_counter() - started
-    started = time.perf_counter()
-    sqlite_keys = SqliteResultStore(sqlite_path).completed_keys()
-    sqlite_elapsed = time.perf_counter() - started
-    if jsonl_keys != sqlite_keys:
-        raise RuntimeError(
-            "sqlite and JSONL resume sets diverged on the bench fixture"
-        )
     return n_records, {
         "records": float(n_records),
         "completed_keys": float(len(jsonl_keys)),
         "jsonl_scan_ms": round(jsonl_elapsed * 1e3, 3),
-        "sqlite_lookup_ms": round(sqlite_elapsed * 1e3, 3),
-        "speedup_sqlite_vs_jsonl": round(jsonl_elapsed / sqlite_elapsed, 1),
     }
 
 
@@ -347,8 +330,8 @@ SCENARIOS: Dict[str, Scenario] = {
         ),
         Scenario(
             "campaign_store",
-            "resume-check lookup on a 100k-record store: JSONL whole-file "
-            "scan vs sqlite indexed completed_keys (asserts identical sets)",
+            "resume-check lookup on a 100k-record JSONL store: "
+            "completed_keys on a fresh handle (a whole-file scan)",
             _run_campaign_store,
         ),
         Scenario(

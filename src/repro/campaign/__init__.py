@@ -10,7 +10,6 @@ Y on machine Z?" — is a sweep over (machine preset × TP config × attack
   timeout and bounded retry;
 * :class:`ResultStore` appends one JSONL record per finished trial and
   lets a re-run *resume*, skipping trials already answered on disk;
-  :func:`open_store` picks the sqlite backend for ``.sqlite/.db`` paths;
 * :mod:`repro.campaign.service` is that coordinator and worker loop; it
   also serves a grid over HTTP to workers on other hosts;
 * ``repro.analysis.summary`` pivots a store into the paper-style
@@ -33,7 +32,6 @@ from .store import (
     STATUS_OK,
     ResultStore,
     deterministic_view,
-    open_store,
 )
 from .worker import run_trial
 
@@ -51,7 +49,6 @@ __all__ = [
     "TrialSpec",
     "default_workers",
     "deterministic_view",
-    "open_store",
     "register_attack",
     "run_campaign",
     "run_trial",

@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 from .progress import ProgressReporter
 from .spec import CampaignSpec, TrialSpec
-from .store import ResultStore, open_store
+from .store import ResultStore
 
 #: A lease holds one trial, so no worker idles while a trial is unleased.
 _SHARD_SIZE = 1
@@ -83,8 +83,8 @@ def run_campaign(
     Parameters
     ----------
     store : ResultStore or path
-        Where finished-trial records land (:func:`open_store` picks the
-        backend for a path).
+        Where finished-trial records land; a path opens a
+        :class:`ResultStore`.
     n_workers : int
         ``1`` runs the worker loop in this process (no fork: easiest to
         debug, and what the benchmark measures); more fork that many
@@ -103,7 +103,8 @@ def run_campaign(
     from .service.leases import LeaseTable, plan_payloads
     from .service.worker import ServiceWorker
 
-    store = open_store(store)
+    if not isinstance(store, ResultStore):
+        store = ResultStore(store)
     trials = (
         campaign.trials()
         if isinstance(campaign, CampaignSpec)

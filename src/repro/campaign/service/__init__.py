@@ -12,8 +12,8 @@ and ``campaign --serve`` / ``repro-tp work`` run it past one host:
   :class:`~repro.campaign.store.ResultStore` (``/lease``,
   ``/heartbeat``, ``/results``, ``/status``), plus the ``asyncio`` HTTP
   server that serves it.  The coordinator is the *only* store writer,
-  so a sqlite store needs no cross-process locking, and it refuses
-  malformed results before writing any.
+  so workers never contend for the JSONL file, and it refuses malformed
+  results before writing any.
 * :mod:`worker` — the worker loop that pulls leases, runs trials
   through :func:`~repro.campaign.worker.run_trial`, enforces per-trial
   deadlines portably (child process, no signals), and sends results

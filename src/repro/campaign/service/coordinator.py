@@ -4,12 +4,16 @@
 and a result store, and is every campaign's single store writer:
 workers submit records to ``/results`` and the coordinator validates
 them, then appends each *newly resolved* record exactly once, so the
-JSONL and sqlite backends both see strictly append-only, duplicate-free
-traffic.  An in-process worker calls :meth:`Coordinator.handle`
-directly; :class:`CoordinatorServer` serves the same routes over a
-deliberately minimal ``asyncio`` HTTP/1.1 server (stdlib only, one
-request per connection).  ``asyncio`` is imported only where the server
-runs, so a campaign that never serves never loads it.
+JSONL store sees strictly append-only, duplicate-free traffic.  An
+in-process worker calls :meth:`Coordinator.handle` directly;
+:class:`CoordinatorServer` serves the same routes over a deliberately
+minimal ``asyncio`` HTTP/1.1 server (stdlib only, one request per
+connection).  It answers a request it cannot frame with a 400 (a
+malformed request line or ``Content-Length``, or a line over the
+stream's 64 KiB limit) or a 413 (a body above :data:`MAX_BODY_BYTES`,
+which it never reads).  ``asyncio`` is imported
+only where the server runs, so a campaign that never serves never loads
+it.
 
 Host time never touches trial content here — the lease clock is an
 injected callable (``clock=time.monotonic`` at the composition root),
@@ -37,6 +41,10 @@ if TYPE_CHECKING:
 #: fraction of the TTL (bounded below so tiny TTLs don't spin).
 _SWEEP_FRACTION = 0.25
 _MIN_SWEEP_S = 0.05
+
+#: The largest request body the server reads; a one-record ``/results``
+#: batch is a few KiB.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class Coordinator:
@@ -181,31 +189,55 @@ def _invalid_records(records: Any) -> Optional[str]:
     return None
 
 
+class _Refused(Exception):
+    """A request the server answers with ``status`` without handling it."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # longer than the stream's line limit
+        raise _Refused(400, "request line or header too long") from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, bytes]]:
-    request_line = await reader.readline()
+    """One request, ``None`` if the client sent nothing; raises
+    :class:`_Refused` for a request it cannot frame."""
+    request_line = await _read_line(reader)
     if not request_line:
         return None
     try:
         method, target, _version = request_line.decode("latin-1").split()
     except ValueError:
-        return None
+        raise _Refused(400, "malformed request line") from None
     headers: Dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or 0)
+    raw_length = headers.get("content-length") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _Refused(400, f"malformed Content-Length: {raw_length!r}")
+    length = int(raw_length)
+    if length > MAX_BODY_BYTES:
+        raise _Refused(
+            413, f"body of {length} bytes exceeds {MAX_BODY_BYTES} bytes"
+        )
     body = await reader.readexactly(length) if length else b""
     return method.upper(), target.split("?", 1)[0], body
 
 
 def _http_response(status: int, payload: Dict[str, Any]) -> bytes:
     reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-               500: "Internal Server Error"}
+               413: "Payload Too Large", 500: "Internal Server Error"}
     data = protocol.encode(payload)
     head = (
         f"HTTP/1.1 {status} {reasons.get(status, 'OK')}\r\n"
@@ -330,18 +362,14 @@ class CoordinatorServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await _read_request(reader)
-            if request is None:
-                return
-            method, path, body = request
             try:
-                status, payload = self.coordinator.handle(
-                    method, path, protocol.decode(body)
-                )
-            except ValueError as error:
-                status, payload = 400, {"error": str(error)}
-            except Exception as error:  # never kill the server on a request
-                status, payload = 500, {"error": repr(error)}
+                request = await _read_request(reader)
+            except _Refused as refusal:
+                status, payload = refusal.status, {"error": str(refusal)}
+            else:
+                if request is None:
+                    return
+                status, payload = self._answer(*request)
             writer.write(_http_response(status, payload))
             await writer.drain()
         except (ConnectionError, EOFError):  # incl. IncompleteReadError
@@ -352,3 +380,13 @@ class CoordinatorServer:
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):
                 pass
+
+    def _answer(
+        self, method: str, path: str, body: bytes
+    ) -> Tuple[int, Dict[str, Any]]:
+        try:
+            return self.coordinator.handle(method, path, protocol.decode(body))
+        except ValueError as error:
+            return 400, {"error": str(error)}
+        except Exception as error:  # never kill the server on a request
+            return 500, {"error": repr(error)}

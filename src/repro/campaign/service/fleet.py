@@ -33,7 +33,6 @@ def _fleet_worker_main(
     url: str,
     worker_id: str,
     backoff_seed: int,
-    flush_every: int,
     max_failures: int = 8,
 ) -> None:
     """A worker process's entry point: exits with the worker's code.
@@ -45,7 +44,6 @@ def _fleet_worker_main(
     worker = ServiceWorker(
         url,
         worker_id=worker_id,
-        flush_every=flush_every,
         max_failures=max_failures,
         backoff=BackoffPolicy(seed=backoff_seed),
     )
@@ -69,7 +67,7 @@ def run_fleet(coordinator: Coordinator, n_workers: int) -> bool:
     def spawn(index: int):
         process = ctx.Process(
             target=_fleet_worker_main,
-            args=(url, f"w{index}", index, 1),
+            args=(url, f"w{index}", index),
             daemon=True,
         )
         process.start()

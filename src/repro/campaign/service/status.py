@@ -1,9 +1,9 @@
 """The live ``/status`` view: progress counters + capacity matrix.
 
-The capacity matrix is computed by *streaming* the store's records
-through :func:`repro.analysis.summary.pivot_records` — the sqlite
-backend iterates a cursor, never materialising the whole store, so the
-status endpoint stays cheap even against a million-record sweep.
+The capacity matrix pivots the store's records through
+:func:`repro.analysis.summary.pivot_records`.  While the coordinator is
+the store's only writer, the store's read cache answers a poll without
+re-reading the file.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .leases import LeaseTable
 
 def capacity_cells(store: ResultStore) -> Dict[str, Any]:
     """JSON-safe (machine × tp) worst-case capacity pivot of a store."""
-    rows, cols, cells = pivot_records(store.iter_records())
+    rows, cols, cells = pivot_records(store.records())
     return {
         "rows": rows,
         "cols": cols,

@@ -29,8 +29,8 @@ import multiprocessing
 import os
 import socket
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 from ..spec import TrialSpec
 from ..store import STATUS_FAILED, STATUS_OK
@@ -156,16 +156,13 @@ class WorkerStats:
     succeeded: int = 0
     failed: int = 0
     retries: int = 0
-    flushes: int = 0
     reconnects: int = 0
-    notes: List[str] = field(default_factory=list)
 
     def summary(self) -> str:
         return (
             f"{self.leases} lease(s), {self.trials} trial(s) "
             f"({self.succeeded} ok, {self.failed} failed, "
-            f"{self.retries} retried), {self.flushes} result flush(es), "
-            f"{self.reconnects} reconnect(s)"
+            f"{self.retries} retried), {self.reconnects} reconnect(s)"
         )
 
 
@@ -182,7 +179,6 @@ class ServiceWorker:
         coordinator: Union[str, Coordinator],
         worker_id: str = "",
         max_retries: Optional[int] = None,
-        flush_every: int = 1,
         max_failures: int = 8,
         http_timeout_s: float = 30.0,
         backoff: Optional[protocol.BackoffPolicy] = None,
@@ -196,7 +192,6 @@ class ServiceWorker:
             self.url, self.coordinator = "in-process", coordinator
         self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
         self.max_retries = max_retries
-        self.flush_every = max(1, int(flush_every))
         self.max_failures = max(1, int(max_failures))
         self.http_timeout_s = float(http_timeout_s)
         self.backoff = backoff or protocol.BackoffPolicy()
@@ -263,7 +258,7 @@ class ServiceWorker:
             if grant:
                 self.stats.leases += 1
                 if self._run_lease(grant):
-                    # The final flush already answered "done": exit now
+                    # Our last result already answered "done": exit now
                     # rather than racing a coordinator shutdown.
                     if self.log:
                         self.log(
@@ -282,7 +277,8 @@ class ServiceWorker:
                 )
 
     def _run_lease(self, grant: Mapping[str, Any]) -> bool:
-        """Run a lease's trials; True if the grid drained on our flush."""
+        """Run a lease's trials, sending each record as its trial ends;
+        True if the grid drained on one of our results."""
         shard = int(grant["shard"])
         generation = int(grant["generation"])
         ttl_s = float(grant.get("ttl_s", 60.0))
@@ -292,13 +288,11 @@ class ServiceWorker:
             else int(grant.get("max_retries", 1))
         )
         heartbeat = self._heartbeat_fn(shard, generation, ttl_s)
-        buffer: List[Dict[str, Any]] = []
         done = False
         for payload in grant.get("trials", []):
-            buffer.append(self._run_one(payload, retries, heartbeat))
-            if len(buffer) >= self.flush_every:
-                done = self._flush(shard, generation, buffer) or done
-        return self._flush(shard, generation, buffer) or done
+            record = self._run_one(payload, retries, heartbeat)
+            done = self._send(shard, generation, record) or done
+        return done
 
     def _run_one(
         self,
@@ -346,18 +340,15 @@ class ServiceWorker:
                     "generation": generation,
                 })
             except (OSError, ValueError):
-                pass  # the results flush will retry with backoff
+                pass  # sending the result will retry with backoff
 
         return heartbeat
 
-    def _flush(
-        self, shard: int, generation: int, buffer: List[Dict[str, Any]]
+    def _send(
+        self, shard: int, generation: int, record: Dict[str, Any]
     ) -> bool:
-        if not buffer:
-            return False
+        """Send one record; True if the coordinator answered "done"."""
         response = self._call(protocol.RESULTS_PATH, protocol.results_request(
-            self.worker_id, shard, generation, buffer
+            self.worker_id, shard, generation, [record]
         ))
-        self.stats.flushes += 1
-        buffer.clear()
         return bool(response.get("done"))

@@ -13,16 +13,23 @@ the whole file every call.  ``append()`` keeps the cache coherent
 in-place (the common single-writer case never re-reads its own writes);
 an *external* writer changes the signature and forces a rescan.
 
-For sweeps past ~10^5 records, prefer the sqlite backend
-(:mod:`repro.campaign.store_sqlite` via :func:`open_store`): indexed
-``completed_keys()`` instead of any file scan at all.
+One lock serialises ``append()`` and every read, and reads return
+copies made under it.  So a thread that reads the store while another
+appends through the same handle (``campaign --serve --status-interval``
+reads from the main thread while the server thread writes) sees every
+record exactly once.
+
+JSONL is the only store format.  A path with a database suffix is
+refused before the file is opened, so a store never appends JSON lines
+into a user's database.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
+import threading
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -32,8 +39,8 @@ STATUS_FAILED = "failed"
 # pure function of the trial spec.
 VOLATILE_FIELDS = ("wall_time_s", "worker", "attempts", "campaign")
 
-#: Path suffixes that select the sqlite backend in :func:`open_store`.
-SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+#: Database file suffixes a store path may not have.
+_DATABASE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 
 def deterministic_view(record: Dict[str, Any]) -> Dict[str, Any]:
@@ -43,19 +50,6 @@ def deterministic_view(record: Dict[str, Any]) -> Dict[str, Any]:
         for key, value in record.items()
         if key not in VOLATILE_FIELDS
     }
-
-
-def open_store(path: Union[str, "ResultStore"]) -> "ResultStore":
-    """Path -> the right backend: sqlite for ``.sqlite/.sqlite3/.db``,
-    JSONL otherwise.  Store objects pass through unchanged."""
-    if isinstance(path, ResultStore):
-        return path
-    path = str(path)
-    if path.endswith(SQLITE_SUFFIXES):
-        from .store_sqlite import SqliteResultStore
-
-        return SqliteResultStore(path)
-    return ResultStore(path)
 
 
 class ResultStore:
@@ -68,6 +62,12 @@ class ResultStore:
 
     def __init__(self, path: str):
         self.path = str(path)
+        if self.path.endswith(_DATABASE_SUFFIXES):
+            raise ValueError(
+                f"{self.path!r} names a sqlite database; result stores "
+                f"are JSONL files (use a .jsonl path)"
+            )
+        self._lock = threading.Lock()
         self._cache_signature: Optional[Tuple[int, int]] = None
         self._cache_records: Optional[List[Dict[str, Any]]] = None
         self._cache_ok_keys: Set[str] = set()
@@ -80,32 +80,33 @@ class ResultStore:
         line = json.dumps(record, sort_keys=True, default=str)
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
-        # Only extend the cache in place when the file is exactly what
-        # we last parsed; an interleaved external writer invalidates it.
-        cache_valid = (
-            self._cache_records is not None
-            and self._signature() == self._cache_signature
-        )
-        with open(self.path, "ab+") as handle:
-            # A crash mid-append leaves a torn last line with no newline:
-            # terminate it, or this record would be glued onto it.
-            if handle.seek(0, os.SEEK_END) > 0:
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    handle.write(b"\n")
-            handle.write((line + "\n").encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        if cache_valid:
-            # Round-trip through JSON so the cached view is exactly what
-            # a fresh scan would parse (tuples -> lists, etc.).
-            parsed = json.loads(line)
-            self._cache_records.append(parsed)
-            if parsed.get("status") == STATUS_OK:
-                self._cache_ok_keys.add(parsed["key"])
-            self._cache_signature = self._signature()
-        else:
-            self._invalidate()
+        with self._lock:
+            # Only extend the cache in place when the file is exactly what
+            # we last parsed; an interleaved external writer invalidates it.
+            cache_valid = (
+                self._cache_records is not None
+                and self._signature() == self._cache_signature
+            )
+            with open(self.path, "ab+") as handle:
+                # A crash mid-append leaves a torn last line with no newline:
+                # terminate it, or this record would be glued onto it.
+                if handle.seek(0, os.SEEK_END) > 0:
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        handle.write(b"\n")
+                handle.write((line + "\n").encode("utf-8"))
+                handle.flush()
+                os.fsync(handle.fileno())
+            if cache_valid:
+                # Round-trip through JSON so the cached view is exactly what
+                # a fresh scan would parse (tuples -> lists, etc.).
+                parsed = json.loads(line)
+                self._cache_records.append(parsed)
+                if parsed.get("status") == STATUS_OK:
+                    self._cache_ok_keys.add(parsed["key"])
+                self._cache_signature = self._signature()
+            else:
+                self._invalidate()
 
     # -- reading ----------------------------------------------------------
 
@@ -140,6 +141,8 @@ class ResultStore:
                     yield record
 
     def _load(self) -> List[Dict[str, Any]]:
+        """The cached records, rescanned if the file changed; call with
+        the lock held."""
         signature = self._signature()
         if (self._cache_records is None
                 or signature != self._cache_signature):
@@ -153,29 +156,30 @@ class ResultStore:
             self._cache_signature = signature
         return self._cache_records
 
-    def iter_records(self) -> Iterator[Dict[str, Any]]:
-        yield from self._load()
-
     def records(self) -> List[Dict[str, Any]]:
-        return list(self._load())
+        with self._lock:
+            return list(self._load())
 
     def completed_keys(self) -> Set[str]:
         """Keys with a successful record (these are skipped on resume)."""
-        self._load()
-        return set(self._cache_ok_keys)
+        with self._lock:
+            self._load()
+            return set(self._cache_ok_keys)
 
     def latest_by_key(
         self, status: Optional[str] = STATUS_OK
     ) -> Dict[str, Dict[str, Any]]:
         """Last record per key, optionally filtered by status."""
         latest: Dict[str, Dict[str, Any]] = {}
-        for record in self._load():
-            if status is None or record.get("status") == status:
-                latest[record["key"]] = record
+        with self._lock:
+            for record in self._load():
+                if status is None or record.get("status") == status:
+                    latest[record["key"]] = record
         return latest
 
     def __len__(self) -> int:
-        return len(self._load())
+        with self._lock:
+            return len(self._load())
 
     def __repr__(self) -> str:
         return f"ResultStore({self.path!r})"

@@ -1,6 +1,6 @@
 """CLI: prove, model-check, survey channels, inspect, campaigns, lint, bench.
 
-Ten subcommands::
+Nine subcommands::
 
     repro-tp prove    [--machine M] [--tp T] [--secrets 1,7,23]
                       [--format text|json]
@@ -14,8 +14,7 @@ Ten subcommands::
                       [--serve] [--host H] [--port P]
                       [--shard-size N] [--lease-ttl S] [--status-interval S]
     repro-tp work     --coordinator URL [--jobs N] [--name ID]
-                      [--flush-every N] [--max-failures N]
-    repro-tp store    {info PATH | migrate SRC DST}
+                      [--max-failures N]
     repro-tp synth    [--machine M] [--tp T] [--victim V] [--generations N]
                       [--population N] [--seed N] [--jobs N] [--save FILE]
                       [--threshold BITS] [--format text|json]
@@ -36,14 +35,13 @@ tp × attack × seed) grid through a lease coordinator — one worker in
 this process, or ``--workers N`` forked ones — appends one JSONL
 record per trial, resumes past completed trials on re-run, and prints
 the (machine × tp) channel-capacity matrix; ``--genomes`` registers
-evolved genomes from a saved file as extra attacks for the grid.  A
-``--store`` path ending in ``.sqlite``/``.sqlite3``/``.db`` selects the
-indexed sqlite backend instead of JSONL.  ``campaign --serve`` runs the
-grid as an HTTP *coordinator* (workers attach with ``repro-tp work``)
-with a live ``/status`` capacity view.  ``work`` is the worker half:
-pull leases from a coordinator URL, run trials, stream results back.
-``store`` inspects (``info``) or converts (``migrate``, either
-direction, order-preserving) result stores.
+evolved genomes from a saved file as extra attacks for the grid.  The
+store is a JSONL file; a ``--store`` path with a database suffix is
+refused with exit 2 before the file is opened.  ``campaign --serve``
+runs the grid as an HTTP *coordinator* (workers attach with
+``repro-tp work``) with a live ``/status`` capacity view.  ``work`` is
+the worker half: pull leases from a coordinator URL, run trials, send
+each result back as its trial ends.
 ``synth`` runs the evolutionary attack search against the chosen
 machine/TP configuration: exit 0 when no channel above the threshold
 was found (time protection held against the search), 1 when the search
@@ -304,8 +302,8 @@ def cmd_campaign(args) -> int:
     from .analysis.summary import capacity_matrix
     from .campaign import (
         CampaignSpec,
+        ResultStore,
         default_workers,
-        open_store,
         run_campaign,
     )
     from .campaign.registry import ATTACKS
@@ -348,7 +346,11 @@ def cmd_campaign(args) -> int:
         print("campaign spec expands to zero trials", file=sys.stderr)
         return 2
 
-    store = open_store(args.store)
+    try:
+        store = ResultStore(args.store)
+    except ValueError as error:
+        print(f"cannot use store: {error}", file=sys.stderr)
+        return 2
     if args.serve:
         return _campaign_serve(args, spec, trials, store)
     report = run_campaign(
@@ -386,7 +388,6 @@ def cmd_work(args) -> int:
                     args.coordinator,
                     f"{args.name or 'w'}{index}",
                     args.seed + index,
-                    args.flush_every,
                     args.max_failures,
                 ),
             )
@@ -402,7 +403,6 @@ def cmd_work(args) -> int:
     worker = ServiceWorker(
         args.coordinator,
         worker_id=args.name,
-        flush_every=args.flush_every,
         max_failures=args.max_failures,
         backoff=BackoffPolicy(seed=args.seed),
         log=None if args.quiet else (
@@ -418,28 +418,6 @@ def cmd_work(args) -> int:
         print(f"interrupted: {worker.stats.summary()}", file=sys.stderr)
         return 1
     print(f"worker {worker.worker_id}: {stats.summary()}")
-    return 0
-
-
-def cmd_store(args) -> int:
-    import json as _json
-
-    from .campaign.store_sqlite import migrate_store, store_info
-
-    if args.store_command == "info":
-        try:
-            print(_json.dumps(store_info(args.path), indent=2, sort_keys=True))
-        except (OSError, ValueError) as error:
-            print(f"cannot read store {args.path!r}: {error}", file=sys.stderr)
-            return 2
-        return 0
-    # migrate
-    try:
-        migrated = migrate_store(args.src, args.dst)
-    except (OSError, ValueError) as error:
-        print(f"migrate failed: {error}", file=sys.stderr)
-        return 2
-    print(f"migrated {migrated} record(s): {args.src} -> {args.dst}")
     return 0
 
 
@@ -480,9 +458,13 @@ def cmd_synth(args) -> int:
     )
     evaluator = None
     if args.jobs > 1:
-        evaluator = CampaignEvaluator(
-            env, args.store, n_workers=args.jobs, seed=args.seed
-        )
+        try:
+            evaluator = CampaignEvaluator(
+                env, args.store, n_workers=args.jobs, seed=args.seed
+            )
+        except ValueError as error:
+            print(f"cannot use store: {error}", file=sys.stderr)
+            return 2
     text = args.format == "text"
     log = print if text and not args.quiet else None
     search = EvolutionSearch(
@@ -699,9 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="workers (1 = in this process, N > 1 = "
                                "forked; 0 = one per available CPU)")
     campaign.add_argument("--store", default="campaign_results.jsonl",
-                          help="result store path (resume target); a "
-                               ".sqlite/.sqlite3/.db suffix selects the "
-                               "indexed sqlite backend")
+                          help="JSONL result store path (resume target)")
     campaign.add_argument("--serve", action="store_true",
                           help="run as a lease coordinator over HTTP; "
                                "workers attach with 'repro-tp work'")
@@ -747,28 +727,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="worker id prefix (default: host:pid)")
     work.add_argument("--seed", type=int, default=0,
                       help="backoff-jitter seed (worker index is added)")
-    work.add_argument("--flush-every", type=int, default=1,
-                      help="trials per result flush to the coordinator")
     work.add_argument("--max-failures", type=int, default=8,
                       help="consecutive coordinator failures before giving up")
     work.add_argument("--quiet", action="store_true",
                       help="suppress reconnect/progress log lines")
     work.set_defaults(func=cmd_work)
-
-    store = subparsers.add_parser(
-        "store", help="inspect or convert campaign result stores"
-    )
-    store_sub = store.add_subparsers(dest="store_command", required=True)
-    info = store_sub.add_parser("info", help="summarize a result store")
-    info.add_argument("path", help="store path (.jsonl or .sqlite)")
-    migrate = store_sub.add_parser(
-        "migrate",
-        help="copy records between stores (JSONL <-> sqlite), preserving "
-             "order and resume semantics",
-    )
-    migrate.add_argument("src", help="source store path")
-    migrate.add_argument("dst", help="destination store path")
-    store.set_defaults(func=cmd_store)
 
     synth = subparsers.add_parser(
         "synth",

@@ -642,8 +642,10 @@ class Kernel:
             self._retire(core, tcb, ThreadState.DONE)
             core.clock.advance(1)
             return
-        # Inlined tcb.normalise_pc(): wrap the synthetic pc back into the
-        # code region without a per-step method call.
+        # Wrap the synthetic pc back into the code region.  Programs are
+        # generators, so the pc only drives I-cache and branch-predictor
+        # behaviour; real code of this size would loop, which the wrap
+        # models.
         code_size = tcb.code_size
         if code_size > 0:
             rel = tcb.pc - tcb.code_base

@@ -157,18 +157,6 @@ class Tcb:
     wake_time: Optional[int] = None
     steps_executed: int = 0
 
-    def normalise_pc(self) -> None:
-        """Wrap the synthetic pc back into the code region.
-
-        Programs are generators, so the pc exists only to drive I-cache
-        and branch-predictor behaviour; real code of this size would
-        loop, which the wrap models.
-        """
-        if self.code_size > 0 and not (
-            self.code_base <= self.pc < self.code_base + self.code_size
-        ):
-            self.pc = self.code_base + (self.pc - self.code_base) % self.code_size
-
     def runnable(self, now: int) -> bool:
         if self.state is not ThreadState.READY:
             return False

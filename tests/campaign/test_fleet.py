@@ -19,7 +19,6 @@ from repro.campaign import (
     CampaignSpec,
     ResultStore,
     deterministic_view,
-    open_store,
     register_attack,
     run_campaign,
     unregister_attack,
@@ -71,10 +70,7 @@ def _views(store):
 
 
 def _resolved(store):
-    """Resolved-key count read through a fresh handle: the coordinator's
-    server thread appends through ``store`` meanwhile, and a JSONL
-    store's read cache is not safe to share across threads."""
-    return len(open_store(store.path).completed_keys())
+    return len(store.completed_keys())
 
 
 class TestDistributedRun:
@@ -84,7 +80,7 @@ class TestDistributedRun:
         spec = _spec()
         one_store = ResultStore(str(tmp_path / "one.jsonl"))
         run_campaign(spec, one_store, n_workers=1, quiet=True)
-        fleet_store = open_store(str(tmp_path / "fleet.sqlite"))
+        fleet_store = ResultStore(str(tmp_path / "fleet.jsonl"))
         report = run_campaign(spec, fleet_store, n_workers=2, quiet=True)
         assert report.completed and report.all_ok
         assert report.executed == 6
@@ -138,7 +134,7 @@ class TestChurnSurvival:
         workers = [
             ctx.Process(
                 target=_fleet_worker_main,
-                args=(server.url, f"w{i}", i, 1),
+                args=(server.url, f"w{i}", i),
                 daemon=True,
             )
             for i in range(n_workers)
@@ -215,11 +211,11 @@ class TestThousandTrialAcceptance:
         self, fake_attacks, tmp_path
     ):
         """The acceptance sweep: >=1000 trials through a 2-worker fleet
-        with one worker killed partway, sqlite store, deterministic views
-        equal to the in-process one-worker run's."""
+        with one worker killed partway, deterministic views equal to the
+        in-process one-worker run's."""
         spec = _spec(seeds=tuple(range(500)))  # 500 seeds x 2 tps = 1000
         assert len(spec.trials()) == 1000
-        fleet_store = open_store(str(tmp_path / "fleet.sqlite"))
+        fleet_store = ResultStore(str(tmp_path / "fleet.jsonl"))
         churn = TestChurnSurvival()
         table, server, workers = churn._start_fleet(
             spec, fleet_store, tmp_path, lease_ttl_s=5.0, shard_size=25,

@@ -1,6 +1,8 @@
 """Live coordinator over HTTP: endpoints, worker loop, portable deadline."""
 
+import asyncio
 import json
+import socket
 import time
 from urllib import error as urlerror
 from urllib import request as urlrequest
@@ -16,7 +18,13 @@ from repro.campaign.service import (
     ServiceWorker,
     plan_payloads,
 )
-from repro.campaign.service.coordinator import Coordinator, CoordinatorServer
+from repro.campaign.service.coordinator import (
+    MAX_BODY_BYTES,
+    Coordinator,
+    CoordinatorServer,
+    _read_request,
+    _Refused,
+)
 from repro.campaign.service.status import format_status
 from repro.campaign.service.worker import run_trial_with_deadline
 from repro.campaign.store import ResultStore
@@ -254,6 +262,69 @@ class TestRequestValidation:
             _post(url, path, _LIST_BODY)
         assert excinfo.value.code == 400
         assert store.records() == [] and not table.resolved
+
+
+def _raw_exchange(url, data):
+    """Send ``data`` on a fresh connection; everything the server sends
+    back before it closes (empty if it just drops the connection)."""
+    host, port = url.split("//", 1)[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _results_with(header):
+    return b"POST /results HTTP/1.1\r\n" + header + b"\r\n\r\n"
+
+
+#: Requests the server cannot frame, and the status that answers each.
+_BAD_FRAMING = {
+    "malformed-request-line": (b"GET /status\r\n\r\n", 400),
+    "non-numeric-length": (_results_with(b"Content-Length: abc"), 400),
+    "negative-length": (_results_with(b"Content-Length: -5"), 400),
+    "huge-length": (_results_with(b"Content-Length: 99999999999"), 413),
+    "length-just-over-the-limit": (
+        _results_with(f"Content-Length: {MAX_BODY_BYTES + 1}".encode()), 413,
+    ),
+}
+
+
+class TestFraming:
+    """A request the server cannot frame gets an answer, not a dropped
+    connection, and the server keeps serving; an oversized body is
+    refused without being read."""
+
+    @pytest.mark.parametrize("case", sorted(_BAD_FRAMING))
+    def test_bad_framing_is_answered(self, live_server, case):
+        url, table, store, _coordinator = live_server
+        request, status = _BAD_FRAMING[case]
+        response = _raw_exchange(url, request)
+        assert response.startswith(f"HTTP/1.1 {status} ".encode()), response
+        assert json.loads(response.split(b"\r\n\r\n", 1)[1])["error"]
+        assert store.records() == [] and not table.resolved
+        assert _post(url, "/lease", {"worker": "t0"})["lease"] is not None
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /" + b"a" * 100 + b" HTTP/1.1\r\n\r\n",
+        b"GET /status HTTP/1.1\r\nX-Long: " + b"a" * 100 + b"\r\n\r\n",
+    ], ids=["request-line", "header"])
+    def test_line_over_the_stream_limit_is_400(self, request_bytes):
+        # Read from a stream, not a socket: a server that closes with
+        # unread input resets the connection, which can lose its answer.
+        async def read():
+            reader = asyncio.StreamReader(limit=64)
+            reader.feed_data(request_bytes)
+            reader.feed_eof()
+            return await _read_request(reader)
+
+        with pytest.raises(_Refused) as refusal:
+            asyncio.run(read())
+        assert refusal.value.status == 400
 
 
 class TestServiceWorker:

@@ -1,6 +1,8 @@
 """Specs expand deterministically; the store appends, loads and resumes."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -145,3 +147,157 @@ class TestResultStore:
         view = deterministic_view(record)
         assert "wall_time_s" not in view and "worker" not in view
         assert view["key"] == "k1" and "result" in view
+
+
+def _fill(store):
+    store.append({"key": "a", "status": "ok", "result": {"v": 1}})
+    store.append({"key": "b", "status": "failed", "result": None})
+    store.append({"key": "c", "status": "ok", "result": {"v": 3}})
+    store.append({"key": "a", "status": "ok", "result": {"v": 9}})  # re-run
+    return store
+
+
+class TestStoreApi:
+    @pytest.fixture
+    def store(self, tmp_path):
+        return ResultStore(str(tmp_path / "r.jsonl"))
+
+    def test_append_requires_key(self, store):
+        with pytest.raises(ValueError):
+            store.append({"status": "ok"})
+
+    def test_len_and_records_order(self, store):
+        _fill(store)
+        assert len(store) == 4
+        assert [r["key"] for r in store.records()] == ["a", "b", "c", "a"]
+
+    def test_completed_keys(self, store):
+        _fill(store)
+        assert store.completed_keys() == {"a", "c"}
+
+    def test_latest_by_key_last_record_wins(self, store):
+        _fill(store)
+        latest = store.latest_by_key()
+        assert latest["a"]["result"] == {"v": 9}
+        assert set(latest) == {"a", "c"}
+        everything = store.latest_by_key(status=None)
+        assert set(everything) == {"a", "b", "c"}
+        assert everything["a"]["result"] == {"v": 9}
+
+    def test_empty_store(self, store):
+        assert len(store) == 0
+        assert store.completed_keys() == set()
+        assert store.latest_by_key() == {}
+        assert store.records() == []
+
+
+class TestDatabasePathRefused:
+    """JSONL is the only store: a database path is refused before the
+    file is opened, so no JSON line lands in a database."""
+
+    @pytest.mark.parametrize("name", ["r.sqlite", "r.sqlite3", "r.db"])
+    def test_database_suffix_raises_and_leaves_the_file(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"SQLite format 3\x00")
+        with pytest.raises(ValueError, match="JSONL"):
+            ResultStore(str(path))
+        assert path.read_bytes() == b"SQLite format 3\x00"
+
+
+class TestJsonlScanCache:
+    """The mtime/size cache behind the JSONL read paths."""
+
+    @pytest.fixture
+    def counting_store(self, tmp_path, monkeypatch):
+        store = ResultStore(str(tmp_path / "r.jsonl"))
+        scans = {"n": 0}
+        real_scan = ResultStore._scan_file
+
+        def counted(self):
+            scans["n"] += 1
+            return real_scan(self)
+
+        monkeypatch.setattr(ResultStore, "_scan_file", counted)
+        return store, scans
+
+    def test_repeated_reads_scan_once(self, counting_store):
+        store, scans = counting_store
+        _fill(store)
+        for _ in range(5):
+            store.completed_keys()
+            store.latest_by_key()
+            len(store)
+            store.records()
+        assert scans["n"] == 1
+
+    def test_append_keeps_cache_coherent_without_rescan(self, counting_store):
+        store, scans = counting_store
+        _fill(store)
+        assert store.completed_keys() == {"a", "c"}
+        store.append({"key": "d", "status": "ok", "result": None})
+        assert store.completed_keys() == {"a", "c", "d"}
+        assert [r["key"] for r in store.records()][-1] == "d"
+        assert scans["n"] == 1  # the writer never re-reads its own writes
+
+    def test_external_write_invalidates_cache(self, counting_store):
+        store, scans = counting_store
+        _fill(store)
+        assert store.completed_keys() == {"a", "c"}
+        with open(store.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"key": "x", "status": "ok"}) + "\n")
+        assert store.completed_keys() == {"a", "c", "x"}
+        assert scans["n"] == 2
+
+    def test_cached_view_matches_fresh_scan_after_append(self, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        writer = _fill(ResultStore(path))
+        writer.append({"key": "e", "status": "ok", "result": {"t": (1, 2)}})
+        fresh = ResultStore(path)
+        # Tuples must round-trip to lists in the cached view too.
+        assert writer.records() == fresh.records()
+        assert writer.completed_keys() == fresh.completed_keys()
+
+    def test_torn_tail_is_ignored(self, tmp_path):
+        store = _fill(ResultStore(str(tmp_path / "r.jsonl")))
+        with open(store.path, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "torn", "status"')  # killed mid-write
+        assert store.completed_keys() == {"a", "c"}
+        assert len(store) == 4
+
+
+class TestThreadedAccess:
+    def test_reader_threads_see_each_record_once(self, tmp_path):
+        """Threads poll ``records()`` while another appends through the
+        same handle, as ``campaign --serve --status-interval`` does: no
+        read may see a key twice, and the writer's view must end equal
+        to the file."""
+        n_records = 200
+        store = ResultStore(str(tmp_path / "r.jsonl"))
+        stop = threading.Event()
+        torn_reads = []
+
+        def poll():
+            while not stop.is_set():
+                keys = [record["key"] for record in store.records()]
+                if len(keys) != len(set(keys)):
+                    torn_reads.append(len(keys))
+
+        readers = [threading.Thread(target=poll) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            for index in range(n_records):
+                store.append({"key": f"k{index}", "status": "ok",
+                              "result": {"v": index}})
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert not torn_reads
+        assert len(store) == n_records
+        assert store.records() == ResultStore(store.path).records()
+        assert len(store.completed_keys()) == n_records

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +146,37 @@ class TestCampaignCli:
             ])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _sqlite_database(path):
+    connection = sqlite3.connect(str(path))
+    with connection:
+        connection.execute("CREATE TABLE notes (body TEXT)")
+        connection.execute("INSERT INTO notes VALUES ('keep me')")
+    connection.close()
+    return path.read_bytes()
+
+
+class TestDatabaseStoreRefused:
+    """JSONL is the only store: a user's sqlite database passed as
+    ``--store`` is refused with exit 2 and left byte-identical."""
+
+    @pytest.mark.parametrize("flags", [[], ["--fresh"], ["--serve"]],
+                             ids=["resume", "fresh", "serve"])
+    def test_campaign_exits_two(self, tmp_path, flags):
+        path = tmp_path / "r.sqlite"
+        before = _sqlite_database(path)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "campaign", "--machines", "tiny",
+             "--tps", "full", "--attacks", "e5", "--seeds", "0",
+             "--workers", "1", "--store", str(path), "--quiet", *flags],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert "JSONL" in done.stderr
+        assert path.read_bytes() == before
 
 
 class TestImportGuard:

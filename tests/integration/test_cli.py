@@ -22,6 +22,13 @@ class TestParser:
         assert args.machine == "tiny"
         assert args.tp == "full"
 
+    def test_store_subcommand_is_unknown(self, tmp_path, capsys):
+        # JSONL is the only store: there is nothing to inspect or convert.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["store", "info", str(tmp_path / "x.jsonl")])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'store'" in capsys.readouterr().err
+
     def test_known_machines_and_configs(self):
         assert "tiny" in MACHINES and "smt" in MACHINES
         assert "full" in TP_CONFIGS and "none" in TP_CONFIGS
@@ -422,6 +429,16 @@ class TestSynth:
         assert code == 2
         assert "invalid synth environment" in capsys.readouterr().err
 
+    def test_database_store_exits_two(self, tmp_path, capsys):
+        store = tmp_path / "r.db"
+        code = main([
+            "synth", "--machine", "tiny", "--tp", "none", *SYNTH_FAST,
+            "--jobs", "2", "--store", str(store), "--quiet",
+        ])
+        assert code == 2
+        assert "JSONL" in capsys.readouterr().err
+        assert not store.exists()
+
 
 class TestWork:
     """``work`` against a coordinator nobody serves (port 1)."""
@@ -440,6 +457,14 @@ class TestWork:
         assert "2 worker(s) exited: [3, 3]" in capsys.readouterr().out
         assert code == 1
         assert elapsed < 5.0
+
+    def test_flush_every_option_is_unknown(self, capsys):
+        # Each record is sent to the coordinator as its trial ends.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["work", "--coordinator", self.UNSERVED,
+                  "--flush-every", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_one_worker_exits_three(self, capsys):
         code = main([

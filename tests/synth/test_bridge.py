@@ -62,9 +62,9 @@ class TestCampaignEvaluator:
         store = ResultStore(str(tmp_path / "fitness.jsonl"))
         evaluator = CampaignEvaluator(env, store, n_workers=1)
         first = evaluator([SIMPLE])
-        n_records = len(list(store.iter_records()))
+        n_records = len(store.records())
         second = evaluator([SIMPLE])  # resume answers from disk
-        assert len(list(store.iter_records())) == n_records
+        assert len(store.records()) == n_records
         assert second[0].fitness == pytest.approx(first[0].fitness)
 
 
