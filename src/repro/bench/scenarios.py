@@ -202,13 +202,16 @@ _STORE_FIXTURE: Dict[str, Tuple[str, int]] = {}
 
 
 def _campaign_store_fixture(n_records: int = 100_000) -> Tuple[str, int]:
-    """A 100k-record JSONL store, built once."""
+    """A 100k-record JSONL store, built once, removed at interpreter exit."""
     if "path" not in _STORE_FIXTURE:
+        import atexit
         import json
         import os
+        import shutil
         import tempfile
 
         directory = tempfile.mkdtemp(prefix="bench_campaign_store_")
+        atexit.register(shutil.rmtree, directory, ignore_errors=True)
         jsonl_path = os.path.join(directory, "store.jsonl")
         with open(jsonl_path, "w", encoding="utf-8") as handle:
             for i in range(n_records):

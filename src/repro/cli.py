@@ -110,9 +110,20 @@ def _build_standard_system(machine_factory, tp):
 def cmd_prove(args) -> int:
     from .core import format_report_json
 
+    try:
+        secrets = [int(s) for s in args.secrets.split(",") if s.strip()]
+    except ValueError as error:
+        print(f"invalid prove secrets: {error}", file=sys.stderr)
+        return 2
+    if len(set(secrets)) < 2:
+        print("need at least two distinct secrets", file=sys.stderr)
+        return 2
+    if args.max_cycles < 1:
+        print(f"--max-cycles must be at least 1, got {args.max_cycles}",
+              file=sys.stderr)
+        return 2
     machine_factory = MACHINES[args.machine]
     tp = TP_CONFIGS[args.tp]()
-    secrets = [int(s) for s in args.secrets.split(",")]
     report = prove_time_protection(
         _build_standard_system(machine_factory, tp),
         secrets=secrets,
@@ -129,7 +140,7 @@ def cmd_prove(args) -> int:
 def cmd_mc(args) -> int:
     import time
 
-    from .mc import McOptions, McSpec, ModelChecker, render_json, render_text
+    from .mc import McSpec, ModelChecker, render_json, render_text
 
     try:
         secrets = tuple(int(s) for s in args.secrets.split(",") if s.strip())
@@ -150,14 +161,8 @@ def cmd_mc(args) -> int:
     if len(set(spec.secrets)) < 2:
         print("need at least two distinct secrets", file=sys.stderr)
         return 2
-    options = McOptions(
-        bitstate_mb=args.bitstate,
-        spill_ram_states=args.spill_ram,
-        spill_dir=args.spill_dir or None,
-        profile=args.profile,
-    )
     started = time.perf_counter()
-    report = ModelChecker(spec, options=options).run()
+    report = ModelChecker(spec, profile=args.profile).run()
     elapsed = time.perf_counter() - started
     if args.format == "json":
         print(render_json(report))
@@ -168,49 +173,36 @@ def cmd_mc(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_channels(args) -> int:
-    from .attacks import (
-        event_timing,
-        flushreload,
-        irq_channel,
-        occupancy,
-        primeprobe,
-        switch_latency,
-    )
+#: The ``ATTACKS`` entries ``channels`` surveys, each run with its
+#: registered defaults.
+CHANNEL_SURVEY = ("e1", "e2", "e4", "e5", "e6", "occupancy")
 
-    tp = TP_CONFIGS[args.tp]()
-    machine_factory = MACHINES[args.machine]
-    experiments = {
-        "e1": lambda: event_timing.experiment(
-            TP_CONFIGS[args.tp]() if args.tp != "full"
-            else TimeProtectionConfig.full(padded_ipc=True),
-            machine_factory,
-        ),
-        "e2": lambda: primeprobe.l1_experiment(
-            tp, machine_factory, symbols=[2, 4, 6], rounds_per_run=6
-        ),
-        "e4": lambda: flushreload.experiment(tp, machine_factory),
-        "e5": lambda: switch_latency.experiment(
-            tp, machine_factory, symbols=[1, 10], rounds_per_run=6
-        ),
-        "e6": lambda: irq_channel.experiment(tp, machine_factory),
-        "occupancy": lambda: occupancy.experiment(
-            tp, machine_factory, symbols=[1, 8], rounds_per_run=5
-        ),
-    }
+
+def cmd_channels(args) -> int:
+    from .campaign.registry import ATTACKS
+
     selected = (
         [name.strip() for name in args.only.split(",")]
         if args.only
-        else sorted(experiments)
+        else list(CHANNEL_SURVEY)
     )
+    for name in selected:
+        if name not in CHANNEL_SURVEY:
+            print(f"  unknown experiment {name!r}; "
+                  f"choices: {list(CHANNEL_SURVEY)}")
+            return 2
+    tp = TP_CONFIGS[args.tp]()
+    machine_factory = MACHINES[args.machine]
     print(f"channel survey on machine={args.machine!r}, tp={args.tp!r}:\n")
     worst = 0.0
     for name in selected:
-        runner = experiments.get(name)
-        if runner is None:
-            print(f"  unknown experiment {name!r}; choices: {sorted(experiments)}")
-            return 2
-        result = runner()
+        # E1's defence is padded IPC, which ``full`` leaves off: under
+        # ``full`` the survey runs E1 with it on.
+        run_tp = (
+            TimeProtectionConfig.full(padded_ipc=True)
+            if name == "e1" and args.tp == "full" else tp
+        )
+        result = ATTACKS[name].run(run_tp, machine_factory)
         worst = max(worst, result.capacity_bits())
         print(f"  {result.summary()}")
     print(
@@ -636,16 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--profile", action="store_true",
                     help="report per-phase wall-clock breakdown "
                          "(clone/step/check/fingerprint/dedup)")
-    mc.add_argument("--bitstate", type=float, default=None, metavar="MB",
-                    help="replace the exact visited set with a Bloom "
-                         "bitstate of this many megabytes (verdicts become "
-                         "probabilistic-complete)")
-    mc.add_argument("--spill-ram", type=int, default=None, metavar="STATES",
-                    help="keep at most this many frontier entries in RAM, "
-                         "spilling the rest to disk")
-    mc.add_argument("--spill-dir", default="",
-                    help="directory for spilled frontier segments "
-                         "(default: a temp dir)")
     mc.set_defaults(func=cmd_mc)
 
     channels = subparsers.add_parser("channels", help="measure the attack suite")

@@ -10,7 +10,7 @@ that the concrete two-run harness (``core/noninterference.py``)
 confirms independently.
 """
 
-from .explorer import McOptions, ModelChecker
+from .explorer import ModelChecker
 from .fingerprint import product_fingerprint, state_fingerprint_incremental
 from .product import McViolation, ProductState
 from .replay import confirm_counterexample, replay_build_and_run
@@ -19,7 +19,6 @@ from .spec import McSpec, build_system, run_to_terminal
 
 __all__ = [
     "McCounterexample",
-    "McOptions",
     "McReport",
     "McSpec",
     "McStats",

@@ -19,8 +19,8 @@ physical addresses is not in general sound, and the builder allocates
 deterministically, so raw comparison is exact there.
 
 Digests use :mod:`hashlib` (BLAKE2b), never Python's per-process
-randomised ``hash()``: state counts and bitstate positions must repeat
-from run to run (and lint clean under SC-2).
+randomised ``hash()``: state counts, dedup decisions and counterexample
+paths must repeat from run to run (and lint clean under SC-2).
 
 The component builders below are shared with the exact oracle in
 ``tests/mc/``, which digests the whole canonical structure at every

@@ -345,15 +345,6 @@ class ProductState:
             irq_budget=spec.irq_budget,
         )
 
-    @classmethod
-    def from_path(cls, spec: McSpec, secret_a: int, secret_b: int,
-                  path: Tuple[Tuple, ...]) -> "ProductState":
-        """Rebuild a product state by replaying a choice path from the root."""
-        state = cls.initial(spec, secret_a, secret_b)
-        for choice in path:
-            state.apply(choice, spec)
-        return state
-
     def clone(self) -> "ProductState":
         """An independent copy, via ``Kernel.clone_for_mc`` on both sides."""
         return ProductState(

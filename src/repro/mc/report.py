@@ -2,8 +2,8 @@
 
 An :class:`McReport` is the checker's complete answer: the verdict
 (clean or violated), whether exploration was *exhaustive* (the frontier
-drained with no depth or memory cut -- only then do the state counts
-mean "all reachable states"), the statistics, and the minimal
+drained with no depth or state-bound cut -- only then do the state
+counts mean "all reachable states"), the statistics, and the minimal
 counterexamples with their replayable choice paths.
 """
 
@@ -92,15 +92,16 @@ class McReport:
 
     spec: McSpec
     passed: bool
-    exhaustive: bool
     stop_reason: str  # "exhausted" | "violation" | "depth-bound" | "state-bound"
     stats: McStats = field(default_factory=McStats)
     counterexamples: List[McCounterexample] = field(default_factory=list)
-    #: Bitstate-mode metadata ({mbytes, inserted,
-    #: est_omission_probability}); None for exact visited sets.
-    bitstate: Optional[dict] = None
     #: --profile per-phase wall-clock seconds; None unless profiled.
     profile: Optional[dict] = None
+
+    @property
+    def exhaustive(self) -> bool:
+        """Every secret pair's frontier drained with nothing cut off."""
+        return self.stop_reason == "exhausted"
 
     def minimal_counterexample(self) -> Optional[McCounterexample]:
         if not self.counterexamples:
@@ -122,7 +123,6 @@ class McReport:
             "stop_reason": self.stop_reason,
             "stats": self.stats.to_json(),
             "counterexamples": [cex.to_json() for cex in self.counterexamples],
-            "bitstate": self.bitstate,
             "profile": self.profile,
         }
 
@@ -146,11 +146,6 @@ def render_text(report: McReport) -> str:
     verdict = "PASS" if report.passed else "FAIL"
     if report.exhaustive:
         coverage = "exhaustive over the reachable state space"
-    elif report.bitstate is not None and report.stop_reason == "exhausted":
-        coverage = (
-            "bitstate (est. omission probability "
-            f"{report.bitstate['est_omission_probability']:.2e})"
-        )
     else:
         coverage = f"bounded ({report.stop_reason})"
     lines.append(f"verdict: {verdict}  [{coverage}]")

@@ -4,8 +4,8 @@ The checker explores *small, closed* systems: a Hi domain whose program
 depends on a secret, a Lo domain running a fixed timing-probe program,
 one core, a static two-slot schedule.  Everything here is plain data
 (:class:`McSpec` is a frozen dataclass of names and integers) so a spec
-plus a choice path rebuilds a system deterministically -- which the
-spill frontier and counterexample replay both rely on.
+plus a choice path rebuilds a system deterministically -- which
+counterexample replay relies on.
 
 The workload is chosen so each mechanism failure is *reachable*:
 
@@ -99,9 +99,11 @@ class McSpec:
     def for_machine(cls, machine: str, tp: str, **overrides) -> "McSpec":
         """Per-machine defaults (image sizing, slice length), overridable.
 
-        Raises ``ValueError`` for an IRQ line the preset cannot inject:
-        line 0 is the preemption timer, and lines stop at the preset's
-        controller width.
+        Raises ``ValueError`` for a bound that leaves nothing to explore
+        (``depth`` or ``max_states`` below 1, a negative ``irq_budget``)
+        and for an IRQ line the preset cannot inject: line 0 is the
+        preemption timer, and lines stop at the preset's controller
+        width.
         """
         if machine not in MACHINES:
             raise KeyError(f"unknown machine preset {machine!r}")
@@ -115,6 +117,12 @@ class McSpec:
         else:
             spec = replace(spec, slice_cycles=600)
         spec = replace(spec, **overrides)
+        for name, value, least in (("depth", spec.depth, 1),
+                                   ("max_states", spec.max_states, 1),
+                                   ("irq_budget", spec.irq_budget, 0)):
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"got {value}")
         n_lines = MACHINES[machine]().config.irq_lines
         for line in spec.irq_lines:
             if not 0 < line < n_lines:

@@ -36,11 +36,11 @@ BASELINE_FILENAME = "statcheck.baseline.json"
 _SCOPE_SEGMENTS = {
     "SC-1": {"hardware"},
     # The model checker is in SC-2 scope: fingerprints and exploration
-    # order must repeat from run to run, or state counts, bitstate
-    # positions and spilled-path replay would differ between runs of the
-    # same spec.  So is the synth search: an
-    # unseeded RNG anywhere in the evolution loop silently breaks
-    # same-seed reproducibility of discovered attacks.  And so is the
+    # order must repeat from run to run, or state counts, verdicts and
+    # counterexample paths would differ between runs of the same spec.
+    # So is the synth search: an unseeded RNG anywhere in the evolution
+    # loop silently breaks same-seed reproducibility of discovered
+    # attacks.  And so is the
     # analysis package: ``capacity.mutual_information_from_samples`` is
     # the single estimator behind synth fitness *and* campaign reports,
     # so nondeterminism there breaks same-seed reproducibility of every

@@ -8,8 +8,19 @@ from pathlib import Path
 import pytest
 
 from repro.cli import MACHINES, TP_CONFIGS, build_parser, main
+from repro.kernel import Kernel
 
 REPO = Path(__file__).resolve().parents[2]
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Fail the test if anything builds a kernel: a refusal must come
+    before any simulation."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was built before the refusal")
+
+    monkeypatch.setattr(Kernel, "__init__", refuse)
 
 
 class TestParser:
@@ -88,6 +99,22 @@ class TestProve:
         assert payload["assumptions"]
         assert payload["counterexamples"] == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-cycles", "0"], "--max-cycles must be at least 1"),
+        (["--secrets", "5,5"], "two distinct secrets"),
+        (["--secrets", "5"], "two distinct secrets"),
+        (["--secrets", "1,x"], "invalid prove secrets"),
+    ], ids=["max-cycles=0", "secrets=5,5", "secrets=5", "secrets=1,x"])
+    def test_empty_or_self_compared_run_exits_two(
+            self, capsys, no_kernel, flags, message):
+        # Zero-length traces, or a run compared with itself, prove
+        # nothing: refused, not reported as THEOREM HOLDS.
+        assert main(["prove", "--machine", "tiny", "--tp", "full",
+                     *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "THEOREM" not in captured.out
+
 
 class TestMc:
     def test_full_protection_checks_clean_and_exhaustively(self, capsys):
@@ -118,6 +145,10 @@ class TestMc:
         cex = payload["counterexamples"][0]
         assert cex["depth"] == len(cex["path"])
         assert cex["violations"]
+        # One exact visited set: no bitstate metadata, and the coverage
+        # key perfbench reads is still there.
+        assert "bitstate" not in payload
+        assert payload["exhaustive"] is False
 
     def test_bad_secret_domain_exits_two(self, capsys):
         assert main(["mc", "--secrets", "0"]) == 2
@@ -135,9 +166,25 @@ class TestMc:
         err = capsys.readouterr().err
         assert "invalid mc spec" in err and "IRQ line" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-states", "0"], "max_states must be at least 1"),
+        (["--depth", "0"], "depth must be at least 1"),
+        (["--irq-budget", "-1"], "irq_budget must be at least 0"),
+    ], ids=["max-states=0", "depth=0", "irq-budget=-1"])
+    def test_out_of_range_bound_exits_two(
+            self, capsys, no_kernel, flags, message):
+        # A bound that leaves nothing to explore is refused, not
+        # reported as a PASS.
+        assert main(["mc", "--machine", "micro", "--secrets", "0,1",
+                     *flags]) == 2
+        captured = capsys.readouterr()
+        assert "invalid mc spec" in captured.err
+        assert message in captured.err
+        assert "PASS" not in captured.out
+
     @pytest.mark.parametrize("option", [
         "--jobs=2", "--exact", "--no-por", "--no-incremental",
-        "--no-fast-clone",
+        "--no-fast-clone", "--bitstate=1", "--spill-ram=4", "--spill-dir=x",
     ])
     def test_removed_explorer_options_are_unknown(self, capsys, option):
         with pytest.raises(SystemExit) as exit_info:

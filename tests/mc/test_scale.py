@@ -1,7 +1,7 @@
 """Differential tests for the scaled explorer: its built-in reductions
-(POR, incremental fingerprints, the hand-rolled clone) and its memory
-levers (bitstate, disk spill) must preserve the exact explorer's
-verdicts bit-for-bit on the configurations they are sound for.
+(POR, incremental fingerprints, the hand-rolled clone) must preserve
+the exact explorer's verdicts bit-for-bit on the configurations they
+are sound for.
 
 The exact oracle (``oracle.exact_explorer``) runs the same BFS loop with
 full-prefix checks, repr-based fingerprints, deepcopy clones and no
@@ -11,7 +11,7 @@ reductions installed over the product path.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mc import McOptions, McSpec, ModelChecker, ProductState
+from repro.mc import McSpec, ModelChecker, ProductState
 
 from .oracle import (
     check_pair_full,
@@ -26,9 +26,9 @@ from .oracle import (
 TP_MATRIX = ("full", "no-pad", "no-colour", "no-flush", "none")
 
 
-def run(machine, tp, options=None, **overrides):
+def run(machine, tp, profile=False, **overrides):
     spec = McSpec.for_machine(machine, tp, secrets=(0, 1), **overrides)
-    return ModelChecker(spec, options=options).run()
+    return ModelChecker(spec, profile=profile).run()
 
 
 def run_exact(machine, tp, **overrides):
@@ -130,32 +130,9 @@ class TestPartialOrderReduction:
         )
 
 
-class TestBitstateAndSpill:
-    def test_bitstate_smoke(self):
-        report = run("tiny", "full", options=McOptions(bitstate_mb=1.0))
-        assert report.passed
-        assert report.bitstate is not None
-        assert report.bitstate["est_omission_probability"] < 1e-6
-
-    def test_bitstate_still_finds_violations(self):
-        report = run("micro", "no-pad", options=McOptions(bitstate_mb=1.0))
-        assert not report.passed
-        assert report.minimal_counterexample() is not None
-
-    def test_spill_matches_in_ram(self, tmp_path):
-        spilled = run(
-            "micro", "full",
-            options=McOptions(
-                spill_ram_states=4, spill_dir=str(tmp_path)
-            ),
-        )
-        in_ram = run("micro", "full")
-        assert verdict_signature(spilled) == verdict_signature(in_ram)
-
-
 class TestProfileAndPresets:
     def test_profile_reports_all_phases(self):
-        report = run("micro", "full", options=McOptions(profile=True))
+        report = run("micro", "full", profile=True)
         assert report.profile is not None
         assert set(report.profile) == {
             "clone", "step", "check", "fingerprint", "dedup"

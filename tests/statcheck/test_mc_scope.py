@@ -1,8 +1,8 @@
 """SC-2 scope must cover the model checker.
 
-State counts, bitstate positions and the replay of spilled frontier
-paths must repeat from run to run of the same spec, so any
-nondeterminism in ``src/repro/mc`` silently changes reported results.
+State counts, verdicts and counterexample paths must repeat from run
+to run of the same spec, so any nondeterminism in ``src/repro/mc``
+silently changes reported results.
 The determinism checker therefore owns that tree: the shipped code must
 lint clean, and a seeded violation must be caught.
 """
