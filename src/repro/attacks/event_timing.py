@@ -110,7 +110,7 @@ def experiment(
         symbols = [0, 5, 10, 15]
     return run_symbol_sweep(
         name="downgrader event timing (Figure 1)",
-        tp_label=_tp_label(tp) + (",padded_ipc" if tp.padded_ipc else ""),
+        tp_label=_tp_label(tp),
         run_once=run_once,
         symbols=symbols,
         rounds=sweep_rounds,

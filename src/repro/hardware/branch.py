@@ -127,9 +127,11 @@ class BranchPredictor(StateElement):
         return other
 
     def fingerprint(self) -> Hashable:
+        # BTB entries in FIFO order, oldest (the next victim) first:
+        # ``_btb`` keeps insertion order, which is ``_btb_order``.
         return (
             tuple(sorted(self._counters.items())),
-            tuple(sorted(self._btb.items())),
+            tuple(self._btb.items()),
             self._history,
         )
 

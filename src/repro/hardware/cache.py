@@ -13,6 +13,7 @@ replacement so that whole-system runs are reproducible.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -39,6 +40,8 @@ _READ = TouchKind.READ
 _WRITE = TouchKind.WRITE
 _EVICT = TouchKind.EVICT
 _FILL = TouchKind.FILL
+
+_by_stamp = operator.attrgetter("stamp")
 
 
 @dataclass(slots=True)
@@ -449,14 +452,37 @@ class Cache(StateElement):
             self._plru_bits = [0] * self.geometry.sets
         return FlushResult(cycles=cycles, lines_written_back=dirty)
 
+    def _fp_key(self) -> Hashable:
+        # An LRU hit makes its line the newest without bumping
+        # ``_fp_version`` (so ``access`` pays nothing for it); every
+        # access advances ``_tick``, so the memo keys on both.
+        return (self._fp_version, self._tick)
+
     def fingerprint(self) -> Hashable:
+        """Occupancy in the order that picks every future victim.
+
+        LRU and FIFO evict the oldest stamp, so each set lists its lines
+        oldest first.  Tree-PLRU walks its direction bits over way
+        positions, so each set lists its lines in way order, plus their
+        fill order when way quotas pick victims by stamp.  Each line
+        carries its way-quota owner.  Only the relative order is kept:
+        absolute stamps differ between histories that behave alike.
+        """
+        by_way = self._is_plru
+        fill_order = by_way and bool(self.way_quota)
         occupancy = []
         for set_index, lines in enumerate(self._sets):
             if lines:
-                pairs = [(line.tag, line.dirty) for line in lines]
-                if len(pairs) > 1:
-                    pairs.sort()
-                occupancy.append((set_index, tuple(pairs)))
+                if len(lines) > 1 and not by_way:
+                    lines = sorted(lines, key=_by_stamp)
+                entry = tuple(
+                    (line.tag, line.dirty, line.owner) for line in lines
+                )
+                if fill_order:
+                    entry = (entry, tuple(sorted(
+                        range(len(lines)), key=lambda way: lines[way].stamp
+                    )))
+                occupancy.append((set_index, entry))
         if any(self._plru_bits):
             plru = tuple(
                 (set_index, bits)

@@ -134,10 +134,11 @@ class StridePrefetcher(StateElement):
         return other
 
     def fingerprint(self) -> Hashable:
+        """Streams oldest first: the order that picks every future victim."""
         return tuple(
-            sorted(
-                (region, e.last_addr, e.stride, e.confidence)
-                for region, e in self._table.items()
+            (region, e.last_addr, e.stride, e.confidence)
+            for region, e in sorted(
+                self._table.items(), key=lambda item: item[1].stamp
             )
         )
 

@@ -246,11 +246,12 @@ class StateElement(abc.ABC):
         # abstract-model extraction reclassifies the element as UNMANAGED.
         self.concurrently_shared = scope is Scope.SHARED
         # Fingerprint memoisation: subclasses bump ``_fp_version`` on any
-        # mutation that can change ``fingerprint()`` (stamp-only updates
-        # are exempt).  ``cached_fingerprint`` then recomputes only when
-        # the element actually changed -- the model checker fingerprints
-        # every element after every transition, but a single transition
-        # mutates only the few elements it touched.
+        # mutation that can change ``fingerprint()``, or key the memo on
+        # more than the version (``_fp_key``).  ``cached_fingerprint``
+        # then recomputes only when the element actually changed -- the
+        # model checker fingerprints every element after every
+        # transition, but a single transition mutates only the few
+        # elements it touched.
         self._fp_version = 0
         self._fp_cache: Optional[tuple] = None
         self._fp_digest: Optional[tuple] = None
@@ -260,13 +261,18 @@ class StateElement(abc.ABC):
         if instr.recording:
             instr.touch(self.name, index, kind)
 
+    def _fp_key(self) -> Hashable:
+        """What the fingerprint memo is keyed on: the mutation version."""
+        return self._fp_version
+
     def cached_fingerprint(self) -> Hashable:
-        """``fingerprint()``, memoised against ``_fp_version``."""
+        """``fingerprint()``, memoised against ``_fp_key()``."""
+        key = self._fp_key()
         cache = self._fp_cache
-        if cache is not None and cache[0] == self._fp_version:
+        if cache is not None and cache[0] == key:
             return cache[1]
         fp = self.fingerprint()
-        self._fp_cache = (self._fp_version, fp)
+        self._fp_cache = (key, fp)
         return fp
 
     def cached_digest(self) -> bytes:
@@ -280,14 +286,15 @@ class StateElement(abc.ABC):
         scalars, for which equal values pickle to equal bytes, and the
         C encoder is several times faster than ``repr`` on them.
         """
+        key = self._fp_key()
         cache = self._fp_digest
-        if cache is not None and cache[0] == self._fp_version:
+        if cache is not None and cache[0] == key:
             return cache[1]
         digest = hashlib.blake2b(
             pickle.dumps(self.cached_fingerprint(), protocol=4),
             digest_size=16,
         ).digest()
-        self._fp_digest = (self._fp_version, digest)
+        self._fp_digest = (key, digest)
         return digest
 
     @abc.abstractmethod
@@ -299,8 +306,12 @@ class StateElement(abc.ABC):
         """Canonical digest of the element's full state.
 
         Used by the flush obligation (state after flush must equal the
-        reset state) and by the unwinding checker (Lo-equivalence of
-        hardware state across two runs).
+        reset state), by the unwinding checker (Lo-equivalence of
+        hardware state across two runs) and as the model checker's state
+        identity.  Two elements with equal fingerprints must behave the
+        same under every continuation, so the fingerprint carries
+        whatever picks the next victim (replacement order, owners), not
+        just what is resident.
         """
 
     @abc.abstractmethod

@@ -15,6 +15,7 @@ ASID-partitioning theorem of E12 is checked on top via instrumentation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
@@ -46,6 +47,8 @@ class TlbLookupResult:
 
 
 _MISS = TlbLookupResult(False)
+
+_by_stamp = operator.attrgetter("stamp")
 
 
 @dataclass(slots=True)
@@ -201,12 +204,16 @@ class Tlb(StateElement):
         self._fp_version += 1
         return FlushResult(cycles=self.flush_latency_cycles)
 
+    def _fp_key(self) -> Hashable:
+        # A hit refreshes its entry's stamp without bumping
+        # ``_fp_version``; every lookup advances ``_tick``.
+        return (self._fp_version, self._tick)
+
     def fingerprint(self) -> Hashable:
+        """Entries oldest first: the order that picks every future victim."""
         return tuple(
-            sorted(
-                (asid, vpage, entry.frame_number, entry.writable)
-                for (asid, vpage), entry in self._entries.items()
-            )
+            (entry.asid, entry.vpage, entry.frame_number, entry.writable)
+            for entry in sorted(self._entries.values(), key=_by_stamp)
         )
 
     def reset_fingerprint(self) -> Hashable:

@@ -2,8 +2,9 @@
 
 The checker exhaustively explores the reachable product state space of
 a small machine (the ``micro`` and ``tiny`` presets): product states
-are pairs of systems differing only in Hi's secret, stepped in lockstep
-through the real kernel/hardware transition function, with Lo-visible
+are pairs of systems differing only in Hi's secret, each stepped
+through the real kernel/hardware transition function (every system
+state once, however many secret pairs reach it), with Lo-visible
 equivalence and the Sect. 5.2 mechanism invariants verified on every
 transition.  Violations unwind into minimal, replayable counterexamples
 that the concrete two-run harness (``core/noninterference.py``)

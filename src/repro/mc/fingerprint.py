@@ -296,9 +296,14 @@ def state_fingerprint_incremental(kernel: Kernel, observer: str = "Lo") -> str:
     return hashlib.blake2b(doc, digest_size=DIGEST_SIZE).hexdigest()
 
 
-def product_fingerprint(fp_a: str, fp_b: str) -> str:
-    """Digest of a product state; the pair is unordered (swap symmetry)."""
+def product_fingerprint(fp_a: str, fp_b: str, irq_budget: int) -> str:
+    """Digest of a product state: its two system digests and IRQ budget.
+
+    The pair is unordered (swap symmetry).  The budget left bounds which
+    injections are still possible, so two pairs of equal systems with
+    different budgets have different futures.
+    """
     low, high = (fp_a, fp_b) if fp_a <= fp_b else (fp_b, fp_a)
     return hashlib.blake2b(
-        (low + ":" + high).encode(), digest_size=DIGEST_SIZE
+        f"{low}:{high}:{irq_budget}".encode(), digest_size=DIGEST_SIZE
     ).hexdigest()

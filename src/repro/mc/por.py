@@ -15,7 +15,8 @@ path itself is line-blind: ``Kernel._handle_irq`` touches the same
 handler code lines and kernel data words whatever the line number (the
 SC-1 footprint capture confirms this: case-"1"/"2a"/"2b" footprints
 never contain a line-number-dependent address).  Hence if two lines
-have identical *signatures* in a product state --
+have identical *signatures* in a product state (:func:`line_signatures`
+reads one side's half, which a system node keeps) --
 
 * the same owner under the IRQ partition policy (this fixes all future
   masking behaviour), and
@@ -37,34 +38,43 @@ untouched, which the differential tests pin.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from .product import ProductState
+from ..kernel.kernel import Kernel
 from .spec import McSpec
 
 
-def _line_signature(state: ProductState, line: int) -> Tuple:
-    """Everything that distinguishes ``line`` from its siblings."""
-    irq_a = state.kernel_a.machine.cores[0].irq
-    irq_b = state.kernel_b.machine.cores[0].irq
-    return (
-        state.kernel_a.irq_policy.owner_of(line),
-        line in irq_a._masked,
-        line in irq_b._masked,
-        line in irq_a.pending_lines(),
-        line in irq_b.pending_lines(),
-        irq_a.delivered_count.get(line, 0),
-        irq_b.delivered_count.get(line, 0),
-    )
+def line_signatures(kernel: Kernel, spec: McSpec) -> Dict[int, Tuple]:
+    """Each injectable line's signature on one side of the product.
+
+    Everything that distinguishes a line from its siblings: its owner
+    under the IRQ partition policy, and this side's masked status,
+    pending status and delivered count.  A pair's signature for a line
+    is the two sides' signatures together.
+    """
+    irq = kernel.machine.cores[0].irq
+    pending = irq.pending_lines()
+    return {
+        line: (
+            kernel.irq_policy.owner_of(line),
+            line in irq._masked,
+            line in pending,
+            irq.delivered_count.get(line, 0),
+        )
+        for line in spec.irq_lines
+    }
 
 
 def reduce_choices(
-    state: ProductState, choices: List[Tuple], spec: McSpec,
+    choices: List[Tuple],
+    signatures_a: Dict[int, Tuple],
+    signatures_b: Dict[int, Tuple],
 ) -> Tuple[List[Tuple], int]:
     """Collapse symmetric ``irq(line)`` choices; returns (kept, pruned).
 
     Keeps every non-IRQ choice, and for each signature class of lines
-    the lowest-numbered representative.
+    the lowest-numbered representative.  ``signatures_a`` and
+    ``signatures_b`` are the two sides' :func:`line_signatures`.
     """
     if len(choices) <= 2:
         return choices, 0
@@ -75,7 +85,8 @@ def reduce_choices(
         if choice[0] != "irq":
             kept.append(choice)
             continue
-        signature = _line_signature(state, choice[1])
+        line = choice[1]
+        signature = (signatures_a[line], signatures_b[line])
         if signature in seen_signatures:
             pruned += 1
             continue

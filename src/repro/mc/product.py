@@ -1,9 +1,17 @@
-"""The product construction: lockstep pairs and per-transition checks.
+"""The product construction: pairs of systems and per-transition checks.
 
 A *product state* is a pair of whole systems built identically except
 for Hi's secret.  Each abstract choice (a kernel step, or an IRQ raised
 now) is concretised on both sides; noninterference says everything Lo
 can observe must then stay equal across the pair forever.
+
+The explorer keeps each side as a system node that is stepped once
+whichever pairs reach it (``explorer.py``), so the checks here work on
+what a node keeps: its Lo view (:func:`lo_view`) for the cross-pair
+checks, and per-side violations computed once per system transition
+(:func:`check_side`).  :class:`ProductState` steps a pair of live
+kernels in lockstep through the same checks; it is the reference the
+explorer is pinned to in ``tests/mc/``.
 
 The comparison is over **Lo-visible prefixes**, never raw step indices:
 under full protection Hi legitimately executes a secret-dependent
@@ -160,9 +168,30 @@ def _cached_lo_cases(kernel: Kernel) -> Tuple[str, ...]:
     return acc
 
 
+def lo_view(kernel: Kernel) -> Tuple[Tuple, Tuple, Tuple]:
+    """What the cross-pair checks read of one side.
+
+    Lo's observation trace, its projection and its case labels, each
+    built by the prefix-memoised helpers above.  The kernel must record
+    :data:`MC_EVIDENCE`, as :func:`build_system` declares.
+    """
+    kernel.require_evidence(MC_EVIDENCE, "the mc pair check")
+    return (
+        _cached_obs_trace(kernel),
+        _cached_projection(kernel),
+        _cached_lo_cases(kernel),
+    )
+
+
 def _check_pair(
     kernel_a: Kernel, kernel_b: Kernel, cursors: List[int],
 ) -> List[McViolation]:
+    """Cross-pair checks (a) and (b) of two live kernels."""
+    return compare_lo_views(lo_view(kernel_a), lo_view(kernel_b), cursors)
+
+
+def compare_lo_views(view_a: Tuple, view_b: Tuple,
+                     cursors: List[int]) -> List[McViolation]:
     """Cross-pair checks (a) and (b) over Lo-visible prefixes.
 
     ``cursors`` is the product state's [obs, projection, cases] prefix
@@ -172,16 +201,13 @@ def _check_pair(
     suffix needs comparing.  The built traces are memoised per kernel
     too, so each transition pays only for its appended suffix instead of
     rebuilding O(path)-long lists.  Reported divergence indices are
-    absolute, as a full-prefix comparison would report them.  Both sides
-    must record :data:`MC_EVIDENCE`, as :func:`build_system` declares.
+    absolute, as a full-prefix comparison would report them.
     """
-    kernel_a.require_evidence(MC_EVIDENCE, "the mc pair check")
-    kernel_b.require_evidence(MC_EVIDENCE, "the mc pair check")
     violations: List[McViolation] = []
     obs_from, proj_from, case_from = cursors
+    trace_a, projection_a, cases_a = view_a
+    trace_b, projection_b, cases_b = view_b
 
-    trace_a = _cached_obs_trace(kernel_a)
-    trace_b = _cached_obs_trace(kernel_b)
     common = min(len(trace_a), len(trace_b))
     divergence = trace_divergence(
         trace_a[obs_from:common], trace_b[obs_from:common]
@@ -200,8 +226,6 @@ def _check_pair(
     else:
         cursors[0] = common
 
-    projection_a = _cached_projection(kernel_a)
-    projection_b = _cached_projection(kernel_b)
     proj_common = min(len(projection_a), len(projection_b))
     for index in range(proj_from, proj_common):
         if projection_a[index] != projection_b[index]:
@@ -219,8 +243,6 @@ def _check_pair(
     else:
         cursors[1] = proj_common
 
-    cases_a = _cached_lo_cases(kernel_a)
-    cases_b = _cached_lo_cases(kernel_b)
     case_common = min(len(cases_a), len(cases_b))
     for index in range(case_from, case_common):
         if cases_a[index] != cases_b[index]:
@@ -240,10 +262,15 @@ def _check_pair(
     return violations
 
 
-def _check_side(kernel: Kernel, side: str,
-                first_new_switch: int) -> List[McViolation]:
-    """Per-side mechanism invariants (c) on newly produced switch records."""
-    violations: List[McViolation] = []
+def check_side(kernel: Kernel,
+               first_new_switch: int) -> List[Tuple[str, str]]:
+    """Per-side mechanism invariants (c) on newly produced switch records.
+
+    Returns ``(kind, detail)`` pairs; :func:`sided` names the side.  A
+    side's checks read only its own system, so the explorer runs them
+    once per system transition, whichever pairs take it.
+    """
+    violations: List[Tuple[str, str]] = []
     new_records = kernel.switch_records[first_new_switch:]
 
     if kernel.tp.flush_on_switch:
@@ -256,23 +283,19 @@ def _check_side(kernel: Kernel, side: str,
             }
             missing = expected - set(record.flushed_elements)
             if missing:
-                violations.append(McViolation(
-                    kind="flush-reset",
-                    detail=(
-                        f"switch #{number}: elements not flushed: "
-                        f"{sorted(missing)}"
-                    ),
-                    side=side,
+                violations.append((
+                    "flush-reset",
+                    f"switch #{number}: elements not flushed: "
+                    f"{sorted(missing)}",
                 ))
                 continue
             for name in sorted(record.flushed_elements):
                 post = record.post_flush_fingerprints.get(name)
                 reset = record.reset_fingerprints.get(name)
                 if post != reset:
-                    violations.append(McViolation(
-                        kind="flush-reset",
-                        detail=f"switch #{number}: {name} not reset by flush",
-                        side=side,
+                    violations.append((
+                        "flush-reset",
+                        f"switch #{number}: {name} not reset by flush",
                     ))
 
     if kernel.tp.pad_switch:
@@ -284,38 +307,35 @@ def _check_side(kernel: Kernel, side: str,
                 if from_domain is not None else None
             )
             if record.pad_target != expected_target:
-                violations.append(McViolation(
-                    kind="pad-constant",
-                    detail=(
-                        f"switch #{number}: pad target {record.pad_target} "
-                        f"!= schedule + pad {expected_target}"
-                    ),
-                    side=side,
+                violations.append((
+                    "pad-constant",
+                    f"switch #{number}: pad target {record.pad_target} "
+                    f"!= schedule + pad {expected_target}",
                 ))
             elif record.overrun or record.released_at != record.pad_target:
-                violations.append(McViolation(
-                    kind="pad-constant",
-                    detail=(
-                        f"switch #{number}: released at {record.released_at}, "
-                        f"pad target {record.pad_target} (overrun: padding "
-                        f"insufficient)"
-                    ),
-                    side=side,
+                violations.append((
+                    "pad-constant",
+                    f"switch #{number}: released at {record.released_at}, "
+                    f"pad target {record.pad_target} (overrun: padding "
+                    f"insufficient)",
                 ))
 
     if kernel.tp.cache_colouring and new_records:
         # The touch log is cumulative; re-audit only when a switch just
         # happened (the boundary at which partitioning must hold).
         for violation in check_partition_touches(kernel):
-            violations.append(McViolation(
-                kind="partition", detail=str(violation), side=side,
-            ))
+            violations.append(("partition", str(violation)))
 
     return violations
 
 
+def sided(found: List[Tuple[str, str]], side: str) -> List[McViolation]:
+    """:func:`check_side` results as violations of one side."""
+    return [McViolation(kind, detail, side) for kind, detail in found]
+
+
 class ProductState:
-    """A pair of systems, equal but for the secret, stepped in lockstep."""
+    """A pair of live systems, equal but for the secret, stepped in lockstep."""
 
     __slots__ = ("kernel_a", "kernel_b", "secret_a", "secret_b", "irq_budget",
                  "check_cursors")
@@ -329,7 +349,7 @@ class ProductState:
         self.secret_b = secret_b
         self.irq_budget = irq_budget
         # Checked-prefix positions [observations, projection, lo-cases];
-        # see _check_pair.  Inherited by clones: a clone's history *is*
+        # see compare_lo_views.  Inherited by clones: a clone's history *is*
         # its parent's history.
         self.check_cursors = (
             check_cursors if check_cursors is not None else [0, 0, 0]
@@ -380,8 +400,8 @@ class ProductState:
         """Pre-transition marks (switch-record counts) for finish_apply.
 
         ``begin_apply`` / step-the-kernels / ``finish_apply`` is the
-        decomposed form of :meth:`apply`; the serial explorer uses it to
-        time stepping and checking as separate ``--profile`` phases.
+        decomposed form of :meth:`apply`, so a lockstep explorer can time
+        stepping and checking as separate phases.
         """
         return (
             len(self.kernel_a.switch_records),
@@ -395,12 +415,13 @@ class ProductState:
             self.irq_budget -= 1
         violations = _check_pair(
             self.kernel_a, self.kernel_b, self.check_cursors)
-        violations.extend(_check_side(self.kernel_a, "a", marks[0]))
-        violations.extend(_check_side(self.kernel_b, "b", marks[1]))
+        violations.extend(sided(check_side(self.kernel_a, marks[0]), "a"))
+        violations.extend(sided(check_side(self.kernel_b, marks[1]), "b"))
         return violations
 
     def fingerprint(self) -> str:
         return product_fingerprint(
             state_fingerprint_incremental(self.kernel_a, OBSERVER),
             state_fingerprint_incremental(self.kernel_b, OBSERVER),
+            self.irq_budget,
         )

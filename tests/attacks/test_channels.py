@@ -125,6 +125,15 @@ class TestEventTiming:
         )
         assert result.capacity_bits() < CLOSED_BITS
 
+    def test_label_names_each_mechanism_once(self):
+        tp = TimeProtectionConfig.full(padded_ipc=True)
+        result = event_timing.experiment(
+            tp, presets.tiny_machine, symbols=[0, 8], messages_per_run=2
+        )
+        mechanisms = result.tp_label.removeprefix("TP:").split(",")
+        assert mechanisms == list(tp.enabled_mechanisms())
+        assert "padded_ipc" in mechanisms
+
     def test_switch_padding_alone_does_not_close_it(self):
         # The E1 channel is in the *delivery time*, not the switch cost:
         # full TP without padded IPC still leaks.

@@ -27,7 +27,7 @@ from repro.core import audit, check_all, check_unwinding
 from repro.core.noninterference import compare_finished_runs
 from repro.hardware import Evidence, Instrumentation
 from repro.kernel import Kernel, TimeProtectionConfig
-from repro.mc import McSpec, ProductState, build_system
+from repro.mc import McSpec, ModelChecker, ProductState, build_system, explorer
 from repro.mc.spec import STEP
 
 from tests.conftest import MAX_CYCLES, boot_two_domain_system
@@ -149,6 +149,18 @@ def _mc_pair_check():
     ProductState(sides[0], sides[1], 0, 1, irq_budget=0).apply(STEP, spec)
 
 
+def _mc_explorer():
+    # The explorer's own path: roots built without MC_EVIDENCE.
+    def undeclared(spec, secret):
+        kernel = build_system(spec, secret)
+        kernel.declare(Evidence())
+        return kernel
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explorer, "build_system", undeclared)
+        ModelChecker(McSpec.for_machine("micro", "full", secrets=(0, 1))).run()
+
+
 READERS = {
     "check_all": lambda: check_all(_undeclared_run()),
     "check_unwinding": lambda: check_unwinding(_undeclared_run(), "Lo"),
@@ -158,6 +170,7 @@ READERS = {
         compare_hardware=True,
     ),
     "mc_pair_check": _mc_pair_check,
+    "mc_explorer": _mc_explorer,
 }
 
 

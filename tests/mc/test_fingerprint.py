@@ -9,6 +9,7 @@ from repro.kernel import Kernel
 from repro.kernel.objects import ReplayableProgram
 from repro.mc import (
     McSpec,
+    ProductState,
     build_system,
     product_fingerprint,
     state_fingerprint_incremental,
@@ -106,11 +107,26 @@ class TestSymmetry:
         fp_a = "0" * 32
         fp_b = "f" * 32
         assert (
-            product_fingerprint(fp_a, fp_b)
-            == product_fingerprint(fp_b, fp_a)
+            product_fingerprint(fp_a, fp_b, 1)
+            == product_fingerprint(fp_b, fp_a, 1)
         )
-        assert product_fingerprint(fp_a, fp_b) != product_fingerprint(
-            fp_a, fp_a)
+        assert product_fingerprint(fp_a, fp_b, 1) != product_fingerprint(
+            fp_a, fp_a, 1)
+
+    def test_irq_budget_distinguishes_product_states(self):
+        # The budget left bounds which injections are still possible,
+        # so it is part of the product identity.
+        spec = _spec(irq_budget=1)
+        state = ProductState.initial(spec, 0, 1)
+        spent = state.clone()
+        spent.irq_budget -= 1
+        assert (
+            state_fingerprint_incremental(state.kernel_a)
+            == state_fingerprint_incremental(spent.kernel_a)
+        )
+        assert state.fingerprint() != spent.fingerprint()
+        assert product_fingerprint("0" * 32, "f" * 32, 1) != (
+            product_fingerprint("0" * 32, "f" * 32, 0))
 
     def test_colour_ids_are_canonicalised(self):
         # Concrete colour ids are allocator accidents; the canonical

@@ -1,39 +1,75 @@
-"""Differential tests for the scaled explorer: its built-in reductions
-(POR, incremental fingerprints, the hand-rolled clone) must preserve
-the exact explorer's verdicts bit-for-bit on the configurations they
-are sound for.
+"""Differential tests for the explorer.
 
-The exact oracle (``oracle.exact_explorer``) runs the same BFS loop with
-full-prefix checks, repr-based fingerprints, deepcopy clones and no
-reductions installed over the product path.
+Two references pin it:
+
+* the lockstep reference explorer (``oracle.ReferenceChecker``), which
+  steps a live pair of kernels for every product state and every secret
+  pair, must render the same JSON report as the explorer, which steps
+  each system state once and shares it between pairs;
+* the exact oracle (``oracle.exact_explorer``) runs the reference loop
+  with full-prefix checks, repr-based fingerprints, deepcopy clones and
+  no reductions; its verdicts must match the explorer's bit for bit on
+  the configurations the reductions are sound for.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mc import McSpec, ModelChecker, ProductState
+from repro.mc import McSpec, ModelChecker, ProductState, render_json
 
 from .oracle import (
+    ReferenceChecker,
     check_pair_full,
     deepcopy_clone,
     exact_explorer,
     exact_fingerprint,
     keep_every_choice,
+    run_reference,
     without_por,
 )
 
 #: Every TP config the differential matrix pins, passing and failing.
 TP_MATRIX = ("full", "no-pad", "no-colour", "no-flush", "none")
 
+#: The ``mc_exhaustive`` benchmark input: tiny, four secrets, budget 2.
+EXHAUSTIVE = dict(machine="tiny", secrets=(0, 1, 2, 3), irq_budget=2)
+
+#: (id, machine, tp, spec overrides): the configurations on which the
+#: explorer's JSON report must equal the reference's.  Secrets are 0,1
+#: unless stated.
+REFERENCE_MATRIX = (
+    *((f"micro-{tp}", "micro", tp, {}) for tp in TP_MATRIX),
+    ("micro-full-default-secrets", "micro", "full", {"secrets": (0, 1, 2)}),
+    ("micro-no-pad-default-secrets", "micro", "no-pad",
+     {"secrets": (0, 1, 2)}),
+    *((f"tiny-{tp}", "tiny", tp, {})
+      for tp in ("full", "no-pad", "no-flush", "way")),
+    ("tiny-full-lines-123", "tiny", "full", {"irq_lines": (1, 2, 3)}),
+    ("micro-full-lines-123-budget-2", "micro", "full",
+     {"irq_lines": (1, 2, 3), "irq_budget": 2}),
+    ("micro-full-depth-3", "micro", "full", {"depth": 3}),
+    ("micro-full-max-states-10", "micro", "full", {"max_states": 10}),
+    ("pocket-full", "pocket", "full", {}),
+)
+
+#: The heavier rows of the matrix: the ``mc_exhaustive`` input.
+EXHAUSTIVE_MATRIX = (
+    ("exhaustive-full", "full", {}),
+    ("exhaustive-no-pad", "no-pad", {}),
+    ("exhaustive-full-max-states-3000", "full", {"max_states": 3000}),
+)
+
 
 def run(machine, tp, profile=False, **overrides):
-    spec = McSpec.for_machine(machine, tp, secrets=(0, 1), **overrides)
+    overrides.setdefault("secrets", (0, 1))
+    spec = McSpec.for_machine(machine, tp, **overrides)
     return ModelChecker(spec, profile=profile).run()
 
 
 def run_exact(machine, tp, **overrides):
+    overrides.setdefault("secrets", (0, 1))
     with exact_explorer():
-        return run(machine, tp, **overrides)
+        return run_reference(McSpec.for_machine(machine, tp, **overrides))
 
 
 def run_without_por(machine, tp, **overrides):
@@ -56,6 +92,14 @@ def verdict_signature(report):
     )
 
 
+def assert_matches_reference(machine, tp, **overrides):
+    overrides.setdefault("secrets", (0, 1))
+    spec = McSpec.for_machine(machine, tp, **overrides)
+    assert render_json(ModelChecker(spec).run()) == render_json(
+        run_reference(spec)
+    )
+
+
 class TestOracle:
     def test_exact_explorer_replaces_every_reduction(self):
         from repro.mc import explorer, product
@@ -70,6 +114,57 @@ class TestOracle:
             assert state.fingerprint() == exact_fingerprint(state)
             assert state.fingerprint() != product_digest
         assert state.fingerprint() == product_digest
+
+
+class TestReferenceExplorer:
+    @pytest.mark.parametrize(
+        "machine,tp,overrides",
+        [row[1:] for row in REFERENCE_MATRIX],
+        ids=[row[0] for row in REFERENCE_MATRIX],
+    )
+    def test_json_matches_reference(self, machine, tp, overrides):
+        assert_matches_reference(machine, tp, **overrides)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "tp,overrides",
+        [row[1:] for row in EXHAUSTIVE_MATRIX],
+        ids=[row[0] for row in EXHAUSTIVE_MATRIX],
+    )
+    def test_exhaustive_input_matches_reference(self, tp, overrides):
+        assert_matches_reference(tp=tp, **EXHAUSTIVE, **overrides)
+
+    def test_each_system_is_built_and_stepped_once(self, monkeypatch):
+        # Three secrets make three pairs.  The reference builds and
+        # steps each secret's system once per pair it belongs to; the
+        # explorer builds it once and steps each system state once.
+        from repro.mc import explorer, product, spec as spec_module
+
+        from . import oracle
+
+        counts = {"built": 0, "steps": 0}
+        build, step = spec_module.build_system, spec_module.apply_choice
+
+        def counted_build(*args):
+            counts["built"] += 1
+            return build(*args)
+
+        def counted_step(*args):
+            counts["steps"] += 1
+            return step(*args)
+
+        for module in (explorer, product, oracle):
+            for name, counted in (("build_system", counted_build),
+                                  ("apply_choice", counted_step)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        spec = McSpec.for_machine("micro", "full", secrets=(0, 1, 2))
+        ModelChecker(spec).run()
+        mine = dict(counts)
+        counts.update(built=0, steps=0)
+        run_reference(spec)
+        assert mine["built"] == 3 and counts["built"] == 6
+        assert mine["steps"] < counts["steps"] / 2, (mine, counts)
 
 
 class TestDifferentialMicro:
@@ -152,7 +247,7 @@ class TestHypothesisDifferential:
     def test_random_secrets_match_exact(self, secret_b):
         spec = McSpec.for_machine("micro", "full", secrets=(0, secret_b))
         with exact_explorer():
-            exact = ModelChecker(spec).run()
+            exact = ReferenceChecker(spec).run()
         fast = ModelChecker(spec).run()
         assert verdict_signature(fast) == verdict_signature(exact)
 
@@ -163,6 +258,6 @@ class TestHypothesisDifferential:
             "micro", "full", secrets=(0, 1), irq_budget=irq_budget
         )
         with exact_explorer():
-            exact = ModelChecker(spec).run()
+            exact = ReferenceChecker(spec).run()
         fast = ModelChecker(spec).run()
         assert verdict_signature(fast) == verdict_signature(exact)
