@@ -67,7 +67,7 @@ def experiment(
         kernel = Kernel(machine, tp)
         hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
         lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
-        kernel.create_thread(hi, branch_trojan, params={"bit": bit})
+        kernel.create_thread(hi, branch_trojan, params={"bit": bit}, daemon=True)
         results: List[int] = []
         # A mispredicted run pays the penalty on most of the probe
         # branches; half the total penalty cleanly separates the cases.

@@ -91,6 +91,7 @@ def experiment(
                 "endpoint_id": endpoint.endpoint_id,
                 "messages": messages_per_run,
             },
+            daemon=True,
         )
         results: List[int] = []
         kernel.create_thread(

@@ -85,7 +85,7 @@ def experiment(
         kernel = Kernel(machine, tp)
         hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
         lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
-        kernel.create_thread(hi, victim, params={"bit": bit})
+        kernel.create_thread(hi, victim, params={"bit": bit}, daemon=True)
         results: List[int] = []
         config = machine.config
         # A reload that hits the LLC is clearly below this; a DRAM miss

@@ -88,7 +88,9 @@ def experiment(
             core_id=0,
             params={"results": results, "rounds": rounds_per_run},
         )
-        kernel.create_thread(hi, bandwidth_trojan, core_id=1, params={"bit": bit})
+        kernel.create_thread(
+            hi, bandwidth_trojan, core_id=1, params={"bit": bit}, daemon=True
+        )
         kernel.set_schedule(0, [(lo, None)])
         kernel.set_schedule(1, [(hi, None)])
         kernel.run(max_cycles=rounds_per_run * 120_000)

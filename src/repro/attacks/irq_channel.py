@@ -99,6 +99,7 @@ def experiment(
                 "hi_slice": _HI_SLICE,
                 "switch_estimate": switch_estimate,
             },
+            daemon=True,
         )
         results: List[int] = []
         # A quiet ReadTime-to-ReadTime step is ~a dozen cycles; even a

@@ -81,7 +81,9 @@ def experiment(
         kernel = Kernel(machine, tp)
         hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
         lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
-        kernel.create_thread(hi, wss_victim, params={"symbol": symbol}, data_pages=12)
+        kernel.create_thread(
+            hi, wss_victim, params={"symbol": symbol}, data_pages=12, daemon=True
+        )
         results: List[int] = []
         kernel.create_thread(
             lo,

@@ -137,7 +137,8 @@ def l1_experiment(
         hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=hi_slice)
         lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=lo_slice)
         kernel.create_thread(
-            hi, l1_trojan, params={"symbol": symbol}, data_pages=geometry.ways
+            hi, l1_trojan, params={"symbol": symbol},
+            data_pages=geometry.ways, daemon=True,
         )
         results: List[int] = []
         kernel.create_thread(
@@ -301,6 +302,7 @@ def llc_experiment(
             core_id=1,
             data_pages=buffer_pages,
             params={"symbol": symbol, "n_colours": n_colours},
+            daemon=True,
         )
         kernel.set_schedule(0, [(lo, None)])
         kernel.set_schedule(1, [(hi, None)])

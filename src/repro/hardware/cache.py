@@ -219,9 +219,11 @@ class Cache(StateElement):
         if self._is_lru:
             # LRU (the default policy) needs no way index on a hit, so it
             # skips the enumerate machinery of the general loop below.
-            # A read hit only refreshes the LRU stamp, which the
-            # fingerprint does not observe, so the fingerprint version is
-            # bumped only when a hit dirties a clean line.
+            # A hit refreshes the LRU stamp, which reorders the set in the
+            # fingerprint (each set is listed oldest first).  It does not
+            # bump the fingerprint version: the memo also keys on
+            # ``_tick``, which every access advances (``_fp_key``).  The
+            # version is bumped only when a hit dirties a clean line.
             for line in lines:
                 if line.tag == tag:
                     line.stamp = tick

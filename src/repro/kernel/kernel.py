@@ -11,7 +11,8 @@ protection (Ge et al. [2019], as summarised in Sect. 4.2 of the paper):
   coloured address spaces, with the domain's kernel text also mapped
   read-only (the "shared text" surface that Flush+Reload attacks);
 * the run loop interleaves cores in global-time order, executing user
-  instructions, syscalls, interrupt deliveries and padded domain switches.
+  instructions, syscalls, interrupt deliveries and padded domain switches,
+  until the cycle horizon or until every non-daemon thread has finished.
   Every run keeps per-domain observation traces, switch records and
   interrupt delivery records; the proof evidence on top of them (touch
   sets, the case log, footprints, switch snapshots) is recorded only as
@@ -150,7 +151,7 @@ class Kernel:
         self._current_tcb: Dict[int, Optional[Tcb]] = {}
         self._next_domain_id = 1
         self._thread_counter = 0
-        # Thread-list snapshot for the per-step all-finished check,
+        # Non-daemon thread snapshot for the all-finished check,
         # invalidated by ``_thread_counter`` whenever a thread is created.
         self._threads_snapshot: Tuple[Tcb, ...] = ()
         self._threads_version = -1
@@ -232,12 +233,19 @@ class Kernel:
         code_pages: int = 1,
         params: Optional[dict] = None,
         name: Optional[str] = None,
+        daemon: bool = False,
     ) -> Tcb:
         """Create a thread running ``program_factory(ctx)`` in ``domain``.
 
         The thread gets a coloured address space with a code region, a
         private data buffer, and the domain's kernel text mapped
         read-only at ``KTEXT_BASE``.
+
+        A ``daemon`` thread does not keep the run alive: :meth:`run`
+        ends as soon as every non-daemon thread has finished.  Mark a
+        program daemon where it is written to loop forever and no
+        observer waits on its end, such as an attack's Hi trojan, whose
+        channel is over once the Lo spy has taken its last sample.
         """
         page_size = self.machine.page_size
         colours = domain.colours if self.tp.cache_colouring else None
@@ -273,6 +281,7 @@ class Kernel:
             core_id=core_id,
             code_base=CODE_BASE,
             code_size=code_pages * page_size,
+            daemon=daemon,
         )
         domain.threads.append(tcb)
         return tcb
@@ -428,6 +437,7 @@ class Kernel:
                     blocked_on_endpoint=tcb.blocked_on_endpoint,
                     wake_time=tcb.wake_time,
                     steps_executed=tcb.steps_executed,
+                    daemon=tcb.daemon,
                 )
                 tcb_map[tcb.name] = tclone
                 dclone.threads.append(tclone)
@@ -524,7 +534,16 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def run(self, max_cycles: int, max_steps: int = 50_000_000) -> None:
-        """Run all scheduled cores in global time order until ``max_cycles``."""
+        """Run all scheduled cores in global time order.
+
+        The run ends at the first of three events: every scheduled
+        core's clock reaches ``max_cycles``; ``max_steps`` steps have
+        run; or every non-daemon thread is DONE or FAULTED
+        (``create_thread(daemon=)``).  Daemon threads never end a run
+        early.  A system with no non-daemon thread therefore runs to
+        ``max_cycles``, which is also what a system with no threads at
+        all does.
+        """
         cores = [
             self.machine.cores[core_id]
             for core_id in self.scheduler.scheduled_cores()
@@ -567,8 +586,15 @@ class Kernel:
         self.total_steps += steps
 
     def _all_threads_finished(self) -> bool:
+        """True once every non-daemon thread is DONE or FAULTED.
+
+        False while there is no non-daemon thread at all, so a
+        daemon-only system runs to its horizon.
+        """
         if self._threads_version != self._thread_counter:
-            self._threads_snapshot = tuple(self.all_threads())
+            self._threads_snapshot = tuple(
+                tcb for tcb in self.all_threads() if not tcb.daemon
+            )
             self._threads_version = self._thread_counter
         threads = self._threads_snapshot
         if not threads:

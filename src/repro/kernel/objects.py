@@ -156,6 +156,10 @@ class Tcb:
     blocked_on_endpoint: Optional[int] = None
     wake_time: Optional[int] = None
     steps_executed: int = 0
+    # A daemon thread does not keep the run alive: ``Kernel.run`` ends
+    # once every non-daemon thread has finished.  Fixed at creation
+    # (``Kernel.create_thread(daemon=...)``).
+    daemon: bool = False
 
     def runnable(self, now: int) -> bool:
         if self.state is not ThreadState.READY:

@@ -84,6 +84,7 @@ def experiment(
             data_pages=(
                 hi_data_pages if hi_data_pages is not None else geometry.ways
             ),
+            daemon=True,
         )
         # The genome's decoder appends one observation per round here.
         results: List[Hashable] = []

@@ -89,10 +89,6 @@ class TestRunLoop:
         assert tcb.steps_executed == 6  # 5 computes + halt
 
     def test_run_stops_at_max_cycles(self):
-        def forever(ctx):
-            while True:
-                yield Compute(10)
-
         machine = presets.tiny_machine()
         kernel = Kernel(machine)
         domain = kernel.create_domain("A", n_colours=2)
@@ -155,6 +151,57 @@ class TestRunLoop:
         kernel.set_schedule(0, [(domain, None)])
         kernel.run(max_cycles=100_000)
         assert kernel.observation_trace("A") == []
+
+
+def forever(ctx):
+    while True:
+        yield Compute(10)
+
+
+class TestDaemonThreads:
+    """``create_thread(daemon=True)``: a thread that never ends a run."""
+
+    @staticmethod
+    def _two_domains(daemon):
+        machine = presets.tiny_machine()
+        kernel = Kernel(machine)
+        hi = kernel.create_domain("Hi", n_colours=2)
+        lo = kernel.create_domain("Lo", n_colours=2)
+        trojan = kernel.create_thread(hi, forever, daemon=daemon)
+        spy = kernel.create_thread(lo, simple_counter, params={"n": 5})
+        kernel.set_schedule(0, [(hi, None), (lo, None)])
+        return machine, kernel, trojan, spy
+
+    def test_run_ends_when_last_non_daemon_thread_finishes(self):
+        machine, kernel, trojan, spy = self._two_domains(daemon=True)
+        kernel.run(max_cycles=500_000)
+        assert trojan.daemon and not spy.daemon
+        assert spy.state is ThreadState.DONE
+        assert trojan.state is ThreadState.READY
+        # The spy halts in its first slice, after one Hi slice and one
+        # padded switch: far short of the horizon.
+        assert machine.cores[0].clock.now < 50_000
+
+    def test_non_daemon_trojan_holds_the_run_to_max_cycles(self):
+        machine, kernel, trojan, spy = self._two_domains(daemon=False)
+        kernel.run(max_cycles=500_000)
+        assert spy.state is ThreadState.DONE
+        assert machine.cores[0].clock.now >= 500_000
+
+    @pytest.mark.parametrize("program", [forever, simple_counter])
+    def test_all_daemon_run_reaches_max_cycles(self, program):
+        machine = presets.tiny_machine()
+        kernel = Kernel(machine)
+        domain = kernel.create_domain("A", n_colours=2)
+        kernel.create_thread(domain, program, daemon=True)
+        kernel.set_schedule(0, [(domain, None)])
+        kernel.run(max_cycles=50_000)
+        assert machine.cores[0].clock.now >= 50_000
+
+    def test_daemon_is_off_by_default(self):
+        kernel = Kernel(presets.tiny_machine())
+        domain = kernel.create_domain("A", n_colours=2)
+        assert kernel.create_thread(domain, simple_counter).daemon is False
 
 
 class TestIpcThroughSyscalls:

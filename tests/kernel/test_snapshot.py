@@ -59,6 +59,25 @@ class TestSnapshot:
         assert state_fingerprint(clone) == state_fingerprint(kernel)
         assert state_fingerprint(clone) == state_fingerprint(deep)
 
+    def test_clone_keeps_the_daemon_flag(self):
+        from repro.campaign.registry import MACHINES, TP_CONFIGS
+        from repro.kernel import Kernel
+
+        def step_fn(ctx, index, observation):
+            return Compute(5)
+
+        kernel = Kernel(
+            MACHINES["micro"](), TP_CONFIGS["full"](), kernel_image_pages=8)
+        hi = kernel.create_domain("Hi", n_colours=1)
+        lo = kernel.create_domain("Lo", n_colours=1)
+        factory = ReplayableProgram.factory(step_fn)
+        kernel.create_thread(hi, factory, data_pages=1, daemon=True)
+        kernel.create_thread(lo, factory, data_pages=1)
+        clone = kernel.clone_for_mc()
+        assert [(t.name, t.daemon) for t in clone.all_threads()] == [
+            (t.name, t.daemon) for t in kernel.all_threads()
+        ] == [("Hi.t1", True), ("Lo.t2", False)]
+
     def test_raw_generator_programs_are_rejected_with_guidance(self):
         from repro.campaign.registry import MACHINES, TP_CONFIGS
         from repro.kernel import Kernel
