@@ -8,7 +8,7 @@ proof layer can reason about *dependence* rather than absolute time.
 """
 
 from .branch import BranchPredictor, PredictResult
-from .cache import AccessResult, Cache, CacheLine, LatencyParams, ReplacementPolicy
+from .cache import AccessResult, Cache, LatencyParams, ReplacementPolicy
 from .clock import CycleClock
 from .cpu import Core, LatencyConfig, StepResult, Trap, TrapKind, INSTRUCTION_BYTES
 from .geometry import CacheGeometry, TlbGeometry, colour_of_frame
@@ -53,7 +53,6 @@ __all__ = [
     "BranchPredictor",
     "Cache",
     "CacheGeometry",
-    "CacheLine",
     "Compute",
     "Core",
     "CycleClock",

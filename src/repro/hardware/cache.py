@@ -13,7 +13,6 @@ replacement so that whole-system runs are reproducible.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -41,27 +40,21 @@ _WRITE = TouchKind.WRITE
 _EVICT = TouchKind.EVICT
 _FILL = TouchKind.FILL
 
-_by_stamp = operator.attrgetter("stamp")
-
-
-@dataclass(slots=True)
-class CacheLine:
-    """One cache line: tag plus replacement/coherence metadata."""
-
-    tag: int
-    dirty: bool = False
-    stamp: int = 0  # LRU: last-use order; FIFO: fill order.
-    # Owning partition tag under way partitioning (None = shared pool).
-    owner: Optional[str] = None
+#: One resident line: ``(tag, dirty, owner)``, ``owner`` being the
+#: line's way-quota partition tag (None = shared pool).  Lines are
+#: immutable -- a write hit on a clean line replaces it -- so clones copy
+#: set lists without copying lines.
+Line = Tuple[int, bool, Optional[str]]
 
 
 @dataclass(slots=True)
 class AccessResult:
     """Outcome of a single cache lookup.
 
-    A hit returns the cache's prebuilt result for its set, shared by
-    every hit on that set (and by ``clone_for_mc`` copies), so callers
-    read these results and never mutate them.
+    A hit, and a miss that evicts nothing, return the cache's prebuilt
+    result for their set, shared by every such access to that set (and
+    by ``clone_for_mc`` copies), so callers read these results and never
+    mutate them.
     """
 
     hit: bool
@@ -87,6 +80,13 @@ class LatencyParams:
 
 class Cache(StateElement):
     """A set-associative, write-back, write-allocate cache.
+
+    Each set is a list of :data:`Line` entries kept in the order that
+    picks its next victim: oldest first for LRU (by last use) and FIFO
+    (by fill), way order for tree-PLRU, whose direction bits index ways.
+    A PLRU set also keeps its ways in fill order, which picks victims
+    under way quotas.  The fingerprint is therefore the sets as they are,
+    with no stamps to sort.
 
     Args:
         name: unique element name (e.g. ``"core0.l1d"``).
@@ -135,15 +135,25 @@ class Cache(StateElement):
         self._sets_per_colour = geometry.sets_per_colour(page_size)
         self.hit_cycles = latency.hit_cycles
         self.writeback_cycles_per_line = latency.writeback_cycles_per_line
-        self._sets: List[List[CacheLine]] = [[] for _ in range(geometry.sets)]
-        # One immutable hit result per set: a hit allocates nothing.
+        self._sets: List[List[Line]] = [[] for _ in range(geometry.sets)]
+        # Each set's tags in the same order as its lines, so a lookup is
+        # one C-level list search.
+        self._tags: List[List[int]] = [[] for _ in range(geometry.sets)]
+        # One immutable result per set for a hit and for a miss that
+        # evicts nothing: neither allocates.
         self._hits: List[AccessResult] = [
             AccessResult(True, set_index) for set_index in range(geometry.sets)
         ]
-        self._tick = 0  # monotonic stamp source for LRU/FIFO ordering
+        self._fills: List[AccessResult] = [
+            AccessResult(False, set_index) for set_index in range(geometry.sets)
+        ]
         # Tree-PLRU direction bits, one vector per set (ways-1 internal
-        # nodes of a binary tree over the ways).
+        # nodes of a binary tree over the ways), and each PLRU set's ways
+        # in fill order, oldest first (no lists under LRU and FIFO).
         self._plru_bits: List[int] = [0] * geometry.sets
+        self._fill_order: List[List[int]] = [
+            [] for _ in range(geometry.sets if self._is_plru else 0)
+        ]
         # Intel CAT-style way partitioning: per-partition-tag quota of
         # lines per set.  Empty dict = way partitioning off.  Quotas are
         # enforced on every fill; a fill that would have to steal from
@@ -155,9 +165,9 @@ class Cache(StateElement):
     def clone_for_mc(self, instrumentation) -> "Cache":
         """An independent copy sharing only immutable configuration.
 
-        Geometry, latency params, precomputed masks and the prebuilt hit
-        results are frozen or write-once, so the clone aliases them;
-        per-line state is rebuilt with fresh :class:`CacheLine` objects.
+        Geometry, latency params, precomputed masks, the prebuilt
+        results and the (immutable) lines are shared; the per-set lists
+        are copied.
         """
         other = Cache.__new__(Cache)
         other.name = self.name
@@ -183,16 +193,12 @@ class Cache(StateElement):
         other._sets_per_colour = self._sets_per_colour
         other.hit_cycles = self.hit_cycles
         other.writeback_cycles_per_line = self.writeback_cycles_per_line
-        other._sets = [
-            [
-                CacheLine(line.tag, line.dirty, line.stamp, line.owner)
-                for line in lines
-            ]
-            for lines in self._sets
-        ]
+        other._sets = list(map(list.copy, self._sets))
+        other._tags = list(map(list.copy, self._tags))
         other._hits = self._hits
-        other._tick = self._tick
+        other._fills = self._fills
         other._plru_bits = list(self._plru_bits)
+        other._fill_order = list(map(list.copy, self._fill_order))
         other.way_quota = dict(self.way_quota)
         other.quota_violations = list(self.quota_violations)
         return other
@@ -210,67 +216,94 @@ class Cache(StateElement):
         set_index = (paddr >> self._offset_bits) & self._index_mask
         tag = paddr >> self._tag_shift
         instr = self.instr
-        recording = instr.recording
-        if recording:
-            instr.touch(self.name, set_index, _WRITE if write else _READ)
-        lines = self._sets[set_index]
-        self._tick += 1
-        tick = self._tick
-        if self._is_lru:
-            # LRU (the default policy) needs no way index on a hit, so it
-            # skips the enumerate machinery of the general loop below.
-            # A hit refreshes the LRU stamp, which reorders the set in the
-            # fingerprint (each set is listed oldest first).  It does not
-            # bump the fingerprint version: the memo also keys on
-            # ``_tick``, which every access advances (``_fp_key``).  The
-            # version is bumped only when a hit dirties a clean line.
-            for line in lines:
-                if line.tag == tag:
-                    line.stamp = tick
-                    if write and not line.dirty:
-                        line.dirty = True
-                        self._fp_version += 1
-                    return self._hits[set_index]
+        if instr.recording:
+            # Touches of an element the run does not keep are skipped
+            # here rather than dropped by ``touch()``.
+            kept = instr.kept
+            recording = kept is None or self.name in kept
+            if recording:
+                instr.touch(self.name, set_index, _WRITE if write else _READ)
         else:
-            for way, line in enumerate(lines):
-                if line.tag == tag:
-                    if self._is_plru:
-                        self._plru_point_away(set_index, way)
+            recording = False
+        tags = self._tags[set_index]
+        if self._is_lru:
+            # A hit on the newest line (the common case) leaves the
+            # recency order as it is; any other hit moves its line to
+            # the newest end.
+            if tags and tags[-1] == tag:
+                if write:
+                    lines = self._sets[set_index]
+                    line = lines[-1]
+                    if not line[1]:
+                        lines[-1] = (tag, True, line[2])
                         self._fp_version += 1
-                    if write and not line.dirty:
-                        line.dirty = True
-                        self._fp_version += 1
-                    return self._hits[set_index]
+                return self._hits[set_index]
+            if tag in tags:
+                way = tags.index(tag)
+                del tags[way]
+                tags.append(tag)
+                lines = self._sets[set_index]
+                line = lines.pop(way)
+                if write and not line[1]:
+                    line = (tag, True, line[2])
+                lines.append(line)
+                self._fp_version += 1
+                return self._hits[set_index]
+        elif tag in tags:
+            # FIFO and PLRU hits keep the line where it is.
+            way = tags.index(tag)
+            if self._is_plru:
+                self._plru_point_away(set_index, way)
+                self._fp_version += 1
+            if write:
+                lines = self._sets[set_index]
+                line = lines[way]
+                if not line[1]:
+                    lines[way] = (tag, True, line[2])
+                    self._fp_version += 1
+            return self._hits[set_index]
         # Miss: fill, possibly evicting the replacement victim.
         self._fp_version += 1
+        lines = self._sets[set_index]
         if self.way_quota:
             owner = self._owner_tag()
             victim_way = self._fill_victim(set_index, lines, owner)
         else:
             owner = None
-            victim_way = (
-                self._select_victim(set_index, lines)
-                if len(lines) >= self._ways
-                else None
-            )
-        dirty_writeback = False
-        evicted_tag = None
-        if victim_way is not None:
-            victim = lines[victim_way]
-            evicted_tag = victim.tag
-            dirty_writeback = victim.dirty
+            if len(lines) < self._ways:
+                victim_way = None
+            elif self._is_plru:
+                victim_way = self._plru_victim(set_index)
+            else:
+                victim_way = 0  # the oldest line heads the set
+        if victim_way is None:
+            if self._is_plru:
+                self._fill_order[set_index].append(len(lines))
+                self._plru_point_away(set_index, len(lines))
+            lines.append((tag, write, owner))
+            tags.append(tag)
             if recording:
-                instr.touch(self.name, set_index, _EVICT)
-            lines[victim_way] = CacheLine(tag, write, tick, owner)
-            if self._is_plru:
-                self._plru_point_away(set_index, victim_way)
+                instr.touch(self.name, set_index, _FILL)
+            return self._fills[set_index]
+        victim = lines[victim_way]
+        if recording:
+            instr.touch(self.name, set_index, _EVICT)
+        if self._is_plru:
+            # The new line takes the victim's way and is the newest fill.
+            lines[victim_way] = (tag, write, owner)
+            tags[victim_way] = tag
+            order = self._fill_order[set_index]
+            order.remove(victim_way)
+            order.append(victim_way)
+            self._plru_point_away(set_index, victim_way)
         else:
-            lines.append(CacheLine(tag, write, tick, owner))
-            if self._is_plru:
-                self._plru_point_away(set_index, len(lines) - 1)
+            del lines[victim_way]
+            del tags[victim_way]
+            lines.append((tag, write, owner))
+            tags.append(tag)
         if recording:
             instr.touch(self.name, set_index, _FILL)
-        return AccessResult(False, set_index, dirty_writeback, evicted_tag)
+        return AccessResult(False, set_index, victim[1], victim[0])
 
     def _owner_tag(self) -> Optional[str]:
         """Partition tag of the current execution context.
@@ -287,55 +320,41 @@ class Cache(StateElement):
         return context.partition("/")[0]
 
     def _fill_victim(
-        self, set_index: int, lines: List[CacheLine], owner: Optional[str]
+        self, set_index: int, lines: List[Line], owner: Optional[str]
     ) -> Optional[int]:
         """Way to evict for a fill under way quotas, or None to append.
 
         With quotas (CAT-style), a fill first recycles the owner's own
-        lines once its quota is reached, then free ways, then the
-        unowned shared pool -- and never steals another partition's
-        quota'd lines unless the configuration over-committed the
-        associativity (logged as a violation).  Without quotas,
-        ``access`` evicts by ``_select_victim`` alone.
+        oldest line once its quota is reached, then free ways, then the
+        oldest line of the unowned shared pool -- and never steals
+        another partition's quota'd lines unless the configuration
+        over-committed the associativity (logged as a violation).
+        Without quotas, ``access`` evicts the head of a full set, or the
+        tree-PLRU victim.
         """
-        quota = self.way_quota.get(owner) if owner is not None else None
+        quotas = self.way_quota
+        quota = quotas.get(owner) if owner is not None else None
+        # Ways oldest first: a PLRU set is in way order, so it walks its
+        # fill order; any other set is already oldest first.
+        ages = self._fill_order[set_index] if self._is_plru else range(len(lines))
         if quota is not None:
-            own = [i for i, line in enumerate(lines) if line.owner == owner]
+            own = [way for way in ages if lines[way][2] == owner]
             if len(own) >= quota:
-                return min(own, key=lambda i: lines[i].stamp)
+                return own[0]
         if len(lines) < self._ways:
             return None
-        shared = [
-            i
-            for i, line in enumerate(lines)
-            if line.owner is None or line.owner not in self.way_quota
-        ]
-        if shared:
-            return min(shared, key=lambda i: lines[i].stamp)
-        own = [i for i, line in enumerate(lines) if line.owner == owner]
-        if own:
-            return min(own, key=lambda i: lines[i].stamp)
+        for way in ages:
+            line_owner = lines[way][2]
+            if line_owner is None or line_owner not in quotas:
+                return way
+        for way in ages:
+            if lines[way][2] == owner:
+                return way
         self.quota_violations.append(
             f"set {set_index}: fill by {owner!r} had to steal a quota'd line "
             f"(over-committed way allocation)"
         )
-        return self._select_victim(set_index, lines)
-
-    def _select_victim(self, set_index: int, lines: List[CacheLine]) -> int:
-        """Index of the way to evict from a full set (deterministic)."""
-        if self._is_plru:
-            return self._plru_victim(set_index)
-        # LRU and FIFO both evict the minimum stamp (the first way holding
-        # it): LRU refreshes the stamp on every hit, FIFO stamps only at
-        # fill time.
-        oldest_way = 0
-        oldest = lines[0].stamp
-        for way in range(1, len(lines)):
-            stamp = lines[way].stamp
-            if stamp < oldest:
-                oldest = stamp
-                oldest_way = way
-        return oldest_way
+        return self._plru_victim(set_index) if self._is_plru else 0
 
     # ------------------------------------------------------------------
     # Tree-PLRU helpers (ways must be a power of two for PLRU)
@@ -372,21 +391,26 @@ class Cache(StateElement):
     def probe(self, paddr: int) -> bool:
         """Non-allocating presence check (no state change, no touch)."""
         set_index = (paddr >> self._offset_bits) & self._index_mask
-        tag = paddr >> self._tag_shift
-        return any(line.tag == tag for line in self._sets[set_index])
+        return (paddr >> self._tag_shift) in self._tags[set_index]
 
     def invalidate_line(self, paddr: int) -> bool:
         """Evict the line holding ``paddr`` (a ``clflush``-style primitive)."""
         set_index = (paddr >> self._offset_bits) & self._index_mask
         tag = paddr >> self._tag_shift
-        lines = self._sets[set_index]
-        for line in lines:
-            if line.tag == tag:
-                lines.remove(line)
-                self._fp_version += 1
-                self._touch(set_index, TouchKind.EVICT)
-                return True
-        return False
+        tags = self._tags[set_index]
+        if tag not in tags:
+            return False
+        way = tags.index(tag)
+        del tags[way]
+        del self._sets[set_index][way]
+        if self._is_plru:
+            # The ways above the removed one each move down by one.
+            self._fill_order[set_index] = [
+                w - (w > way) for w in self._fill_order[set_index] if w != way
+            ]
+        self._fp_version += 1
+        self._touch(set_index, TouchKind.EVICT)
+        return True
 
     # ------------------------------------------------------------------
     # Occupancy inspection (read-only; used by checkers and tests)
@@ -394,19 +418,19 @@ class Cache(StateElement):
 
     def occupancy(self, set_index: int) -> int:
         """Number of valid lines in ``set_index``."""
-        return len(self._sets[set_index])
+        return len(self._tags[set_index])
 
     def dirty_line_count(self) -> int:
         """Total number of dirty lines (determines flush latency)."""
         return sum(
-            1 for lines in self._sets for line in lines if line.dirty
+            1 for lines in self._sets for line in lines if line[1]
         )
 
     def resident_tags(self, set_index: int) -> Tuple[int, ...]:
         """Tags currently resident in ``set_index`` (sorted)."""
-        tags = [line.tag for line in self._sets[set_index]]
+        tags = self._tags[set_index]
         if len(tags) > 1:
-            tags.sort()
+            return tuple(sorted(tags))
         return tuple(tags)
 
     def resident_lines(self, set_index: int) -> Tuple[Tuple[int, str], ...]:
@@ -418,8 +442,8 @@ class Cache(StateElement):
         """
         return tuple(
             sorted(
-                (line.tag, line.owner if line.owner is not None else "@shared")
-                for line in self._sets[set_index]
+                (tag, owner if owner is not None else "@shared")
+                for tag, _dirty, owner in self._sets[set_index]
             )
         )
 
@@ -442,48 +466,42 @@ class Cache(StateElement):
             + dirty * self.latency.writeback_cycles_per_line
         )
         self._fp_version += 1
+        sets = self.geometry.sets
         if self.flush_is_broken:
             for set_index, lines in enumerate(self._sets):
                 if set_index % 4 != 0:
                     self._sets[set_index] = []
+                    self._tags[set_index] = []
+                    if self._is_plru:
+                        self._fill_order[set_index] = []
                 else:
-                    for line in lines:
-                        line.dirty = False
+                    self._sets[set_index] = [
+                        (tag, False, owner) for tag, _dirty, owner in lines
+                    ]
         else:
-            self._sets = [[] for _ in range(self.geometry.sets)]
-            self._plru_bits = [0] * self.geometry.sets
+            self._sets = [[] for _ in range(sets)]
+            self._tags = [[] for _ in range(sets)]
+            self._plru_bits = [0] * sets
+            if self._is_plru:
+                self._fill_order = [[] for _ in range(sets)]
         return FlushResult(cycles=cycles, lines_written_back=dirty)
-
-    def _fp_key(self) -> Hashable:
-        # An LRU hit makes its line the newest without bumping
-        # ``_fp_version`` (so ``access`` pays nothing for it); every
-        # access advances ``_tick``, so the memo keys on both.
-        return (self._fp_version, self._tick)
 
     def fingerprint(self) -> Hashable:
         """Occupancy in the order that picks every future victim.
 
-        LRU and FIFO evict the oldest stamp, so each set lists its lines
-        oldest first.  Tree-PLRU walks its direction bits over way
-        positions, so each set lists its lines in way order, plus their
-        fill order when way quotas pick victims by stamp.  Each line
-        carries its way-quota owner.  Only the relative order is kept:
-        absolute stamps differ between histories that behave alike.
+        Each non-empty set lists its lines as kept (oldest first for LRU
+        and FIFO, way order for PLRU), with their dirty bits and way-quota
+        owners, plus, for PLRU under way quotas, its ways in fill order.
+        Only the relative order is kept, so histories that behave alike
+        fingerprint alike.
         """
-        by_way = self._is_plru
-        fill_order = by_way and bool(self.way_quota)
+        fill_order = self._fill_order if self._is_plru and self.way_quota else None
         occupancy = []
         for set_index, lines in enumerate(self._sets):
             if lines:
-                if len(lines) > 1 and not by_way:
-                    lines = sorted(lines, key=_by_stamp)
-                entry = tuple(
-                    (line.tag, line.dirty, line.owner) for line in lines
-                )
-                if fill_order:
-                    entry = (entry, tuple(sorted(
-                        range(len(lines)), key=lambda way: lines[way].stamp
-                    )))
+                entry = tuple(lines)
+                if fill_order is not None:
+                    entry = (entry, tuple(fill_order[set_index]))
                 occupancy.append((set_index, entry))
         if any(self._plru_bits):
             plru = tuple(
@@ -494,6 +512,19 @@ class Cache(StateElement):
         else:
             plru = ()
         return (tuple(occupancy), plru)
+
+    def _digest_state(self) -> object:
+        """The set lists themselves, which hold ``fingerprint()``'s
+        entries in its order, with the PLRU bits and, when the
+        fingerprint carries it (under quotas, for a non-empty set), the
+        fill order: equal exactly when the fingerprints are, and no
+        fingerprint is built."""
+        if not self._is_plru:
+            return self._sets
+        fill_order = (
+            self._fill_order if self.way_quota and any(self._sets) else None
+        )
+        return (self._sets, self._plru_bits, fill_order)
 
     def reset_fingerprint(self) -> Hashable:
         return ((), ())
@@ -532,12 +563,14 @@ class Cache(StateElement):
                 f"{self.geometry.ways}"
             )
         self.way_quota = dict(quotas)
+        # Quotas change which order picks victims, so the fingerprint.
+        self._fp_version += 1
 
     def occupancy_by_owner(self, set_index: int) -> Dict[Optional[str], int]:
         """Lines per owner in one set (for quota auditing)."""
         result: Dict[Optional[str], int] = {}
-        for line in self._sets[set_index]:
-            result[line.owner] = result.get(line.owner, 0) + 1
+        for _tag, _dirty, owner in self._sets[set_index]:
+            result[owner] = result.get(owner, 0) + 1
         return result
 
     def quotas_respected(self) -> bool:

@@ -134,7 +134,9 @@ class Instrumentation:
     ``recording`` is true when touch sets or footprints are declared.
     The elements test it before every ``touch()`` call, so a run that
     declares neither makes none: its per-access cost is one attribute
-    test.  When recording, the recorder keeps the current domain's
+    test.  ``kept`` names the elements whose touches are kept (None:
+    every element); the elements test it too, so they skip the touches
+    ``touch()`` would drop.  When recording, the recorder keeps the current domain's
     ``element -> index set`` buckets in a flat dict (switched in
     ``set_context``) instead of re-hashing a (domain, element) tuple per
     touch; the buckets alias the entries of ``summary``, whose shape the
@@ -165,6 +167,8 @@ class Instrumentation:
         self.recording = (
             evidence.touches is None or bool(evidence.touches) or evidence.footprints
         )
+        # A footprint lists every element's touches.
+        self.kept = None if evidence.footprints else evidence.touches
 
     def set_context(self, domain: Optional[str]) -> None:
         if domain != self.current_domain:
@@ -246,9 +250,9 @@ class StateElement(abc.ABC):
         # abstract-model extraction reclassifies the element as UNMANAGED.
         self.concurrently_shared = scope is Scope.SHARED
         # Fingerprint memoisation: subclasses bump ``_fp_version`` on any
-        # mutation that can change ``fingerprint()``, or key the memo on
-        # more than the version (``_fp_key``).  ``cached_fingerprint``
-        # then recomputes only when the element actually changed -- the
+        # mutation that can change ``fingerprint()``, replacement order
+        # included.  ``cached_fingerprint`` and ``cached_digest`` then
+        # recompute only when the element actually changed -- the
         # model checker fingerprints every element after every
         # transition, but a single transition mutates only the few
         # elements it touched.
@@ -259,43 +263,47 @@ class StateElement(abc.ABC):
     def _touch(self, index: Hashable, kind: TouchKind) -> None:
         instr = self.instr
         if instr.recording:
-            instr.touch(self.name, index, kind)
-
-    def _fp_key(self) -> Hashable:
-        """What the fingerprint memo is keyed on: the mutation version."""
-        return self._fp_version
+            kept = instr.kept
+            if kept is None or self.name in kept:
+                instr.touch(self.name, index, kind)
 
     def cached_fingerprint(self) -> Hashable:
-        """``fingerprint()``, memoised against ``_fp_key()``."""
-        key = self._fp_key()
+        """``fingerprint()``, memoised against ``_fp_version``."""
+        version = self._fp_version
         cache = self._fp_cache
-        if cache is not None and cache[0] == key:
+        if cache is not None and cache[0] == version:
             return cache[1]
         fp = self.fingerprint()
-        self._fp_cache = (key, fp)
+        self._fp_cache = (version, fp)
         return fp
 
     def cached_digest(self) -> bytes:
-        """BLAKE2b digest of ``fingerprint()``, memoised like it.
+        """BLAKE2b digest of ``_digest_state()``, memoised like the
+        fingerprint.
 
         Lets callers that only need *equality* (the model checker's
         incremental state hash) fold a fixed 16-byte digest per element
         instead of re-serialising the full fingerprint structure on
         every comparison.  Serialisation is ``pickle`` at a pinned
-        protocol: fingerprints are freshly built nested tuples of
-        scalars, for which equal values pickle to equal bytes, and the
-        C encoder is several times faster than ``repr`` on them.
+        protocol: equal nested tuples and lists of scalars pickle to
+        equal bytes, and the C encoder is several times faster than
+        ``repr`` on them.
         """
-        key = self._fp_key()
+        version = self._fp_version
         cache = self._fp_digest
-        if cache is not None and cache[0] == key:
+        if cache is not None and cache[0] == version:
             return cache[1]
         digest = hashlib.blake2b(
-            pickle.dumps(self.cached_fingerprint(), protocol=4),
+            pickle.dumps(self._digest_state(), protocol=4),
             digest_size=16,
         ).digest()
-        self._fp_digest = (key, digest)
+        self._fp_digest = (version, digest)
         return digest
+
+    def _digest_state(self) -> object:
+        """What ``cached_digest`` pickles: the fingerprint, or any state
+        that is equal exactly when the fingerprint is."""
+        return self.cached_fingerprint()
 
     @abc.abstractmethod
     def flush(self) -> FlushResult:

@@ -15,7 +15,6 @@ ASID-partitioning theorem of E12 is checked on top via instrumentation.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
@@ -48,23 +47,27 @@ class TlbLookupResult:
 
 _MISS = TlbLookupResult(False)
 
-_by_stamp = operator.attrgetter("stamp")
-
 
 @dataclass(slots=True)
 class TlbEntry:
+    """One translation; never mutated after fill, so clones share it."""
+
     asid: int
     vpage: int
     frame_number: int
     writable: bool
-    stamp: int
     generation: int  # address-space generation at fill time
-    # What a hit on this entry returns (immutable, so clones share it).
+    # What a hit on this entry returns.
     result: TlbLookupResult
 
 
 class Tlb(StateElement):
-    """Fully-associative, LRU, ASID-tagged TLB."""
+    """Fully-associative, LRU, ASID-tagged TLB.
+
+    Entries live in an insertion-ordered dict kept in recency order,
+    oldest first: a hit moves its entry to the end and a full TLB evicts
+    the first.  The fingerprint is the dict in that order.
+    """
 
     def __init__(
         self,
@@ -79,10 +82,11 @@ class Tlb(StateElement):
         self.geometry = geometry
         self.flush_latency_cycles = flush_latency_cycles
         self._entries: Dict[Tuple[int, int], TlbEntry] = {}
-        self._tick = 0
+        # The newest entry: a hit on it leaves the order as it is.
+        self._mru: Optional[TlbEntry] = None
 
     def clone_for_mc(self, instrumentation) -> "Tlb":
-        """Independent copy; entries are rebuilt (mutable stamps)."""
+        """Independent copy; the (immutable) entries are shared."""
         other = Tlb.__new__(Tlb)
         other.name = self.name
         other.category = self.category
@@ -94,19 +98,8 @@ class Tlb(StateElement):
         other._fp_digest = self._fp_digest
         other.geometry = self.geometry
         other.flush_latency_cycles = self.flush_latency_cycles
-        other._entries = {
-            key: TlbEntry(
-                asid=entry.asid,
-                vpage=entry.vpage,
-                frame_number=entry.frame_number,
-                writable=entry.writable,
-                stamp=entry.stamp,
-                generation=entry.generation,
-                result=entry.result,
-            )
-            for key, entry in self._entries.items()
-        }
-        other._tick = self._tick
+        other._entries = self._entries.copy()
+        other._mru = self._mru
         return other
 
     # ------------------------------------------------------------------
@@ -114,15 +107,21 @@ class Tlb(StateElement):
     # ------------------------------------------------------------------
 
     def lookup(self, asid: int, vpage: int) -> TlbLookupResult:
-        self._tick += 1
         key = (asid, vpage)
         instr = self.instr
         if instr.recording:
-            instr.touch(self.name, key, _READ)
-        entry = self._entries.get(key)
+            kept = instr.kept
+            if kept is None or self.name in kept:
+                instr.touch(self.name, key, _READ)
+        entries = self._entries
+        entry = entries.get(key)
         if entry is None:
             return _MISS
-        entry.stamp = self._tick
+        if entry is not self._mru:
+            del entries[key]
+            entries[key] = entry
+            self._mru = entry
+            self._fp_version += 1
         return entry.result
 
     def fill(
@@ -133,23 +132,28 @@ class Tlb(StateElement):
         writable: bool,
         generation: int,
     ) -> None:
-        """Install a translation, evicting the LRU entry when full."""
-        self._tick += 1
+        """Install a translation as the newest, evicting the LRU entry
+        when full."""
         self._fp_version += 1
-        if len(self._entries) >= self.geometry.entries:
-            victim_key = min(self._entries, key=lambda k: self._entries[k].stamp)
+        entries = self._entries
+        if len(entries) >= self.geometry.entries:
+            victim_key = next(iter(entries))
             self._touch(victim_key, TouchKind.EVICT)
-            del self._entries[victim_key]
-        self._entries[(asid, vpage)] = TlbEntry(
+            del entries[victim_key]
+        key = (asid, vpage)
+        # A refill of a resident page replaces it at the newest end.
+        entries.pop(key, None)
+        entry = TlbEntry(
             asid=asid,
             vpage=vpage,
             frame_number=frame_number,
             writable=writable,
-            stamp=self._tick,
             generation=generation,
             result=TlbLookupResult(True, frame_number, writable),
         )
-        self._touch((asid, vpage), TouchKind.FILL)
+        entries[key] = entry
+        self._mru = entry
+        self._touch(key, TouchKind.FILL)
 
     def invalidate_asid(self, asid: int) -> int:
         """Drop all entries of one ASID; returns the number removed."""
@@ -204,16 +208,11 @@ class Tlb(StateElement):
         self._fp_version += 1
         return FlushResult(cycles=self.flush_latency_cycles)
 
-    def _fp_key(self) -> Hashable:
-        # A hit refreshes its entry's stamp without bumping
-        # ``_fp_version``; every lookup advances ``_tick``.
-        return (self._fp_version, self._tick)
-
     def fingerprint(self) -> Hashable:
         """Entries oldest first: the order that picks every future victim."""
         return tuple(
             (entry.asid, entry.vpage, entry.frame_number, entry.writable)
-            for entry in sorted(self._entries.values(), key=_by_stamp)
+            for entry in self._entries.values()
         )
 
     def reset_fingerprint(self) -> Hashable:

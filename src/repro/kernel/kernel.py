@@ -54,6 +54,37 @@ _READY = ThreadState.READY
 # observation; ``Observation`` is frozen, so one instance serves all.
 _NO_OBSERVATION = Observation()
 
+#: Program parameter types a clone shares with its parent instead of
+#: deep-copying them (params tuples hold scalars).
+_SHARED_PARAM_TYPES = frozenset({int, bool, float, str, bytes, tuple, type(None)})
+
+
+def _clone_context(ctx: ProgramContext) -> ProgramContext:
+    """``ctx`` copied field by field for ``Kernel.clone_for_mc``.
+
+    The layout fields are immutable and shared; a param is shared when
+    its type is immutable and deep-copied otherwise (synth's spy appends
+    its observations to a ``results`` list param), with one memo so
+    params that alias each other still do in the copy.
+    """
+    memo: dict = {}
+    params = {
+        key: value if type(value) in _SHARED_PARAM_TYPES
+        else copy.deepcopy(value, memo)
+        for key, value in ctx.params.items()
+    }
+    return ProgramContext(
+        data_base=ctx.data_base,
+        data_size=ctx.data_size,
+        code_base=ctx.code_base,
+        page_size=ctx.page_size,
+        line_size=ctx.line_size,
+        shared_text_base=ctx.shared_text_base,
+        shared_text_size=ctx.shared_text_size,
+        page_colours=ctx.page_colours,
+        params=params,
+    )
+
 
 @dataclass(slots=True)
 class IrqDeliveryRecord:
@@ -413,7 +444,7 @@ class Kernel:
                 program = tcb.program
                 if type(program) is ReplayableProgram:
                     pclone = ReplayableProgram(
-                        program.step_fn, copy.deepcopy(program.ctx)
+                        program.step_fn, _clone_context(program.ctx)
                     )
                     pclone.index = program.index
                     pclone.finished = program.finished

@@ -238,7 +238,7 @@ class TestLint:
         shutil.copytree(REPO / "src" / "repro" / "hardware", hardware)
         cache_py = hardware / "cache.py"
         source = cache_py.read_text()
-        needle = "                self._touch(set_index, TouchKind.EVICT)\n"
+        needle = "        self._touch(set_index, TouchKind.EVICT)\n"
         assert needle in source
         cache_py.write_text(source.replace(needle, "", 1))
         assert main(["lint", str(hardware)]) == 1

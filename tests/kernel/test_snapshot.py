@@ -78,6 +78,39 @@ class TestSnapshot:
             (t.name, t.daemon) for t in kernel.all_threads()
         ] == [("Hi.t1", True), ("Lo.t2", False)]
 
+    def test_clone_keeps_list_params_apart(self):
+        # Synth's spy appends its observations to a list param; a clone's
+        # appends must stay in the clone, and the parent's mc fingerprint
+        # must not move.
+        from repro.campaign.registry import MACHINES, TP_CONFIGS
+        from repro.kernel import Kernel
+        from repro.mc.fingerprint import state_fingerprint_incremental
+
+        def step_fn(ctx, index, observation):
+            ctx.params["results"].append(index)
+            return Compute(5)
+
+        kernel = Kernel(
+            MACHINES["micro"](), TP_CONFIGS["full"](), kernel_image_pages=8)
+        lo = kernel.create_domain("Lo", n_colours=1)
+        kernel.create_thread(
+            lo, ReplayableProgram.factory(step_fn), data_pages=1,
+            params={"results": [], "rounds": 3, "shape": (1, 2)})
+        parent = kernel.all_threads()[0].program
+        before = state_fingerprint_incremental(kernel, "Lo")
+        clone = kernel.clone_for_mc()
+        program = clone.all_threads()[0].program
+        assert program.ctx.params == parent.ctx.params
+        program.send(None)
+        program.send(None)
+        assert program.ctx.params["results"] == [0, 1]
+        assert parent.ctx.params["results"] == []
+        assert state_fingerprint_incremental(kernel, "Lo") == before
+        # And the other way round: the parent's appends stay its own.
+        parent.send(None)
+        assert parent.ctx.params["results"] == [0]
+        assert program.ctx.params["results"] == [0, 1]
+
     def test_raw_generator_programs_are_rejected_with_guidance(self):
         from repro.campaign.registry import MACHINES, TP_CONFIGS
         from repro.kernel import Kernel

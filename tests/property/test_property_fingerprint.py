@@ -190,16 +190,16 @@ def test_plru_quota_victim_follows_fill_order():
     a = _replay(make, apply, [("A", 1, 0, False), ("A", 2, 0, False),
                               ("A", 3, 0, False), ("A", 2, 0, False)])
     b = _replay(make, apply, [("A", 3, 0, False), ("A", 2, 0, False)])
-    assert [line.tag for line in a._sets[0]] == [3, 2]
-    assert [line.tag for line in b._sets[0]] == [3, 2]
+    assert [tag for tag, _dirty, _owner in a._sets[0]] == [3, 2]
+    assert [tag for tag, _dirty, _owner in b._sets[0]] == [3, 2]
     assert a._plru_bits == b._plru_bits
     assert a.fingerprint() != b.fingerprint()
     assert apply(a, ("A", 4, 0, False)) != apply(b, ("A", 4, 0, False))
 
 
 def test_fingerprint_memo_sees_a_reordering_hit():
-    # An LRU read hit reorders the set without bumping the mutation
-    # version; the memoised fingerprint and digest must still change.
+    # An LRU read hit on a line other than the newest reorders the set
+    # and nothing else; the memoised fingerprint and digest must change.
     make, _ops, apply = KINDS["cache-lru"]
     cache = _replay(make, apply, [("A", 0, 0, False), ("A", 1, 0, False)])
     before = (cache.cached_fingerprint(), cache.cached_digest())

@@ -118,7 +118,8 @@ class TestEvictionVictims:
             if cache.occupancy(set_index) == cache.geometry.ways:
                 victim_way = cache._plru_victim(set_index)
                 assert 0 <= victim_way < cache.geometry.ways
-                assert cache._sets[set_index][victim_way].tag != tag
+                victim_tag, _dirty, _owner = cache._sets[set_index][victim_way]
+                assert victim_tag != tag
 
 
 class TestGeometryRoundTrips:

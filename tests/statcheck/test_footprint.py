@@ -56,9 +56,8 @@ class TestRealTreeMutation:
 
     REPO = Path(__file__).resolve().parents[2]
     NEEDLE = (
-        "                lines.remove(line)\n"
-        "                self._fp_version += 1\n"
-        "                self._touch(set_index, TouchKind.EVICT)\n"
+        "        self._fp_version += 1\n"
+        "        self._touch(set_index, TouchKind.EVICT)\n"
     )
 
     def test_deleting_touch_from_cache_is_caught(self, tmp_path):
@@ -70,15 +69,18 @@ class TestRealTreeMutation:
         source = cache_py.read_text()
         assert self.NEEDLE in source, "cache.py changed; update the fixture"
         cache_py.write_text(
-            source.replace(self.NEEDLE, "                lines.remove(line)\n")
+            source.replace(self.NEEDLE, "        self._fp_version += 1\n")
         )
         report = run_lint(paths=[str(hardware)])
         assert not report.clean
         findings = [f for f in report.findings if f.checker == "SC-1"]
-        assert len(findings) == 1
-        assert findings[0].qualname == "Cache.invalidate_line"
-        assert findings[0].rule == "undeclared-read"
-        assert "cache.py" in findings[0].path
+        # One finding per state container the method reads.
+        assert sorted(f.message.split("'")[1] for f in findings) == [
+            "self._fill_order", "self._sets", "self._tags"]
+        for finding in findings:
+            assert finding.qualname == "Cache.invalidate_line"
+            assert finding.rule == "undeclared-read"
+            assert "cache.py" in finding.path
 
     def test_unmutated_hardware_is_clean(self, tmp_path):
         import shutil

@@ -38,7 +38,9 @@ class CountingRecorder(Instrumentation):
 
     def declare(self, evidence) -> None:
         super().declare(evidence)
-        self.recording = True  # the elements call touch() for every access
+        # The elements call touch() for every access of every element.
+        self.recording = True
+        self.kept = None
 
     def touch(self, element, index, kind) -> None:
         key = (self.current_domain, element)
