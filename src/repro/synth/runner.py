@@ -99,8 +99,12 @@ def experiment(
             data_pages=pages,
         )
         kernel.set_schedule(0, [(hi, None), (lo, None)])
+        # Each round spans both slices and, when switches are padded,
+        # both pads.  The victim is a daemon, so the run still ends at
+        # the spy's last step; the horizon only has to leave it room.
         kernel.run(
-            max_cycles=(rounds_per_run + 3) * (hi_slice + lo_slice) * 2
+            max_cycles=(rounds_per_run + 3)
+            * (hi_slice + lo_slice + hi.pad_cycles + lo.pad_cycles) * 2
         )
         if on_kernel is not None:
             on_kernel(kernel)
