@@ -15,7 +15,11 @@ The run-length fields (``final_cycles``, ``total_steps``,
 ``n_switches``) were re-captured once, when the attacks' Hi trojans
 became daemon threads: a run now ends at the Lo spy's last step rather
 than at the ``max_cycles`` horizon, so it is shorter, while every trace
-and sample stayed byte-identical.
+and sample stayed byte-identical.  tiny_unflushable/prefetch_residue/full
+was re-captured once more when the synth runner's horizon came to
+include both domains' switch pads: its spy now finishes its last round,
+so each run's trace gains that round (the old trace is a prefix of the
+new one) and the case pools six samples instead of four.
 
 Regenerate (only when an *intentional* behaviour change is reviewed)::
 
