@@ -13,6 +13,7 @@ replacement so that whole-system runs are reproducible.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -311,13 +312,16 @@ class Cache(StateElement):
         User execution and kernel-on-behalf both charge the domain's way
         quota (kernel text is domain-cloned memory); the switch path's
         shared-kernel accesses charge the reserved ``@kernel`` quota.
+        Tags are interned: ``pickle`` writes a string seen before in the
+        same dump as a back-reference, so equal owners held as distinct
+        objects would make equal fingerprints digest differently.
         """
         context = self.instr.current_domain
         if context is None:
             return None
         if context.startswith("@switch"):
             return "@kernel"
-        return context.partition("/")[0]
+        return sys.intern(context.partition("/")[0])
 
     def _fill_victim(
         self, set_index: int, lines: List[Line], owner: Optional[str]

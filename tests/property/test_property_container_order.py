@@ -27,12 +27,13 @@ from repro.hardware.tlb import Tlb
 
 LRU, FIFO, PLRU = ReplacementPolicy.LRU, ReplacementPolicy.FIFO, ReplacementPolicy.PLRU
 SETS, WAYS, LINE = 2, 4, 32
-#: Quotas that fill the associativity, so a fill by "C" (no quota) into
-#: a set of quota'd lines takes the over-commit path.
-QUOTAS = {"A": 2, "B": 1, "@kernel": 1}
+#: Quotas that fill the associativity, so a fill by "Mid" (no quota)
+#: into a set of quota'd lines takes the over-commit path.
+QUOTAS = {"Hi": 2, "Lo": 1, "@kernel": 1}
 #: Contexts as the kernel sets them: a domain's user and kernel modes
-#: and the switch path, whose fills charge "@kernel".
-CONTEXTS = ("A", "A/kernel", "B", "C", "@switch:A>B")
+#: and the switch path, whose fills charge "@kernel".  The names are
+#: longer than one character, which CPython would share as one object.
+CONTEXTS = ("Hi", "Hi/kernel", "Lo", "Mid", "@switch:Hi>Lo")
 FLUSH_BASE, WRITEBACK = 8, 6
 
 
@@ -354,6 +355,20 @@ def test_cache_clone_and_parent_stay_isolated(policy, quotas, data):
         assert clone.fingerprint() == clone_ref.fingerprint()
         _check_memos(parent)
         _check_memos(clone)
+
+
+def test_owners_from_user_and_kernel_contexts_digest_alike():
+    # A domain's user context is its name and its kernel context
+    # "<name>/kernel"; both charge the same owner.  Two sets holding the
+    # same lines with the same owners must digest equal whichever mode
+    # filled them.
+    user, kernel = _make_cache(LRU, False, QUOTAS)[0], _make_cache(LRU, False, QUOTAS)[0]
+    for cache, contexts in ((user, ("Hi", "Hi")), (kernel, ("Hi", "Hi/kernel"))):
+        for tag, context in zip((1, 2), contexts):
+            cache.instr.set_context(context)
+            cache.access(tag * SETS * LINE)
+    assert user.fingerprint() == kernel.fingerprint()
+    assert user.cached_digest() == kernel.cached_digest()
 
 
 def test_set_way_quotas_invalidates_the_fingerprint_memo():
