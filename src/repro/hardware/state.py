@@ -136,11 +136,11 @@ class Instrumentation:
     declares neither makes none: its per-access cost is one attribute
     test.  ``kept`` names the elements whose touches are kept (None:
     every element); the elements test it too, so they skip the touches
-    ``touch()`` would drop.  When recording, the recorder keeps the current domain's
-    ``element -> index set`` buckets in a flat dict (switched in
-    ``set_context``) instead of re-hashing a (domain, element) tuple per
-    touch; the buckets alias the entries of ``summary``, whose shape the
-    proof layer reads directly.
+    ``touch()`` would drop.  When recording, the recorder keeps the
+    current domain's ``element -> index set`` buckets in a flat dict
+    (switched in ``set_context``) instead of re-hashing a (domain,
+    element) tuple per touch; the buckets alias the entries of
+    ``summary``, whose shape the proof layer reads directly.
 
     ``current_domain`` is not evidence: CAT-style way quotas charge
     fills to it (``Cache._owner_tag``), so ``set_context`` maintains it
