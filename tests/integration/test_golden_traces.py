@@ -21,6 +21,14 @@ include both domains' switch pads: its spy now finishes its last round,
 so each run's trace gains that round (the old trace is a prefix of the
 new one) and the case pools six samples instead of four.
 
+The registered cases (``_REGISTERED``) pin the shipped ``ATTACKS``
+entries the cases above do not reach, run through the registry at small
+params.  Not every experiment takes an ``on_kernel`` hook, so they are
+captured by wrapping ``Kernel.run``.  ``tiny__e1__tp-full-padded-ipc``
+is what ``channels --tp full`` runs for e1; it pins the downgrader as it
+stands, including Lo's first arrival, which moves with the secret while
+the inter-arrival samples do not.
+
 Regenerate (only when an *intentional* behaviour change is reviewed)::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/integration/test_golden_traces.py
@@ -40,8 +48,10 @@ from pathlib import Path
 import pytest
 
 from repro.attacks import flushreload, primeprobe, switch_latency
+from repro.campaign.registry import ATTACKS
 from repro.hardware import presets
 from repro.hardware.machine import Machine
+from repro.kernel import Kernel
 from repro.kernel.timeprotect import TimeProtectionConfig
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
@@ -55,6 +65,8 @@ _MACHINES = {
     # and the contract-violating prefetcher-without-flush part.
     "micro": presets.micro_machine,
     "tiny_unflushable": presets.tiny_unflushable_machine,
+    # The cross-core attacks' machine.
+    "tiny2": lambda: presets.tiny_machine(n_cores=2),
 }
 
 # Machines swept against the full attack product; the targeted presets
@@ -64,7 +76,12 @@ _PRODUCT_MACHINES = ("desktop", "tiny")
 _TPS = {
     "none": TimeProtectionConfig.none,
     "full": TimeProtectionConfig.full,
+    # E1's defence: what ``channels --tp full`` runs for e1.
+    "full-padded-ipc": lambda: TimeProtectionConfig.full(padded_ipc=True),
 }
+
+# The TP configs swept against the full attack product.
+_PRODUCT_TPS = ("full", "none")
 
 
 def _run_primeprobe_l1(tp, machine_factory, on_kernel):
@@ -108,11 +125,62 @@ def _run_prefetch_residue(tp, machine_factory, on_kernel):
     )
 
 
+def _run_registered(name, params):
+    """Run ``ATTACKS[name]``, handing each finished kernel to ``on_kernel``.
+
+    ``Kernel.run`` is wrapped for the duration of the run, because not
+    every experiment takes an ``on_kernel`` hook of its own.
+    """
+
+    def run(tp, machine_factory, on_kernel):
+        real_run = Kernel.run
+
+        def recording_run(kernel, *args, **kwargs):
+            real_run(kernel, *args, **kwargs)
+            on_kernel(kernel)
+
+        Kernel.run = recording_run
+        try:
+            return ATTACKS[name].run(tp, machine_factory, params)
+        finally:
+            Kernel.run = real_run
+
+    return run
+
+
+# Registered attacks pinned through ``ATTACKS`` at the smallest params
+# that still give every symbol a sample.
+_REGISTERED = {
+    "e1": {"symbols": (0, 5), "messages_per_run": 2},
+    "e3": {"symbols": (1, 3), "rounds_per_run": 2},
+    "e6": {"rounds_per_run": 2, "sweep_rounds": 1},
+    "e7": {"rounds_per_run": 2, "sweep_rounds": 1},
+    "branch": {"rounds_per_run": 5, "sweep_rounds": 1},
+    "occupancy": {"symbols": (1, 8), "rounds_per_run": 3},
+}
+
 _ATTACKS = {
     "primeprobe_l1": _run_primeprobe_l1,
     "flushreload": _run_flushreload,
     "switch_latency": _run_switch_latency,
     "prefetch_residue": _run_prefetch_residue,
+    **{name: _run_registered(name, params)
+       for name, params in _REGISTERED.items()},
+}
+
+# Every shipped ``ATTACKS`` entry -> the golden attack that runs its
+# experiment.
+_SHIPPED_COVERAGE = {
+    "e1": "e1",
+    "e2": "primeprobe_l1",
+    "e3": "e3",
+    "e4": "flushreload",
+    "e5": "switch_latency",
+    "e6": "e6",
+    "e7": "e7",
+    "branch": "branch",
+    "occupancy": "occupancy",
+    "synth": "prefetch_residue",
 }
 
 # Targeted cases outside the full product: micro exercises the 4-set
@@ -131,13 +199,20 @@ _EXTRA_CASES = [
     ("tiny_unflushable", "prefetch_residue", "full"),
 ]
 
+# The registered cases: the cross-core attacks on tiny2, the rest on
+# tiny, each under none and full, plus e1 with its padded-IPC defence.
+_REGISTERED_CASES = [
+    ("tiny2" if name in ("e3", "e7") else "tiny", name, tp)
+    for name in sorted(_REGISTERED)
+    for tp in _PRODUCT_TPS
+] + [("tiny", "e1", "full-padded-ipc")]
+
 CASES = [
     (machine, attack, tp)
     for machine in _PRODUCT_MACHINES
-    for attack in sorted(attack for attack in _ATTACKS
-                         if attack != "prefetch_residue")
-    for tp in sorted(_TPS)
-] + _EXTRA_CASES
+    for attack in ("flushreload", "primeprobe_l1", "switch_latency")
+    for tp in _PRODUCT_TPS
+] + _EXTRA_CASES + _REGISTERED_CASES
 
 
 def case_id(machine: str, attack: str, tp: str) -> str:
@@ -205,6 +280,19 @@ def test_engine_reproduces_golden_trace(machine, attack, tp):
             )
     assert fresh["samples"] == golden["samples"], f"{path.name}: samples diverge"
     assert fresh == golden
+
+
+def test_every_shipped_attack_is_covered():
+    # Entries registered at run time (by tests, or evolved genomes, which
+    # all run through the synth runner) are not part of the shipped table.
+    shipped = {
+        name for name, entry in ATTACKS.items()
+        if entry.runner.__module__.startswith(("repro.attacks", "repro.campaign"))
+    }
+    assert shipped == set(_SHIPPED_COVERAGE)
+    pinned = {attack for _machine, attack, _tp in CASES}
+    for name, attack in _SHIPPED_COVERAGE.items():
+        assert attack in pinned, f"{name}: no golden case runs {attack!r}"
 
 
 class TestHarnessCanFail:
