@@ -1,11 +1,13 @@
 """Channel implementations: the threats of Sects. 2-4 of the paper.
 
 Each module implements one channel as Trojan/victim + spy programs over
-the abstract ISA, plus an ``experiment(tp, machine_factory, ...)`` entry
-point returning a :class:`~repro.attacks.harness.ChannelResult` that the
-analysis layer quantifies.  Running the same experiment with time
-protection off and on is how every defence claim in the paper is
-exercised.
+the abstract ISA, a module-level boot-only builder of the system that
+transmits one symbol, and an ``experiment(tp, machine_factory, ...)``
+entry point that hands the builder to
+:func:`~repro.attacks.harness.run_symbol_sweep` and returns the
+:class:`~repro.attacks.harness.ChannelResult` the analysis layer
+quantifies.  Running the same experiment with time protection off and
+on is how every defence claim in the paper is exercised.
 """
 
 from . import (

@@ -13,7 +13,8 @@ prediction, identical whatever the Trojan trained.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Sequence
+from functools import partial
+from typing import Callable, List
 
 from ..hardware.cpu import INSTRUCTION_BYTES
 from ..hardware.isa import Branch, Compute, ProgramContext, ReadTime, Syscall
@@ -21,7 +22,6 @@ from ..hardware.machine import Machine
 from ..kernel.kernel import Kernel
 from ..kernel.timeprotect import TimeProtectionConfig
 from .harness import ChannelResult, run_symbol_sweep
-from .primeprobe import _tp_label
 
 _HI_SLICE = 5000
 _LO_SLICE = 10000
@@ -54,6 +54,42 @@ def branch_spy(ctx: ProgramContext):
         yield Syscall("sleep", (_LO_SLICE + _HI_SLICE // 2,))
 
 
+def build(
+    kernel: Kernel, bit: int, results: List[int], rounds_per_run: int = 8
+) -> int:
+    """Boot the system with the Trojan training ``bit``; returns its horizon."""
+    hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
+    lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
+    kernel.create_thread(hi, branch_trojan, params={"bit": bit}, daemon=True)
+    # A mispredicted run pays the penalty on most of the probe
+    # branches; half the total penalty cleanly separates the cases.
+    config = kernel.machine.config
+    quiet_step = (
+        config.latency.base_cycles
+        + config.l1i_latency.hit_cycles
+        + config.latency.tlb_hit_cycles
+        + 2
+    )
+    # A taken-trained predictor makes roughly every other probe
+    # branch mispredict (taken training covers every other pc slot);
+    # a quarter of the full penalty splits the two cases.
+    threshold = (
+        _TRAIN_BRANCHES * quiet_step
+        + (_TRAIN_BRANCHES // 4) * config.latency.mispredict_penalty_cycles
+    )
+    kernel.create_thread(
+        lo,
+        branch_spy,
+        params={
+            "results": results,
+            "rounds": rounds_per_run,
+            "penalty_threshold": threshold,
+        },
+    )
+    kernel.set_schedule(0, [(hi, None), (lo, None)])
+    return rounds_per_run * 300_000
+
+
 def experiment(
     tp: TimeProtectionConfig,
     machine_factory: Callable[[], Machine],
@@ -61,49 +97,10 @@ def experiment(
     sweep_rounds: int = 2,
 ) -> ChannelResult:
     """Measure the cross-domain branch-predictor channel under ``tp``."""
-
-    def run_once(bit: Hashable) -> Sequence[Hashable]:
-        machine = machine_factory()
-        kernel = Kernel(machine, tp)
-        hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
-        lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
-        kernel.create_thread(hi, branch_trojan, params={"bit": bit}, daemon=True)
-        results: List[int] = []
-        # A mispredicted run pays the penalty on most of the probe
-        # branches; half the total penalty cleanly separates the cases.
-        config = machine.config
-        quiet_step = (
-            config.latency.base_cycles
-            + config.l1i_latency.hit_cycles
-            + config.latency.tlb_hit_cycles
-            + 2
-        )
-        # A taken-trained predictor makes roughly every other probe
-        # branch mispredict (taken training covers every other pc slot);
-        # a quarter of the full penalty splits the two cases.
-        threshold = (
-            _TRAIN_BRANCHES * quiet_step
-            + (_TRAIN_BRANCHES // 4) * config.latency.mispredict_penalty_cycles
-        )
-        kernel.create_thread(
-            lo,
-            branch_spy,
-            params={
-                "results": results,
-                "rounds": rounds_per_run,
-                "penalty_threshold": threshold,
-            },
-        )
-        kernel.set_schedule(0, [(hi, None), (lo, None)])
-        kernel.run(max_cycles=rounds_per_run * 300_000)
-        # The early rounds are dominated by the spy's own cold
-        # instruction-cache misses as its pc walks fresh code lines.
-        return results[4:] if len(results) > 4 else results
-
+    # The early rounds are dominated by the spy's own cold
+    # instruction-cache misses as its pc walks fresh code lines.
     return run_symbol_sweep(
-        name="branch-predictor training channel",
-        tp_label=_tp_label(tp),
-        run_once=run_once,
-        symbols=[0, 1],
-        rounds=sweep_rounds,
+        "branch-predictor training channel", tp, machine_factory,
+        partial(build, rounds_per_run=rounds_per_run), [0, 1],
+        rounds=sweep_rounds, warmup=4,
     )

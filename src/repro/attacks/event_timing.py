@@ -16,14 +16,14 @@ crypto's WCET -- so Lo's receive timestamp carries nothing.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Optional, Sequence
 
 from ..hardware.isa import Access, Compute, ProgramContext, ReadTime, Syscall
 from ..hardware.machine import Machine
 from ..kernel.kernel import Kernel
 from ..kernel.timeprotect import TimeProtectionConfig
 from .harness import ChannelResult, run_symbol_sweep
-from .primeprobe import _tp_label
 
 _HI_SLICE = 20000
 _LO_SLICE = 8000
@@ -61,6 +61,38 @@ def network_stack(ctx: ProgramContext):
         previous = stamp.value
 
 
+def build(
+    kernel: Kernel, secret: int, results: List[int], messages_per_run: int = 5
+) -> int:
+    """Boot the downgrader encrypting under ``secret``; returns its horizon."""
+    hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
+    lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
+    endpoint = kernel.create_endpoint(
+        "ciphertext", min_exec_cycles=_IPC_MIN_EXEC, receiver_domain=lo
+    )
+    kernel.create_thread(
+        hi,
+        encryptor,
+        params={
+            "secret": secret,
+            "endpoint_id": endpoint.endpoint_id,
+            "messages": messages_per_run,
+        },
+        daemon=True,
+    )
+    kernel.create_thread(
+        lo,
+        network_stack,
+        params={
+            "endpoint_id": endpoint.endpoint_id,
+            "results": results,
+            "messages": messages_per_run,
+        },
+    )
+    kernel.set_schedule(0, [(hi, None), (lo, None)])
+    return messages_per_run * 600_000
+
+
 def experiment(
     tp: TimeProtectionConfig,
     machine_factory: Callable[[], Machine],
@@ -74,45 +106,10 @@ def experiment(
     The observation is the inter-arrival time of consecutive ciphertexts
     at the network stack (quantised); the symbol is the crypto secret.
     """
-
-    def run_once(secret: Hashable) -> Sequence[Hashable]:
-        machine = machine_factory()
-        kernel = Kernel(machine, tp)
-        hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
-        lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
-        endpoint = kernel.create_endpoint(
-            "ciphertext", min_exec_cycles=_IPC_MIN_EXEC, receiver_domain=lo
-        )
-        kernel.create_thread(
-            hi,
-            encryptor,
-            params={
-                "secret": secret,
-                "endpoint_id": endpoint.endpoint_id,
-                "messages": messages_per_run,
-            },
-            daemon=True,
-        )
-        results: List[int] = []
-        kernel.create_thread(
-            lo,
-            network_stack,
-            params={
-                "endpoint_id": endpoint.endpoint_id,
-                "results": results,
-                "messages": messages_per_run,
-            },
-        )
-        kernel.set_schedule(0, [(hi, None), (lo, None)])
-        kernel.run(max_cycles=messages_per_run * 600_000)
-        return [value // quantum for value in results]
-
     if symbols is None:
         symbols = [0, 5, 10, 15]
     return run_symbol_sweep(
-        name="downgrader event timing (Figure 1)",
-        tp_label=_tp_label(tp),
-        run_once=run_once,
-        symbols=symbols,
-        rounds=sweep_rounds,
+        "downgrader event timing (Figure 1)", tp, machine_factory,
+        partial(build, messages_per_run=messages_per_run), symbols,
+        rounds=sweep_rounds, quantum=quantum,
     )

@@ -15,14 +15,14 @@ channel is closed structurally, not just statistically.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Optional
 
 from ..hardware.isa import Access, Compute, FlushLine, ProgramContext, ReadTime, Syscall
 from ..hardware.machine import Machine
 from ..kernel.kernel import Kernel
 from ..kernel.timeprotect import TimeProtectionConfig
 from .harness import ChannelResult, run_symbol_sweep
-from .primeprobe import _tp_label
 
 _HI_SLICE = 5000
 _LO_SLICE = 10000
@@ -71,6 +71,37 @@ def fr_spy(ctx: ProgramContext):
         results.append(1 if hits >= _TARGET_LINES // 2 else 0)
 
 
+def build(
+    kernel: Kernel, bit: int, results: List[int], rounds_per_run: int = 6
+) -> int:
+    """Boot the system with the victim sending ``bit``; returns its horizon."""
+    hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
+    lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
+    kernel.create_thread(hi, victim, params={"bit": bit}, daemon=True)
+    config = kernel.machine.config
+    # A reload that hits the LLC is clearly below this; a DRAM miss
+    # is clearly above (the spy calibrates this in reality).
+    threshold = (
+        config.latency.readtime_cycles * 2
+        + config.l1d_latency.hit_cycles
+        + config.l2_latency.hit_cycles
+        + config.llc_latency.hit_cycles
+        + config.interconnect_transfer_cycles
+    )
+    kernel.create_thread(
+        lo,
+        fr_spy,
+        params={
+            "results": results,
+            "rounds": rounds_per_run,
+            "hit_threshold": threshold,
+            "sleep_cycles": _LO_SLICE + _HI_SLICE // 2,
+        },
+    )
+    kernel.set_schedule(0, [(hi, None), (lo, None)])
+    return rounds_per_run * 400_000
+
+
 def experiment(
     tp: TimeProtectionConfig,
     machine_factory: Callable[[], Machine],
@@ -79,44 +110,8 @@ def experiment(
     on_kernel: Optional[Callable[[Kernel], None]] = None,
 ) -> ChannelResult:
     """Measure the kernel-text Flush+Reload channel under ``tp``."""
-
-    def run_once(bit: Hashable) -> Sequence[Hashable]:
-        machine = machine_factory()
-        kernel = Kernel(machine, tp)
-        hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
-        lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
-        kernel.create_thread(hi, victim, params={"bit": bit}, daemon=True)
-        results: List[int] = []
-        config = machine.config
-        # A reload that hits the LLC is clearly below this; a DRAM miss
-        # is clearly above (the spy calibrates this in reality).
-        threshold = (
-            config.latency.readtime_cycles * 2
-            + config.l1d_latency.hit_cycles
-            + config.l2_latency.hit_cycles
-            + config.llc_latency.hit_cycles
-            + config.interconnect_transfer_cycles
-        )
-        kernel.create_thread(
-            lo,
-            fr_spy,
-            params={
-                "results": results,
-                "rounds": rounds_per_run,
-                "hit_threshold": threshold,
-                "sleep_cycles": _LO_SLICE + _HI_SLICE // 2,
-            },
-        )
-        kernel.set_schedule(0, [(hi, None), (lo, None)])
-        kernel.run(max_cycles=rounds_per_run * 400_000)
-        if on_kernel is not None:
-            on_kernel(kernel)
-        return results[2:] if len(results) > 2 else results
-
     return run_symbol_sweep(
-        name="flush+reload on kernel text",
-        tp_label=_tp_label(tp),
-        run_once=run_once,
-        symbols=[0, 1],
-        rounds=sweep_rounds,
+        "flush+reload on kernel text", tp, machine_factory,
+        partial(build, rounds_per_run=rounds_per_run), [0, 1],
+        rounds=sweep_rounds, warmup=2, on_kernel=on_kernel,
     )

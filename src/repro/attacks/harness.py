@@ -4,14 +4,17 @@ Every attack experiment follows the same shape: build a complete system
 (machine + kernel + domains + programs) for one input symbol, run it,
 extract the spy's observations, repeat over a symbol alphabet, and
 quantify the resulting (symbol, observation) samples as a channel.  The
-harness owns that loop so individual attacks only provide programs and a
-feature extractor.
+harness owns that loop: :func:`run_symbol_sweep` is the only code that
+runs an attack system.  An attack provides programs and a *builder*,
+which adds its domains, threads, endpoints and schedule to a fresh,
+unrun kernel and never runs it -- the same boot-only contract
+:func:`repro.core.noninterference.sweep_secrets` and the prover take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from ..analysis import (
     ChannelMatrix,
@@ -21,6 +24,15 @@ from ..analysis import (
     min_leakage,
     mutual_information_from_samples,
 )
+from ..hardware.machine import Machine
+from ..kernel.kernel import Kernel
+from ..kernel.timeprotect import TimeProtectionConfig
+
+#: ``build(kernel, symbol, results) -> horizon``: add an attack's system
+#: transmitting ``symbol`` to a fresh, unrun ``kernel``, with Lo's spy
+#: appending its per-round observations to ``results``; returns the
+#: ``max_cycles`` horizon to run it to.
+Builder = Callable[[Kernel, Hashable, List[Hashable]], int]
 
 
 @dataclass
@@ -103,30 +115,52 @@ class ChannelResult:
         )
 
 
+def _tp_label(tp: TimeProtectionConfig) -> str:
+    """The report label of a TP config: its enabled mechanisms."""
+    mechanisms = tp.enabled_mechanisms()
+    return "TP:" + (",".join(mechanisms) if mechanisms else "none")
+
+
 def run_symbol_sweep(
     name: str,
-    tp_label: str,
-    run_once: Callable[[Hashable], Sequence[Hashable]],
+    tp: TimeProtectionConfig,
+    machine_factory: Callable[[], Machine],
+    build: Builder,
     symbols: Sequence[Hashable],
     rounds: int = 1,
+    warmup: int = 0,
+    quantum: Optional[int] = None,
+    on_kernel: Optional[Callable[[Kernel], None]] = None,
     metadata: Optional[dict] = None,
 ) -> ChannelResult:
-    """Run ``run_once(symbol)`` for each symbol (``rounds`` times) and pool.
+    """Run ``build``'s system for each symbol (``rounds`` times) and pool.
 
-    ``run_once`` returns the spy's per-round observations for one full
-    system run transmitting ``symbol``; each observation becomes one
-    sample.
+    Each run boots ``Kernel(machine_factory(), tp)``, hands it to
+    ``build`` and runs it to the returned horizon.  ``on_kernel`` then
+    sees the finished kernel (bench step accounting, golden-trace
+    capture).  The spy's observations after the first ``warmup`` (all
+    of them when no more remain) become samples, divided by ``quantum``
+    when one is given, so residual jitter does not register as capacity.
     """
     samples: List[Tuple[Hashable, Hashable]] = []
     for _round in range(rounds):
         for symbol in symbols:
-            for observation in run_once(symbol):
+            results: List[Hashable] = []
+            kernel = Kernel(machine_factory(), tp)
+            kernel.run(max_cycles=build(kernel, symbol, results))
+            if on_kernel is not None:
+                on_kernel(kernel)
+            if len(results) > warmup:
+                results = results[warmup:]
+            for observation in results:
+                if quantum is not None:
+                    observation //= quantum
                 samples.append((symbol, observation))
     if not samples:
         raise RuntimeError(f"experiment {name!r} produced no samples")
     return ChannelResult(
         name=name,
-        tp_label=tp_label,
+        tp_label=_tp_label(tp),
         samples=samples,
         metadata=dict(metadata or {}),
     )

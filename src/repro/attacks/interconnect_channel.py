@@ -16,14 +16,14 @@ narrows but does not close the channel.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Sequence
+from functools import partial
+from typing import Callable, List
 
 from ..hardware.isa import Access, Compute, FlushLine, ProgramContext, ReadTime
 from ..hardware.machine import Machine
 from ..kernel.kernel import Kernel
 from ..kernel.timeprotect import TimeProtectionConfig
 from .harness import ChannelResult, run_symbol_sweep
-from .primeprobe import _tp_label
 
 
 def bandwidth_trojan(ctx: ProgramContext):
@@ -60,6 +60,28 @@ def bandwidth_spy(ctx: ProgramContext):
         results.append(t1.value - t0.value)
 
 
+def build(
+    kernel: Kernel, bit: int, results: List[int], rounds_per_run: int = 8
+) -> int:
+    """Boot the two-core system with Hi sending ``bit``; returns its horizon."""
+    if len(kernel.machine.cores) < 2:
+        raise ValueError("the interconnect experiment needs two cores")
+    lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=8000)
+    hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=8000)
+    kernel.create_thread(
+        lo,
+        bandwidth_spy,
+        core_id=0,
+        params={"results": results, "rounds": rounds_per_run},
+    )
+    kernel.create_thread(
+        hi, bandwidth_trojan, core_id=1, params={"bit": bit}, daemon=True
+    )
+    kernel.set_schedule(0, [(lo, None)])
+    kernel.set_schedule(1, [(hi, None)])
+    return rounds_per_run * 120_000
+
+
 def experiment(
     tp: TimeProtectionConfig,
     machine_factory: Callable[[], Machine],
@@ -73,35 +95,11 @@ def experiment(
     full time protection -- because the interconnect is stateless and the
     OS has no mechanism for it.
     """
-
-    def run_once(bit: Hashable) -> Sequence[Hashable]:
-        machine = machine_factory()
-        if len(machine.cores) < 2:
-            raise ValueError("the interconnect experiment needs two cores")
-        kernel = Kernel(machine, tp)
-        lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=8000)
-        hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=8000)
-        results: List[int] = []
-        kernel.create_thread(
-            lo,
-            bandwidth_spy,
-            core_id=0,
-            params={"results": results, "rounds": rounds_per_run},
-        )
-        kernel.create_thread(
-            hi, bandwidth_trojan, core_id=1, params={"bit": bit}, daemon=True
-        )
-        kernel.set_schedule(0, [(lo, None)])
-        kernel.set_schedule(1, [(hi, None)])
-        kernel.run(max_cycles=rounds_per_run * 120_000)
-        kept = results[1:] if len(results) > 1 else results
-        return [value // quantum for value in kept]
-
-    return run_symbol_sweep(
-        name="stateless interconnect bandwidth channel (cross-core)",
-        tp_label=_tp_label(tp)
-        + (",MBA" if machine_factory().interconnect.mba else ""),
-        run_once=run_once,
-        symbols=[0, 1],
-        rounds=sweep_rounds,
+    result = run_symbol_sweep(
+        "stateless interconnect bandwidth channel (cross-core)",
+        tp, machine_factory, partial(build, rounds_per_run=rounds_per_run), [0, 1],
+        rounds=sweep_rounds, warmup=1, quantum=quantum,
     )
+    if machine_factory().interconnect.mba:
+        result.tp_label += ",MBA"
+    return result

@@ -14,14 +14,14 @@ gapless.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Sequence
+from functools import partial
+from typing import Callable, List
 
 from ..hardware.isa import Compute, ProgramContext, ReadTime, Syscall
 from ..hardware.machine import Machine
 from ..kernel.kernel import Kernel
 from ..kernel.timeprotect import TimeProtectionConfig
 from .harness import ChannelResult, run_symbol_sweep
-from .primeprobe import _tp_label
 
 _HI_SLICE = 6000
 _LO_SLICE = 6000
@@ -74,6 +74,49 @@ def gap_spy(ctx: ProgramContext):
         yield Syscall("sleep", (ctx.params["sleep_cycles"],))
 
 
+def build(
+    kernel: Kernel, bit: int, results: List[int], rounds_per_run: int = 6
+) -> int:
+    """Boot the system with the Trojan sending ``bit``; returns its horizon."""
+    hi = kernel.create_domain(
+        "Hi", n_colours=2, slice_cycles=_HI_SLICE, irq_lines=(_TROJAN_IRQ_LINE,)
+    )
+    lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
+    switch_estimate = kernel.pad_wcet_estimate if kernel.tp.pad_switch else 800
+    kernel.create_thread(
+        hi,
+        irq_trojan,
+        params={
+            "bit": bit,
+            "lo_slice": _LO_SLICE,
+            "hi_slice": _HI_SLICE,
+            "switch_estimate": switch_estimate,
+        },
+        daemon=True,
+    )
+    # A quiet ReadTime-to-ReadTime step is ~a dozen cycles; even a
+    # fully warm IRQ handler inserts several times that.
+    config = kernel.machine.config
+    gap_threshold = 4 * (
+        config.latency.readtime_cycles
+        + config.latency.base_cycles
+        + config.l1i_latency.hit_cycles
+        + config.latency.tlb_hit_cycles
+    )
+    kernel.create_thread(
+        lo,
+        gap_spy,
+        params={
+            "results": results,
+            "rounds": rounds_per_run,
+            "gap_threshold": gap_threshold,
+            "sleep_cycles": _HI_SLICE // 2,
+        },
+    )
+    kernel.set_schedule(0, [(hi, None), (lo, None)])
+    return rounds_per_run * 400_000
+
+
 def experiment(
     tp: TimeProtectionConfig,
     machine_factory: Callable[[], Machine],
@@ -81,53 +124,8 @@ def experiment(
     sweep_rounds: int = 2,
 ) -> ChannelResult:
     """Measure the completion-interrupt channel under ``tp``."""
-
-    def run_once(bit: Hashable) -> Sequence[Hashable]:
-        machine = machine_factory()
-        kernel = Kernel(machine, tp)
-        hi = kernel.create_domain(
-            "Hi", n_colours=2, slice_cycles=_HI_SLICE, irq_lines=(_TROJAN_IRQ_LINE,)
-        )
-        lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
-        switch_estimate = kernel.pad_wcet_estimate if tp.pad_switch else 800
-        kernel.create_thread(
-            hi,
-            irq_trojan,
-            params={
-                "bit": bit,
-                "lo_slice": _LO_SLICE,
-                "hi_slice": _HI_SLICE,
-                "switch_estimate": switch_estimate,
-            },
-            daemon=True,
-        )
-        results: List[int] = []
-        # A quiet ReadTime-to-ReadTime step is ~a dozen cycles; even a
-        # fully warm IRQ handler inserts several times that.
-        gap_threshold = 4 * (
-            machine.config.latency.readtime_cycles
-            + machine.config.latency.base_cycles
-            + machine.config.l1i_latency.hit_cycles
-            + machine.config.latency.tlb_hit_cycles
-        )
-        kernel.create_thread(
-            lo,
-            gap_spy,
-            params={
-                "results": results,
-                "rounds": rounds_per_run,
-                "gap_threshold": gap_threshold,
-                "sleep_cycles": _HI_SLICE // 2,
-            },
-        )
-        kernel.set_schedule(0, [(hi, None), (lo, None)])
-        kernel.run(max_cycles=rounds_per_run * 400_000)
-        return results[1:] if len(results) > 1 else results
-
     return run_symbol_sweep(
-        name="I/O completion interrupt channel",
-        tp_label=_tp_label(tp),
-        run_once=run_once,
-        symbols=[0, 1],
-        rounds=sweep_rounds,
+        "I/O completion interrupt channel", tp, machine_factory,
+        partial(build, rounds_per_run=rounds_per_run), [0, 1],
+        rounds=sweep_rounds, warmup=1,
     )

@@ -10,14 +10,14 @@ makes the spy's traversal time a function of its own history only.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Optional, Sequence
 
 from ..hardware.isa import Access, Compute, ProgramContext, ReadTime, Syscall
 from ..hardware.machine import Machine
 from ..kernel.kernel import Kernel
 from ..kernel.timeprotect import TimeProtectionConfig
 from .harness import ChannelResult, run_symbol_sweep
-from .primeprobe import _tp_label
 
 _HI_SLICE = 6000
 _LO_SLICE = 12000
@@ -62,6 +62,29 @@ def traversal_spy(ctx: ProgramContext):
         results.append(t1.value - t0.value)
 
 
+def build(
+    kernel: Kernel, symbol: int, results: List[int], rounds_per_run: int = 6
+) -> int:
+    """Boot the system with a ``symbol``-page victim; returns its horizon."""
+    hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
+    lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
+    kernel.create_thread(
+        hi, wss_victim, params={"symbol": symbol}, data_pages=12, daemon=True
+    )
+    kernel.create_thread(
+        lo,
+        traversal_spy,
+        data_pages=6,
+        params={
+            "results": results,
+            "rounds": rounds_per_run,
+            "sleep_cycles": _LO_SLICE + _HI_SLICE // 2,
+        },
+    )
+    kernel.set_schedule(0, [(hi, None), (lo, None)])
+    return rounds_per_run * 500_000
+
+
 def experiment(
     tp: TimeProtectionConfig,
     machine_factory: Callable[[], Machine],
@@ -75,37 +98,10 @@ def experiment(
     Observations are traversal times quantised to ``quantum`` cycles so
     that residual single-cycle jitter does not register as capacity.
     """
-
-    def run_once(symbol: Hashable) -> Sequence[Hashable]:
-        machine = machine_factory()
-        kernel = Kernel(machine, tp)
-        hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
-        lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
-        kernel.create_thread(
-            hi, wss_victim, params={"symbol": symbol}, data_pages=12, daemon=True
-        )
-        results: List[int] = []
-        kernel.create_thread(
-            lo,
-            traversal_spy,
-            data_pages=6,
-            params={
-                "results": results,
-                "rounds": rounds_per_run,
-                "sleep_cycles": _LO_SLICE + _HI_SLICE // 2,
-            },
-        )
-        kernel.set_schedule(0, [(hi, None), (lo, None)])
-        kernel.run(max_cycles=rounds_per_run * 500_000)
-        kept = results[2:] if len(results) > 2 else results
-        return [value // quantum for value in kept]
-
     if symbols is None:
         symbols = [1, 4, 8, 12]
     return run_symbol_sweep(
-        name="cache occupancy (timing own progress)",
-        tp_label=_tp_label(tp),
-        run_once=run_once,
-        symbols=symbols,
-        rounds=sweep_rounds,
+        "cache occupancy (timing own progress)", tp, machine_factory,
+        partial(build, rounds_per_run=rounds_per_run), symbols,
+        rounds=sweep_rounds, warmup=2, quantum=quantum,
     )

@@ -20,7 +20,8 @@ Two variants, matching the paper's two sharing modes:
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Optional, Sequence
 
 from ..hardware.isa import Access, Compute, ProgramContext, ReadTime, Syscall
 from ..hardware.machine import Machine
@@ -108,6 +109,40 @@ def l1_spy(ctx: ProgramContext):
         results.append(slowest)
 
 
+def l1_build(
+    kernel: Kernel, symbol: int, results: List[int], rounds_per_run: int = 6
+) -> int:
+    """Boot the system with Hi hammering set ``symbol``; returns its horizon.
+
+    Prime depth and slice lengths scale with the L1 geometry: the spy
+    needs ``ways`` lines per set to own the whole cache, the Trojan needs
+    ``ways`` conflicting lines to evict a full set, and the spy's slice
+    must fit a prime plus two timed probes.
+    """
+    geometry = kernel.machine.config.l1d_geometry
+    lo_slice = max(_LO_SLICE, geometry.sets * geometry.ways * 80)
+    hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
+    lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=lo_slice)
+    kernel.create_thread(
+        hi, l1_trojan, params={"symbol": symbol},
+        data_pages=geometry.ways, daemon=True,
+    )
+    kernel.create_thread(
+        lo,
+        l1_spy,
+        params={
+            "l1_sets": geometry.sets,
+            "prime_pages": geometry.ways,
+            "results": results,
+            "rounds": rounds_per_run,
+            "sleep_cycles": lo_slice + _HI_SLICE // 2,
+        },
+        data_pages=geometry.ways,
+    )
+    kernel.set_schedule(0, [(hi, None), (lo, None)])
+    return rounds_per_run * (60 * lo_slice)
+
+
 def l1_experiment(
     tp: TimeProtectionConfig,
     machine_factory: Callable[[], Machine],
@@ -116,61 +151,16 @@ def l1_experiment(
     sweep_rounds: int = 1,
     on_kernel: Optional[Callable[[Kernel], None]] = None,
 ) -> ChannelResult:
-    """Measure the time-shared L1 prime-and-probe channel under ``tp``.
-
-    Prime depth and slice lengths scale with the L1 geometry: the spy
-    needs ``ways`` lines per set to own the whole cache, the Trojan needs
-    ``ways`` conflicting lines to evict a full set, and the spy's slice
-    must fit a prime plus two timed probes.
-
-    ``on_kernel`` is called with each finished run's kernel (bench step
-    accounting, golden-trace capture) before its observations are folded
-    into the sweep.
-    """
-
-    def run_once(symbol: Hashable) -> Sequence[Hashable]:
-        machine = machine_factory()
-        kernel = Kernel(machine, tp)
-        geometry = machine.config.l1d_geometry
-        lo_slice = max(_LO_SLICE, geometry.sets * geometry.ways * 80)
-        hi_slice = _HI_SLICE
-        hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=hi_slice)
-        lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=lo_slice)
-        kernel.create_thread(
-            hi, l1_trojan, params={"symbol": symbol},
-            data_pages=geometry.ways, daemon=True,
-        )
-        results: List[int] = []
-        kernel.create_thread(
-            lo,
-            l1_spy,
-            params={
-                "l1_sets": geometry.sets,
-                "prime_pages": geometry.ways,
-                "results": results,
-                "rounds": rounds_per_run,
-                "sleep_cycles": lo_slice + hi_slice // 2,
-            },
-            data_pages=geometry.ways,
-        )
-        kernel.set_schedule(0, [(hi, None), (lo, None)])
-        kernel.run(max_cycles=rounds_per_run * (60 * lo_slice))
-        if on_kernel is not None:
-            on_kernel(kernel)
-        # The first rounds run before prime/sleep aligns with the domain
-        # schedule; drop them as warmup.
-        return results[2:] if len(results) > 2 else results
-
-    machine = machine_factory()
-    if symbols is None:
-        symbols = list(range(machine.config.l1d_geometry.sets))
+    """Measure the time-shared L1 prime-and-probe channel under ``tp``."""
+    l1_sets = machine_factory().config.l1d_geometry.sets
+    # The first rounds run before prime/sleep aligns with the domain
+    # schedule: warm-up.
     return run_symbol_sweep(
-        name="prime+probe L1 (time-shared)",
-        tp_label=_tp_label(tp),
-        run_once=run_once,
-        symbols=symbols,
-        rounds=sweep_rounds,
-        metadata={"l1_sets": machine.config.l1d_geometry.sets},
+        "prime+probe L1 (time-shared)", tp, machine_factory,
+        partial(l1_build, rounds_per_run=rounds_per_run),
+        range(l1_sets) if symbols is None else symbols,
+        rounds=sweep_rounds, warmup=2, on_kernel=on_kernel,
+        metadata={"l1_sets": l1_sets},
     )
 
 
@@ -259,6 +249,47 @@ def llc_spy(ctx: ProgramContext):
         results.append(slowest)
 
 
+def llc_build(
+    kernel: Kernel, symbol: int, results: List[int], rounds_per_run: int = 8
+) -> int:
+    """Boot the 2-core system, Hi on colour ``symbol``; returns its horizon."""
+    machine = kernel.machine
+    if len(machine.cores) < 2:
+        raise ValueError("the LLC experiment needs a 2-core machine")
+    n_colours = machine.n_colours
+    lo = kernel.create_domain("Lo", n_colours=3, slice_cycles=_LO_SLICE)
+    hi = kernel.create_domain("Hi", n_colours=3, slice_cycles=_HI_SLICE)
+    # Eviction-set sizing: each colour-c page contributes one line to
+    # every private-L2 set the colour maps to, so (l2.ways + 2) pages
+    # per colour overflow the private levels while still fitting the
+    # (larger) LLC colour capacity -- the probe then measures LLC
+    # residency, not private-cache residency.
+    pages_per_colour = machine.config.l2_geometry.ways + 2
+    buffer_pages = pages_per_colour * n_colours
+    kernel.create_thread(
+        lo,
+        llc_spy,
+        core_id=0,
+        data_pages=buffer_pages,
+        params={
+            "results": results,
+            "rounds": rounds_per_run,
+            "n_colours": n_colours,
+        },
+    )
+    kernel.create_thread(
+        hi,
+        llc_trojan,
+        core_id=1,
+        data_pages=buffer_pages,
+        params={"symbol": symbol, "n_colours": n_colours},
+        daemon=True,
+    )
+    kernel.set_schedule(0, [(lo, None)])
+    kernel.set_schedule(1, [(hi, None)])
+    return rounds_per_run * 200_000
+
+
 def llc_experiment(
     tp: TimeProtectionConfig,
     machine_factory: Callable[[], Machine],
@@ -268,62 +299,11 @@ def llc_experiment(
     on_kernel: Optional[Callable[[Kernel], None]] = None,
 ) -> ChannelResult:
     """Measure the concurrent (cross-core) LLC channel under ``tp``."""
-
-    def run_once(symbol: Hashable) -> Sequence[Hashable]:
-        machine = machine_factory()
-        if len(machine.cores) < 2:
-            raise ValueError("the LLC experiment needs a 2-core machine")
-        kernel = Kernel(machine, tp)
-        n_colours = machine.n_colours
-        lo = kernel.create_domain("Lo", n_colours=3, slice_cycles=_LO_SLICE)
-        hi = kernel.create_domain("Hi", n_colours=3, slice_cycles=_HI_SLICE)
-        # Eviction-set sizing: each colour-c page contributes one line to
-        # every private-L2 set the colour maps to, so (l2.ways + 2) pages
-        # per colour overflow the private levels while still fitting the
-        # (larger) LLC colour capacity -- the probe then measures LLC
-        # residency, not private-cache residency.
-        pages_per_colour = machine.config.l2_geometry.ways + 2
-        buffer_pages = pages_per_colour * n_colours
-        results: List[int] = []
-        kernel.create_thread(
-            lo,
-            llc_spy,
-            core_id=0,
-            data_pages=buffer_pages,
-            params={
-                "results": results,
-                "rounds": rounds_per_run,
-                "n_colours": n_colours,
-            },
-        )
-        kernel.create_thread(
-            hi,
-            llc_trojan,
-            core_id=1,
-            data_pages=buffer_pages,
-            params={"symbol": symbol, "n_colours": n_colours},
-            daemon=True,
-        )
-        kernel.set_schedule(0, [(lo, None)])
-        kernel.set_schedule(1, [(hi, None)])
-        kernel.run(max_cycles=rounds_per_run * 200_000)
-        if on_kernel is not None:
-            on_kernel(kernel)
-        return results[1:] if len(results) > 1 else results
-
-    machine = machine_factory()
-    if symbols is None:
-        symbols = list(range(machine.n_colours))
+    n_colours = machine_factory().n_colours
     return run_symbol_sweep(
-        name="prime+probe LLC (concurrent, cross-core)",
-        tp_label=_tp_label(tp),
-        run_once=run_once,
-        symbols=symbols,
-        rounds=sweep_rounds,
-        metadata={"n_colours": machine.n_colours},
+        "prime+probe LLC (concurrent, cross-core)", tp, machine_factory,
+        partial(llc_build, rounds_per_run=rounds_per_run),
+        range(n_colours) if symbols is None else symbols,
+        rounds=sweep_rounds, warmup=1, on_kernel=on_kernel,
+        metadata={"n_colours": n_colours},
     )
-
-
-def _tp_label(tp: TimeProtectionConfig) -> str:
-    mechanisms = tp.enabled_mechanisms()
-    return "TP:" + (",".join(mechanisms) if mechanisms else "none")

@@ -13,14 +13,14 @@ start-to-start periods.  With padding, every period is constant.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Optional, Sequence
 
 from ..hardware.isa import Access, Compute, ProgramContext, ReadTime, Syscall
 from ..hardware.machine import Machine
 from ..kernel.kernel import Kernel
 from ..kernel.timeprotect import TimeProtectionConfig
 from .harness import ChannelResult, run_symbol_sweep
-from .primeprobe import _tp_label
 
 _HI_SLICE = 5000
 _LO_SLICE = 5000
@@ -56,6 +56,24 @@ def slice_start_spy(ctx: ProgramContext):
         yield Syscall("sleep", (_LO_SLICE + _HI_SLICE // 2,))
 
 
+def build(
+    kernel: Kernel, symbol: int, results: List[int], rounds_per_run: int = 8
+) -> int:
+    """Boot the system with Hi dirtying ``symbol`` lines; returns its horizon."""
+    hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
+    lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
+    kernel.create_thread(
+        hi, dirty_trojan, params={"symbol": symbol}, data_pages=4, daemon=True
+    )
+    kernel.create_thread(
+        lo,
+        slice_start_spy,
+        params={"results": results, "rounds": rounds_per_run},
+    )
+    kernel.set_schedule(0, [(hi, None), (lo, None)])
+    return rounds_per_run * 300_000
+
+
 def experiment(
     tp: TimeProtectionConfig,
     machine_factory: Callable[[], Machine],
@@ -66,38 +84,12 @@ def experiment(
     on_kernel: Optional[Callable[[Kernel], None]] = None,
 ) -> ChannelResult:
     """Measure the dirty-line switch-latency channel under ``tp``."""
-
-    def run_once(symbol: Hashable) -> Sequence[Hashable]:
-        machine = machine_factory()
-        kernel = Kernel(machine, tp)
-        hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=_HI_SLICE)
-        lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=_LO_SLICE)
-        kernel.create_thread(
-            hi, dirty_trojan, params={"symbol": symbol}, data_pages=4, daemon=True
-        )
-        results: List[int] = []
-        kernel.create_thread(
-            lo,
-            slice_start_spy,
-            params={"results": results, "rounds": rounds_per_run},
-        )
-        kernel.set_schedule(0, [(hi, None), (lo, None)])
-        kernel.run(max_cycles=rounds_per_run * 300_000)
-        if on_kernel is not None:
-            on_kernel(kernel)
-        kept = results[2:] if len(results) > 2 else results
-        return [value // quantum for value in kept]
-
-    machine = machine_factory()
     if symbols is None:
-        max_lines = (
-            machine.config.l1d_geometry.sets * machine.config.l1d_geometry.ways
-        )
+        geometry = machine_factory().config.l1d_geometry
+        max_lines = geometry.sets * geometry.ways
         symbols = sorted({1, max_lines // 3, 2 * max_lines // 3, max_lines})
     return run_symbol_sweep(
-        name="dirty-line switch-latency channel",
-        tp_label=_tp_label(tp),
-        run_once=run_once,
-        symbols=symbols,
-        rounds=sweep_rounds,
+        "dirty-line switch-latency channel", tp, machine_factory,
+        partial(build, rounds_per_run=rounds_per_run), symbols,
+        rounds=sweep_rounds, warmup=2, quantum=quantum, on_kernel=on_kernel,
     )

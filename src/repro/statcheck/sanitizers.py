@@ -91,9 +91,11 @@ MUTATOR_METHODS: FrozenSet[str] = frozenset({
 DECLASSIFIED_PARAMS: Dict[Tuple[str, str, str], str] = {
     ("repro.attacks.harness", "run_symbol_sweep", "symbols"): (
         "the swept symbol is the experimenter's ground-truth label for "
-        "each round, paired with the observation to *measure* the "
-        "channel; the modelled Lo observer never sees it -- only the "
-        "observation column is Lo-visible"
+        "each run: it chooses which system ``build`` boots and is paired "
+        "with the run's observations to *measure* the channel; the "
+        "modelled Lo observer never sees it -- only the observation "
+        "column is Lo-visible, and the builders and programs that carry "
+        "the symbol into the system are checked where they are defined"
     ),
     ("repro.core.noninterference", "sweep_secrets", "secrets"): (
         "the swept secrets are the experimenter's inputs to the two-run "

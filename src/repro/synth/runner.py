@@ -2,8 +2,9 @@
 
 This is the synth counterpart of the hand-written attack experiments
 (``repro.attacks.primeprobe`` et al.) and follows their exact shape --
-build machine + kernel + two domains per symbol, run, sweep the symbol
-alphabet, return a :class:`ChannelResult` -- so evolved genomes are
+a boot-only :func:`build` of the two-domain system per symbol, which
+:func:`~repro.attacks.harness.run_symbol_sweep` runs over the symbol
+alphabet into a :class:`ChannelResult` -- so evolved genomes are
 measured by the same harness, the same estimator and the same campaign
 machinery as the fixed suite.  The function signature matches the
 campaign registry's runner contract, which is what lets winning genomes
@@ -12,6 +13,7 @@ register as first-class attacks.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Hashable, List, Optional, Sequence, Union
 
 from ..attacks.harness import ChannelResult, run_symbol_sweep
@@ -34,9 +36,51 @@ _HI_SLICE = 3000
 _LO_SLICE = 9000
 
 
-def _tp_label(tp: TimeProtectionConfig) -> str:
-    mechanisms = tp.enabled_mechanisms()
-    return "TP:" + (",".join(mechanisms) if mechanisms else "none")
+def build(
+    kernel: Kernel,
+    symbol: int,
+    results: List[Hashable],
+    genome: dict,
+    victim: str = "set_hammer",
+    rounds_per_run: int = 4,
+    hi_slice: int = _HI_SLICE,
+    lo_slice: int = _LO_SLICE,
+    data_pages: Optional[int] = None,
+    hi_data_pages: Optional[int] = None,
+    victim_params: Optional[dict] = None,
+) -> int:
+    """Boot ``victim`` sending ``symbol`` against the dict-form ``genome``.
+
+    Returns the horizon.  The genome's decoder appends one observation
+    per round to ``results``.
+    """
+    geometry = kernel.machine.config.l1d_geometry
+    pages = data_pages if data_pages is not None else geometry.ways + 2
+    hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=hi_slice)
+    lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=lo_slice)
+    # Endpoint 0 exists so victims may make send/poll syscalls.
+    kernel.create_endpoint("synth")
+    kernel.create_thread(
+        hi,
+        ReplayableProgram.factory(VICTIMS[victim]),
+        params={"symbol": symbol, **(victim_params or {})},
+        data_pages=hi_data_pages if hi_data_pages is not None else geometry.ways,
+        daemon=True,
+    )
+    kernel.create_thread(
+        lo,
+        ReplayableProgram.factory(genome_step),
+        params={"genome": genome, "results": results, "rounds": rounds_per_run},
+        data_pages=pages,
+    )
+    kernel.set_schedule(0, [(hi, None), (lo, None)])
+    # Each round spans both slices and, when switches are padded, both
+    # pads.  The victim is a daemon, so the run still ends at the spy's
+    # last step; the horizon only has to leave it room.
+    return (
+        (rounds_per_run + 3)
+        * (hi_slice + lo_slice + hi.pad_cycles + lo.pad_cycles) * 2
+    )
 
 
 def experiment(
@@ -64,60 +108,18 @@ def experiment(
     genome_dict = genome.to_dict() if isinstance(genome, Genome) else dict(genome)
     if victim not in VICTIMS:
         raise KeyError(f"unknown victim {victim!r}; choices: {sorted(VICTIMS)}")
-    if symbols is None:
-        symbols = DEFAULT_SYMBOLS[victim]
-    victim_step = VICTIMS[victim]
-
-    def run_once(symbol: Hashable) -> Sequence[Hashable]:
-        machine = machine_factory()
-        kernel = Kernel(machine, tp)
-        geometry = machine.config.l1d_geometry
-        pages = data_pages if data_pages is not None else geometry.ways + 2
-        hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=hi_slice)
-        lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=lo_slice)
-        # Endpoint 0 exists so victims may make send/poll syscalls.
-        kernel.create_endpoint("synth")
-        kernel.create_thread(
-            hi,
-            ReplayableProgram.factory(victim_step),
-            params={"symbol": symbol, **(victim_params or {})},
-            data_pages=(
-                hi_data_pages if hi_data_pages is not None else geometry.ways
-            ),
-            daemon=True,
-        )
-        # The genome's decoder appends one observation per round here.
-        results: List[Hashable] = []
-        kernel.create_thread(
-            lo,
-            ReplayableProgram.factory(genome_step),
-            params={
-                "genome": genome_dict,
-                "results": results,
-                "rounds": rounds_per_run,
-            },
-            data_pages=pages,
-        )
-        kernel.set_schedule(0, [(hi, None), (lo, None)])
-        # Each round spans both slices and, when switches are padded,
-        # both pads.  The victim is a daemon, so the run still ends at
-        # the spy's last step; the horizon only has to leave it room.
-        kernel.run(
-            max_cycles=(rounds_per_run + 3)
-            * (hi_slice + lo_slice + hi.pad_cycles + lo.pad_cycles) * 2
-        )
-        if on_kernel is not None:
-            on_kernel(kernel)
-        # The first round runs before the genome's waits align with the
-        # domain schedule; drop it as warmup.
-        return results[1:] if len(results) > 1 else results
-
+    # The first round runs before the genome's waits align with the
+    # domain schedule: warm-up.
     return run_symbol_sweep(
-        name=f"synth[{victim}]",
-        tp_label=_tp_label(tp),
-        run_once=run_once,
-        symbols=symbols,
-        rounds=sweep_rounds,
+        f"synth[{victim}]", tp, machine_factory,
+        partial(
+            build, genome=genome_dict, victim=victim,
+            rounds_per_run=rounds_per_run, hi_slice=hi_slice,
+            lo_slice=lo_slice, data_pages=data_pages,
+            hi_data_pages=hi_data_pages, victim_params=victim_params,
+        ),
+        DEFAULT_SYMBOLS[victim] if symbols is None else symbols,
+        rounds=sweep_rounds, warmup=1, on_kernel=on_kernel,
         metadata={
             "victim": victim,
             "genome": genome_dict,

@@ -9,6 +9,35 @@ from repro.attacks.encoding import (
     majority,
 )
 from repro.attacks.harness import ChannelResult, run_symbol_sweep
+from repro.hardware import presets
+from repro.kernel.timeprotect import TimeProtectionConfig
+
+
+def _fake_build(observe):
+    """A builder whose spy 'observes' ``observe(symbol)`` at boot.
+
+    It schedules one empty domain and a zero horizon, so the harness's
+    run of it takes no step and the observations are exactly the fake
+    channel's.
+    """
+
+    def build(kernel, symbol, results):
+        kernel.set_schedule(0, [(kernel.create_domain("Lo"), None)])
+        results.extend(observe(symbol))
+        return 0
+
+    return build
+
+
+def _sweep(observe, symbols, **kwargs):
+    return run_symbol_sweep(
+        name="fake",
+        tp=TimeProtectionConfig.none(),
+        machine_factory=presets.micro_machine,
+        build=_fake_build(observe),
+        symbols=symbols,
+        **kwargs,
+    )
 
 
 class TestEncoding:
@@ -35,35 +64,21 @@ class TestEncoding:
 
 class TestHarness:
     def test_sweep_collects_per_symbol(self):
-        result = run_symbol_sweep(
-            name="fake",
-            tp_label="TP:none",
-            run_once=lambda symbol: [symbol * 10, symbol * 10],
-            symbols=[0, 1, 2],
-            rounds=2,
+        result = _sweep(
+            lambda symbol: [symbol * 10, symbol * 10], [0, 1, 2], rounds=2
         )
         assert len(result.samples) == 12
         assert result.n_symbols() == 3
 
     def test_perfect_fake_channel_stats(self):
-        result = run_symbol_sweep(
-            name="fake",
-            tp_label="TP:none",
-            run_once=lambda symbol: [f"obs{symbol}"] * 4,
-            symbols=[0, 1],
-        )
+        result = _sweep(lambda symbol: [f"obs{symbol}"] * 4, [0, 1])
         assert result.capacity_bits() == pytest.approx(1.0, abs=1e-5)
         assert result.decode_accuracy() == 1.0
         assert result.chance_accuracy() == 0.5
 
     def test_empty_experiment_rejected(self):
         with pytest.raises(RuntimeError):
-            run_symbol_sweep(
-                name="fake",
-                tp_label="TP:none",
-                run_once=lambda symbol: [],
-                symbols=[0, 1],
-            )
+            _sweep(lambda symbol: [], [0, 1])
 
     def test_summary_mentions_name_and_label(self):
         result = ChannelResult(

@@ -1,5 +1,7 @@
 """SC-4 secret-taint checker against the seeded fixture flows."""
 
+import importlib
+import inspect
 from pathlib import Path
 
 from repro.statcheck import run_lint
@@ -104,3 +106,12 @@ class TestPolicyTables:
         assert (
             "repro.attacks.harness", "run_symbol_sweep", "symbols"
         ) in DECLASSIFIED_PARAMS
+
+    def test_every_declassification_names_a_parameter(self):
+        # A declassifier that outlives its function's signature endorses
+        # nothing and hides that the flow it covered is unchecked.
+        for module, qualname, param in DECLASSIFIED_PARAMS:
+            function = getattr(importlib.import_module(module), qualname)
+            assert param in inspect.signature(function).parameters, (
+                module, qualname, param,
+            )
