@@ -48,9 +48,8 @@ with neither the depth nor the state bound cutting anything off.
 from __future__ import annotations
 
 import gc
-import time
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..kernel.kernel import Kernel
 from .fingerprint import product_fingerprint, state_fingerprint_incremental
@@ -64,12 +63,12 @@ PROFILE_PHASES = ("clone", "step", "check", "fingerprint", "dedup")
 
 
 class _Profile:
-    """Per-phase wall-clock accumulator; a no-op unless enabled."""
+    """Per-phase accumulator of ``clock`` seconds; a no-op without one."""
 
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
+    def __init__(self, clock: Optional[Callable[[], float]]):
+        self.enabled = clock is not None
         self.seconds: Dict[str, float] = {phase: 0.0 for phase in PROFILE_PHASES}
-        self.clock = time.perf_counter
+        self.clock = clock
 
     def now(self) -> float:
         return self.clock() if self.enabled else 0.0
@@ -194,11 +193,17 @@ class _Systems:
 
 
 class ModelChecker:
-    """Exhaustive (bounded) noninterference check of one :class:`McSpec`."""
+    """Exhaustive (bounded) noninterference check of one :class:`McSpec`.
 
-    def __init__(self, spec: McSpec, profile: bool = False):
+    ``clock`` (a host timer such as ``time.perf_counter``, handed in by
+    ``mc --profile``) turns on the per-phase profile; the explorer never
+    reads host time itself.
+    """
+
+    def __init__(self, spec: McSpec,
+                 clock: Optional[Callable[[], float]] = None):
         self.spec = spec
-        self.profile = profile
+        self.clock = clock
 
     def run(self) -> McReport:
         # Exploration allocates kernel clones at a rate that makes
@@ -220,7 +225,7 @@ class ModelChecker:
         stats = McStats()
         counterexamples: List[McCounterexample] = []
         cuts: List[str] = []
-        profile = _Profile(self.profile)
+        profile = _Profile(self.clock)
         systems = _Systems(self.spec, profile)
         for secret_a, secret_b in self.spec.secret_pairs():
             pair_cexs, cut = self._explore_pair(
@@ -246,7 +251,7 @@ class ModelChecker:
             stop_reason=stop_reason,
             stats=stats,
             counterexamples=counterexamples,
-            profile=profile.to_json() if self.profile else None,
+            profile=profile.to_json() if profile.enabled else None,
         )
 
     def _explore_pair(

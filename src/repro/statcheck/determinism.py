@@ -6,7 +6,10 @@ system can diverge for reasons other than the secret.  This checker
 forbids the syntactic sources of divergence in the scoped packages:
 
 ``wall-clock``   reads of host time (``time.time``/``perf_counter``/
-                 ``monotonic``/``datetime.now``...).  Simulated time is
+                 ``monotonic``/``datetime.now``...), and references to
+                 those functions that are not calls (assigned, stored,
+                 passed, or used as a default): a stored clock read
+                 later is still a host-time read.  Simulated time is
                  ``CycleClock``; host time is nondeterministic input.
 ``entropy``      ``os.urandom``, ``secrets.*``, ``uuid.uuid1/4``,
                  ``random.SystemRandom``.
@@ -188,6 +191,8 @@ class _DeterminismVisitor:
         self.set_stack: List[_SetNames] = [module_sets]
         #: Comprehensions consumed by an order-insensitive call.
         self.exempt: Set[int] = set()
+        #: Callee expressions of visited calls (a call, not a reference).
+        self.callees: Set[int] = set()
 
     # -- helpers -----------------------------------------------------------
 
@@ -226,7 +231,17 @@ class _DeterminismVisitor:
             self.name_stack.pop()
             return
         if isinstance(node, ast.Call):
+            self.callees.add(id(node.func))
             self.check_call(node)
+        elif (isinstance(node, (ast.Attribute, ast.Name))
+                and isinstance(node.ctx, ast.Load)
+                and id(node) not in self.callees):
+            dotted = _dotted_name(node, self.aliases)
+            if dotted in _WALL_CLOCK:
+                self.emit("wall-clock", node,
+                          f"keeps a reference to host wall-clock time "
+                          f"{dotted}; calling it later reads host time -- "
+                          f"simulated time must come from CycleClock")
         elif isinstance(node, ast.Subscript):
             if _is_id_call(node.slice):
                 self.emit(

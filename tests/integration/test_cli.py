@@ -294,7 +294,7 @@ class TestLint:
         payload = json.loads(capsys.readouterr().out)
         assert payload["clean"] is True
         assert payload["findings"] == []
-        assert len(payload["suppressed"]) == 6
+        assert len(payload["suppressed"]) == 9
         assert payload["summary"] == {
             "SC-1": 0, "SC-2": 0, "SC-3": 0, "SC-4": 0,
         }

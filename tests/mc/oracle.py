@@ -346,6 +346,6 @@ class ReferenceChecker(ModelChecker):
         return counterexamples, cut
 
 
-def run_reference(spec: McSpec, profile: bool = False):
+def run_reference(spec: McSpec, clock=None):
     """The lockstep reference's report for ``spec``."""
-    return ReferenceChecker(spec, profile=profile).run()
+    return ReferenceChecker(spec, clock=clock).run()

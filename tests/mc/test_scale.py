@@ -12,6 +12,8 @@ Two references pin it:
   the configurations the reductions are sound for.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -60,10 +62,10 @@ EXHAUSTIVE_MATRIX = (
 )
 
 
-def run(machine, tp, profile=False, **overrides):
+def run(machine, tp, clock=None, **overrides):
     overrides.setdefault("secrets", (0, 1))
     spec = McSpec.for_machine(machine, tp, **overrides)
-    return ModelChecker(spec, profile=profile).run()
+    return ModelChecker(spec, clock=clock).run()
 
 
 def run_exact(machine, tp, **overrides):
@@ -227,7 +229,7 @@ class TestPartialOrderReduction:
 
 class TestProfileAndPresets:
     def test_profile_reports_all_phases(self):
-        report = run("micro", "full", profile=True)
+        report = run("micro", "full", clock=time.perf_counter)
         assert report.profile is not None
         assert set(report.profile) == {
             "clone", "step", "check", "fingerprint", "dedup"

@@ -32,6 +32,23 @@ class TestDeterminism:
         assert by_qualname.get("memo_get") == "id-key"
         assert by_qualname.get("memo_setdefault") == "id-key"
 
+    def test_stored_wall_clock_reference_found(self):
+        # A clock kept as a value reads host time wherever it is called,
+        # so the reference itself is the finding: assigned, a default,
+        # or stored on an object under an imported name.
+        report = run_lint(
+            paths=[str(FIXTURES / "stored_clock.py")],
+            checkers=["SC-2"],
+            all_scopes=True,
+        )
+        by_qualname = {f.qualname: f.rule for f in report.findings}
+        assert by_qualname == {
+            "stored_clock_read": "wall-clock",
+            "clock_default": "wall-clock",
+            "StoredClock.__init__": "wall-clock",
+        }
+        assert len(report.findings) == 3
+
     def test_allowed_idioms_not_flagged(self):
         report = lint_nondet()
         flagged = {f.qualname for f in report.findings}
