@@ -23,7 +23,7 @@ The package is layered exactly as the paper's argument is:
 * :mod:`repro.analysis`  -- channel matrices, Shannon capacity, mutual
   information, bandwidth (the Cock et al. [2014] methodology).
 * :mod:`repro.workloads` -- victims: table-lookup crypto, square-and-
-  multiply modexp, the Figure 1 downgrader pipeline, background load.
+  multiply modexp, the Figure 1 downgrader pipeline.
 
 Quickstart::
 

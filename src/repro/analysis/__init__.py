@@ -17,14 +17,11 @@ from .capacity import (
     zero_leakage,
 )
 from .channel_matrix import ChannelMatrix, decode_accuracy, from_samples
-from .discretise import bin_observations, bin_vectors
 from .summary import capacity_matrix, format_matrix, pivot_records
 
 __all__ = [
     "BandwidthEstimate",
     "ChannelMatrix",
-    "bin_observations",
-    "bin_vectors",
     "blahut_arimoto",
     "bsc_capacity",
     "capacity_bits",

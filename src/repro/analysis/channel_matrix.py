@@ -4,8 +4,8 @@ Cock et al. [2014] quantify timing channels on seL4 by sampling a channel
 matrix -- the conditional distribution of the observable output (a
 latency, an arrival time) for each input symbol (the secret) -- and
 computing capacity measures over it.  This module builds such matrices
-from raw experiment samples, with observation binning delegated to
-:mod:`repro.analysis.discretise`.
+from raw experiment samples; each experiment quantises its own
+observations (the harness's ``quantum``) before they get here.
 """
 
 from __future__ import annotations

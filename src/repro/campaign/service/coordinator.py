@@ -299,12 +299,6 @@ class CoordinatorServer:
         self._started.wait(timeout=10.0)
         return self.url
 
-    def close_unstarted(self) -> None:
-        """Release a bound socket when the server never needs to run."""
-        if self._sock is not None and self._thread is None:
-            self._sock.close()
-            self._sock = None
-
     def wait_done(self, timeout: Optional[float] = None) -> bool:
         return self._done.wait(timeout)
 

@@ -1,6 +1,5 @@
-"""Victim and load-generator programs used by experiments and examples."""
+"""Victim programs used by experiments and examples."""
 
-from .background import branchy_compute, cache_churner, syscall_churner
 from .downgrader import encryption_engine, network_stack, web_server
 from .modexp import (
     MULTIPLY_CYCLES,
@@ -13,14 +12,11 @@ from .table_crypto import key_dependent_line, sbox_victim
 __all__ = [
     "MULTIPLY_CYCLES",
     "SQUARE_CYCLES",
-    "branchy_compute",
-    "cache_churner",
     "encryption_engine",
     "exponent_work_cycles",
     "key_dependent_line",
     "modexp_victim",
     "network_stack",
     "sbox_victim",
-    "syscall_churner",
     "web_server",
 ]

@@ -1,4 +1,4 @@
-"""Tests for channel matrices, capacity, binning and bandwidth."""
+"""Tests for channel matrices, capacity and bandwidth."""
 
 import math
 
@@ -7,8 +7,6 @@ import pytest
 
 from repro.analysis import (
     min_leakage,
-    bin_observations,
-    bin_vectors,
     blahut_arimoto,
     bsc_capacity,
     capacity_bits,
@@ -130,32 +128,6 @@ class TestDecodeAccuracy:
         samples = [(0, "a"), (0, "a"), (1, "b"), (1, "c")]
         accuracy = decode_accuracy(samples, train_fraction=0.5)
         assert 0.0 <= accuracy <= 1.0
-
-
-class TestBinning:
-    def test_scalar_binning_bounds(self):
-        samples = [(0, float(v)) for v in range(100)]
-        binned = bin_observations(samples, n_bins=4)
-        bins = {b for _s, b in binned}
-        assert bins == {0, 1, 2, 3}
-
-    def test_constant_values_single_bin(self):
-        samples = [(0, 5.0), (1, 5.0)]
-        binned = bin_observations(samples, n_bins=8)
-        assert {b for _s, b in binned} == {0}
-
-    def test_vector_feature_argmax(self):
-        samples = [(0, [1.0, 9.0, 1.0]), (1, [7.0, 1.0, 1.0])]
-        reduced = bin_vectors(samples)
-        assert reduced[0][1][0] == 1
-        assert reduced[1][1][0] == 0
-
-    def test_empty_vector_handled(self):
-        assert bin_vectors([(0, [])])[0][1] == (0, 0)
-
-    def test_bad_bins_rejected(self):
-        with pytest.raises(ValueError):
-            bin_observations([(0, 1.0)], n_bins=0)
 
 
 class TestBandwidth:

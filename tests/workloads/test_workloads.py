@@ -1,19 +1,14 @@
 """Tests for the victim workloads."""
 
-import pytest
-
 from repro.hardware import Evidence, presets
-from repro.kernel import Kernel, ThreadState, TimeProtectionConfig
+from repro.kernel import Kernel, TimeProtectionConfig
 from repro.workloads import (
-    branchy_compute,
-    cache_churner,
     encryption_engine,
     exponent_work_cycles,
     key_dependent_line,
     modexp_victim,
     network_stack,
     sbox_victim,
-    syscall_churner,
     web_server,
 )
 from repro.workloads.modexp import MULTIPLY_CYCLES, SQUARE_CYCLES
@@ -128,18 +123,3 @@ class TestDowngraderPipeline:
         kernel.set_schedule(0, [(hi, None), (lo, None)])
         kernel.run(max_cycles=2_000_000)
         assert len(arrivals) == len(secrets)
-
-
-class TestBackgroundLoads:
-    @pytest.mark.parametrize(
-        "program", [cache_churner, syscall_churner, branchy_compute]
-    )
-    def test_runs_without_fault(self, program):
-        machine = presets.tiny_machine()
-        kernel = Kernel(machine, TimeProtectionConfig.full())
-        domain = kernel.create_domain("Bg", n_colours=2, slice_cycles=5000)
-        tcb = kernel.create_thread(domain, program, data_pages=4)
-        kernel.set_schedule(0, [(domain, None)])
-        kernel.run(max_cycles=60_000)
-        assert tcb.state is not ThreadState.FAULTED
-        assert tcb.steps_executed > 10
