@@ -2,7 +2,7 @@
 
 The taint checker analyzes *units* -- every top-level function and
 method in the universe, plus every nested ``def`` (closures like the
-attacks' ``run_once``) as its own unit.  This module owns the purely
+prime-and-probe spies' ``probe`` helpers) as its own unit.  This module owns the purely
 syntactic machinery: unit enumeration, scope-respecting statement
 walks, parameter lists, call-argument binding against a resolved
 callee, and the backward "sink-reaching names" analysis the implicit-
