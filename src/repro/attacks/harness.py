@@ -150,9 +150,8 @@ def run_symbol_sweep(
             kernel.run(max_cycles=build(kernel, symbol, results))
             if on_kernel is not None:
                 on_kernel(kernel)
-            if len(results) > warmup:
-                results = results[warmup:]
-            for observation in results:
+            kept = results[warmup:] if len(results) > warmup else results
+            for observation in kept:
                 if quantum is not None:
                     observation //= quantum
                 samples.append((symbol, observation))
