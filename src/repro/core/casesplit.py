@@ -13,23 +13,22 @@ execution steps:
 * **Case 2b** -- the preemption-timer domain switch: covered by the
   constant-time switch property.
 
-:func:`audit` replays a run's captured step footprints, classifies every
-step into these cases, and discharges each case's condition.  The output
-is the per-case accounting the paper's proof would generate as lemmas.
+:func:`audit` reads a run's case log, where the kernel already filed
+every step under its case, and discharges each case's condition: Cases
+1 and 2a by :func:`~repro.core.timefn.check_confinement` over the log's
+``(case, context, footprint)`` entries as they are, Case 2b from the
+switch records.  The output is the per-case accounting the paper's
+proof would generate as lemmas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
+from ..hardware.state import Evidence
 from ..kernel.kernel import Kernel
-from .timefn import (
-    ConfinementReport,
-    TimeFunctionWitness,
-    check_confinement,
-    witnesses_from_kernel,
-)
+from .timefn import check_confinement
 
 
 @dataclass
@@ -80,12 +79,13 @@ def audit(kernel: Kernel, observer: Optional[str] = None) -> CaseSplitAudit:
     of generality"); by default all domains' steps are audited, which is
     the stronger statement.
     """
-    witnesses = witnesses_from_kernel(kernel)
+    kernel.require_evidence(
+        Evidence(cases=True, footprints=True), "the case split"
+    )
+    log = kernel.case_log
     if observer is not None:
-        witnesses = [
-            w
-            for w in witnesses
-            if w.case == "2b" or w.context == observer
+        log = [
+            entry for entry in log if entry[0] == "2b" or entry[1] == observer
         ]
 
     results: List[CaseResult] = []
@@ -93,13 +93,13 @@ def audit(kernel: Kernel, observer: Optional[str] = None) -> CaseSplitAudit:
         ("1", "user instruction latency confined to own partition"),
         ("2a", "trap latency confined to own partition + kernel-shared state"),
     ):
-        case_witnesses = [w for w in witnesses if w.case == case]
-        report = check_confinement(kernel, case_witnesses)
+        entries = [entry for entry in log if entry[0] == case]
+        report = check_confinement(kernel, entries)
         results.append(
             CaseResult(
                 case=case,
                 description=description,
-                steps=len(case_witnesses),
+                steps=len(entries),
                 passed=report.confined,
                 failures=report.violations,
             )
@@ -126,4 +126,4 @@ def audit(kernel: Kernel, observer: Optional[str] = None) -> CaseSplitAudit:
             failures=switch_failures,
         )
     )
-    return CaseSplitAudit(results=results, total_steps=len(witnesses))
+    return CaseSplitAudit(results=results, total_steps=len(log))

@@ -31,6 +31,7 @@ from ..hardware.state import Evidence
 from ..kernel.kernel import Kernel
 from .absmodel import AbstractHardwareModel
 from .casesplit import CaseSplitAudit, audit
+from .gcpause import collector_paused
 from .noninterference import NonInterferenceResult, sweep_secrets
 from .obligations import ObligationResult, check_all
 from .unwinding import UnwindingCheck, check_unwinding
@@ -106,7 +107,17 @@ class TimeProtectionProof:
         self.max_cycles = max_cycles
 
     def prove(self) -> ProofReport:
-        """Run the full argument; returns the report."""
+        """Run the full argument; returns the report.
+
+        The cyclic collector is paused for the whole proof
+        (:func:`~repro.core.gcpause.collector_paused`): the reference
+        run's evidence stays alive while every other secret runs, and
+        each finished kernel is freed by reference counting.
+        """
+        with collector_paused():
+            return self._prove()
+
+    def _prove(self) -> ProofReport:
         reference = self.build(self.secrets[0])
         reference.declare(Evidence.everything())
         reference.run(max_cycles=self.max_cycles)

@@ -9,12 +9,18 @@ which indices within them) a step's latency reads.
 The simulator records exactly that: with footprints declared
 (``Evidence.footprints``), every entry of the kernel's case log stores
 the ordered list of (element, index, kind) touches its step's latency
-computation consulted.
-:class:`TimeFunctionWitness` wraps one such footprint and can answer the
-question at the heart of Case 1 of the proof (Sect. 5.2): *is every
-argument of this step's latency function confined to state the executing
-domain is entitled to?*  If yes for every step, the unspecified function
--- whatever it is -- cannot transmit information across the partition.
+computation consulted.  :func:`check_confinement` answers the question
+at the heart of Case 1 of the proof (Sect. 5.2) from those entries as
+they are: *is every argument of this step's latency function confined to
+state the executing domain is entitled to?*  If yes for every step, the
+unspecified function -- whatever it is -- cannot transmit information
+across the partition.  It wraps no step or touch in an object of its
+own and works out each (case, context)'s entitlement once, so auditing
+a long run costs one pass over its log.
+
+:class:`TimeFunctionWitness` wraps one step's footprint for reports:
+:func:`dependency_profile` counts which elements each case's latency
+reads.
 """
 
 from __future__ import annotations
@@ -59,7 +65,8 @@ class ConfinementReport:
 
 
 def witnesses_from_kernel(kernel: Kernel) -> List[TimeFunctionWitness]:
-    """Wrap the kernel's captured footprints as witnesses."""
+    """Wrap the kernel's captured footprints as witnesses (for
+    :func:`dependency_profile`; the case split reads the log itself)."""
     kernel.require_evidence(
         Evidence(cases=True, footprints=True), "the case split"
     )
@@ -76,7 +83,7 @@ def witnesses_from_kernel(kernel: Kernel) -> List[TimeFunctionWitness]:
 
 
 def check_confinement(
-    kernel: Kernel, witnesses: Optional[Sequence[TimeFunctionWitness]] = None
+    kernel: Kernel, entries: Optional[Sequence[Tuple[str, str, Tuple]]] = None
 ) -> ConfinementReport:
     """Case 1/2a argument: latency arguments stay in entitled state.
 
@@ -86,47 +93,64 @@ def check_confinement(
     Flushable-element touches are always entitled: they are core-local
     and reset at every domain boundary, so their state is a function of
     the current domain's own history.
+
+    ``entries`` are case-log entries, ``(case, context, footprint)``, read
+    as they are (default: the kernel's whole case log); violations number
+    the steps by their position in ``entries``.  Entitlement is worked
+    out once per ``(case, context)``.
     """
-    if witnesses is None:
-        witnesses = witnesses_from_kernel(kernel)
-    elements = {e.name: e for e in kernel.machine.all_state_elements()}
+    if entries is None:
+        kernel.require_evidence(
+            Evidence(cases=True, footprints=True), "the case split"
+        )
+        entries = kernel.case_log
+    partitionable = {
+        element.name: element
+        for element in kernel.machine.all_state_elements()
+        if element.category is StateCategory.PARTITIONABLE
+    }
     kernel_colours = set(kernel.allocator.kernel_colours)
+    entitlements: Dict[Tuple[str, str], Optional[Set[int]]] = {}
     violations: List[str] = []
     confined = 0
-    for number, witness in enumerate(witnesses):
-        entitled = _entitled_colours(kernel, witness, kernel_colours)
-        step_ok = True
-        for entry in witness.entries:
-            element = elements.get(entry.element)
-            if element is None or element.category is not StateCategory.PARTITIONABLE:
-                continue
-            if entitled is None:
-                continue
-            colour = element.partition_of_index(entry.index)
-            if colour not in entitled:
-                step_ok = False
-                violations.append(
-                    f"step #{number} (case {witness.case}, {witness.context}): "
-                    f"latency depends on {entry.element} colour {colour}, "
-                    f"entitled {sorted(entitled)}"
-                )
-                break
-        if step_ok:
+    for number, (case, context, footprint) in enumerate(entries):
+        key = (case, context)
+        if key in entitlements:
+            entitled = entitlements[key]
+        else:
+            entitled = _entitled_colours(kernel, case, context, kernel_colours)
+            entitlements[key] = entitled
+        if entitled is not None:
+            for name, index, _kind in footprint:
+                element = partitionable.get(name)
+                if element is None:
+                    continue
+                colour = element.partition_of_index(index)
+                if colour not in entitled:
+                    violations.append(
+                        f"step #{number} (case {case}, {context}): "
+                        f"latency depends on {name} colour {colour}, "
+                        f"entitled {sorted(entitled)}"
+                    )
+                    break
+            else:
+                confined += 1
+        else:
             confined += 1
     return ConfinementReport(
-        total_steps=len(witnesses),
+        total_steps=len(entries),
         confined_steps=confined,
         violations=violations,
     )
 
 
 def _entitled_colours(
-    kernel: Kernel, witness: TimeFunctionWitness, kernel_colours: Set[int]
+    kernel: Kernel, case: str, context: str, kernel_colours: Set[int]
 ) -> Optional[Set[int]]:
     if not kernel.tp.cache_colouring:
         return None
-    if witness.case == "2b":
-        tag = witness.context[len("@switch:"):]
+    if case == "2b":
+        tag = context[len("@switch:"):]
         from_name, _, to_name = tag.partition(">")
         entitled = set(kernel_colours)
         for name in (from_name, to_name):
@@ -134,11 +158,11 @@ def _entitled_colours(
             if domain is not None:
                 entitled |= domain.colours
         return entitled
-    domain = kernel.domains.get(witness.context)
+    domain = kernel.domains.get(context)
     if domain is None:
         return None
     entitled = set(domain.colours)
-    if witness.case == "2a":
+    if case == "2a":
         entitled |= kernel_colours
     return entitled
 

@@ -162,6 +162,9 @@ class Cache(StateElement):
         # happen if the configured quotas over-commit the associativity).
         self.way_quota: Dict[str, int] = {}
         self.quota_violations: List[str] = []
+        # ``resident_tags_by_colour``'s memo: colour -> (copies of the
+        # colour's raw tag lists, that colour's snapshot).
+        self._colour_snapshots: Dict[int, Tuple[List[List[int]], Tuple]] = {}
 
     def clone_for_mc(self, instrumentation) -> "Cache":
         """An independent copy sharing only immutable configuration.
@@ -202,6 +205,8 @@ class Cache(StateElement):
         other._fill_order = list(map(list.copy, self._fill_order))
         other.way_quota = dict(self.way_quota)
         other.quota_violations = list(self.quota_violations)
+        # Memo entries are replaced, never mutated, so they are shared.
+        other._colour_snapshots = dict(self._colour_snapshots)
         return other
 
     # ------------------------------------------------------------------
@@ -436,6 +441,35 @@ class Cache(StateElement):
         if len(tags) > 1:
             return tuple(sorted(tags))
         return tuple(tags)
+
+    def resident_tags_by_colour(self) -> Dict[int, Tuple]:
+        """Every set's ``resident_tags`` grouped by page colour.
+
+        ``{colour: ((set_index, tags), ...)}`` over consecutive sets, all
+        sets under colour 0 when the cache has one colour: the domain
+        switch path's LLC snapshot.  Read-only, no touch recorded.  A
+        colour's entry is rebuilt only when one of its sets' raw tag
+        lists differs from the copies it was last built from; a switch
+        usually leaves most colours as they were.
+        """
+        memo = self._colour_snapshots
+        tags = self._tags
+        span = self._sets_per_colour if self._n_colours > 1 else len(tags)
+        snapshot = {}
+        for colour, first in enumerate(range(0, len(tags), span)):
+            raw = tags[first:first + span]
+            entry = memo.get(colour)
+            if entry is None or entry[0] != raw:
+                entry = (
+                    [list(set_tags) for set_tags in raw],
+                    tuple(
+                        (first + offset, tuple(sorted(set_tags)))
+                        for offset, set_tags in enumerate(raw)
+                    ),
+                )
+                memo[colour] = entry
+            snapshot[colour] = entry[1]
+        return snapshot
 
     def resident_lines(self, set_index: int) -> Tuple[Tuple[int, str], ...]:
         """(tag, owner) pairs resident in ``set_index`` (sorted).

@@ -130,22 +130,6 @@ class SwitchPath:
         self.kernel_data_paddrs = kernel_data_paddrs
         self.records: List[SwitchRecord] = []
 
-    def llc_fingerprints_by_colour(self) -> Dict[int, Tuple]:
-        """Resident LLC tags grouped by page colour (snapshot, no touches)."""
-        llc = self.machine.llc
-        page_size = self.machine.page_size
-        geometry = llc.geometry
-        # Colour arithmetic hoisted out of the per-set loop: this snapshot
-        # runs on every domain switch over every LLC set.
-        n_colours = geometry.n_colours(page_size)
-        sets_per_colour = geometry.sets_per_colour(page_size)
-        by_colour: Dict[int, List] = {}
-        for set_index in range(geometry.sets):
-            colour = set_index // sets_per_colour if n_colours > 1 else 0
-            tags = llc.resident_tags(set_index)
-            by_colour.setdefault(colour, []).append((set_index, tags))
-        return {colour: tuple(entries) for colour, entries in by_colour.items()}
-
     def llc_fingerprints_by_owner(self) -> Dict[str, Tuple]:
         """Resident LLC tags grouped by way-partition owner."""
         llc = self.machine.llc
@@ -236,7 +220,7 @@ class SwitchPath:
             reset_fingerprints=reset_fps,
             flushed_elements=tuple(flushed),
             llc_colour_fingerprints=(
-                self.llc_fingerprints_by_colour() if snapshots else {}
+                self.machine.llc.resident_tags_by_colour() if snapshots else {}
             ),
             llc_owner_fingerprints=(
                 self.llc_fingerprints_by_owner() if snapshots else {}

@@ -47,10 +47,10 @@ with neither the depth nor the state bound cutting anything off.
 
 from __future__ import annotations
 
-import gc
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..core.gcpause import collector_paused
 from ..kernel.kernel import Kernel
 from .fingerprint import product_fingerprint, state_fingerprint_incremental
 from .por import line_signatures, reduce_choices
@@ -206,20 +206,8 @@ class ModelChecker:
         self.clock = clock
 
     def run(self) -> McReport:
-        # Exploration allocates kernel clones at a rate that makes
-        # the cyclic GC's generation scans a measurable fraction of the
-        # wall clock (~20%); nothing in the hot loop relies on prompt
-        # cycle collection, so pause the collector and sweep once at
-        # the end.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with collector_paused():
             return self._run()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-                gc.collect()
 
     def _run(self) -> McReport:
         stats = McStats()
