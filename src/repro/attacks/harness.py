@@ -42,7 +42,6 @@ class ChannelResult:
     name: str
     tp_label: str
     samples: List[Tuple[Hashable, Hashable]]
-    symbol_period_cycles: float = 0.0
     metadata: dict = field(default_factory=dict)
 
     def matrix(self) -> ChannelMatrix:
@@ -84,7 +83,6 @@ class ChannelResult:
             "chance_accuracy": self.chance_accuracy(),
             "n_symbols": self.n_symbols(),
             "n_samples": len(self.samples),
-            "symbol_period_cycles": self.symbol_period_cycles,
         }
 
     def to_record(self, include_samples: bool = False) -> dict:

@@ -122,11 +122,9 @@ class Kernel:
         tp: Optional[TimeProtectionConfig] = None,
         kernel_image_pages: Optional[int] = None,
         kernel_data_pages: int = 2,
-        record_observations: bool = True,
     ):
         self.machine = machine
         self.tp = tp if tp is not None else TimeProtectionConfig.full()
-        self.record_observations = record_observations
         line_size = machine.config.llc_geometry.line_size
         if kernel_image_pages is None:
             lines_per_page = max(1, machine.page_size // line_size)
@@ -403,7 +401,6 @@ class Kernel:
         other = Kernel.__new__(Kernel)
         other.machine = machine
         other.tp = self.tp
-        other.record_observations = self.record_observations
         # Allocator: rebind to the cloned memory; colour assignments are
         # static after build but the dict itself can in principle grow.
         allocator = ColourAwareAllocator.__new__(ColourAwareAllocator)
@@ -715,10 +712,9 @@ class Kernel:
             value = result.value
             latency = result.latency
             tcb.pending_obs = Observation(value, latency)
-            if self.record_observations:
-                self.observations[name].append(
-                    ObservationRecord(tcb.name, value, latency)
-                )
+            self.observations[name].append(
+                ObservationRecord(tcb.name, value, latency)
+            )
             case: Optional[str] = "1"
         else:
             case = self._trap(core, domain, tcb, result)
@@ -791,10 +787,9 @@ class Kernel:
     def _record(
         self, domain: Domain, tcb: Tcb, value: Optional[int], latency: int
     ) -> None:
-        if self.record_observations:
-            self.observations[domain.name].append(
-                ObservationRecord(tcb.name, value, latency)
-            )
+        self.observations[domain.name].append(
+            ObservationRecord(tcb.name, value, latency)
+        )
 
     # -- IPC wakeups -------------------------------------------------------
 

@@ -144,14 +144,6 @@ class TestRunLoop:
         assert trace[0][1] > 0  # a timestamp
         assert trace[1][1] == 7  # the stored value
 
-    def test_recording_can_be_disabled(self):
-        kernel = Kernel(presets.tiny_machine(), record_observations=False)
-        domain = kernel.create_domain("A", n_colours=2)
-        kernel.create_thread(domain, simple_counter)
-        kernel.set_schedule(0, [(domain, None)])
-        kernel.run(max_cycles=100_000)
-        assert kernel.observation_trace("A") == []
-
 
 def forever(ctx):
     while True:
