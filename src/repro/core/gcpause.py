@@ -23,12 +23,13 @@ from typing import Iterator
 def collector_paused() -> Iterator[None]:
     """Run the block with the cyclic collector off, then sweep once.
 
-    While the collector is off nothing leaves the youngest generation,
-    so one young-generation collection finds every cycle the block left
-    behind without walking the older heap.  The collector's state is
-    restored however the block ends.  When it was already off (a caller
-    paused it, or a nested pause), the block runs as it is and nothing
-    is swept.
+    The sweep is a full collection.  A young-generation one would be
+    cheaper, but it promotes what the block still holds (the command's
+    argument parser, say), so in a process that proves or checks again
+    and again the cycles those objects leave pile up in the older
+    generations.  The collector's state is restored however the block
+    ends.  When it was already off (a caller paused it, or a nested
+    pause), the block runs as it is and nothing is swept.
     """
     if not gc.isenabled():
         yield
@@ -38,4 +39,4 @@ def collector_paused() -> Iterator[None]:
         yield
     finally:
         gc.enable()
-        gc.collect(0)
+        gc.collect()

@@ -115,26 +115,26 @@ def check_confinement(
     confined = 0
     for number, (case, context, footprint) in enumerate(entries):
         key = (case, context)
-        if key in entitlements:
-            entitled = entitlements[key]
-        else:
-            entitled = _entitled_colours(kernel, case, context, kernel_colours)
-            entitlements[key] = entitled
-        if entitled is not None:
-            for name, index, _kind in footprint:
-                element = partitionable.get(name)
-                if element is None:
-                    continue
-                colour = element.partition_of_index(index)
-                if colour not in entitled:
-                    violations.append(
-                        f"step #{number} (case {case}, {context}): "
-                        f"latency depends on {name} colour {colour}, "
-                        f"entitled {sorted(entitled)}"
-                    )
-                    break
-            else:
-                confined += 1
+        if key not in entitlements:
+            entitlements[key] = _entitled_colours(
+                kernel, case, context, kernel_colours
+            )
+        entitled = entitlements[key]
+        if entitled is None:
+            confined += 1
+            continue
+        for name, index, _kind in footprint:
+            element = partitionable.get(name)
+            if element is None:
+                continue
+            colour = element.partition_of_index(index)
+            if colour not in entitled:
+                violations.append(
+                    f"step #{number} (case {case}, {context}): "
+                    f"latency depends on {name} colour {colour}, "
+                    f"entitled {sorted(entitled)}"
+                )
+                break
         else:
             confined += 1
     return ConfinementReport(

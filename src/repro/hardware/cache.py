@@ -454,7 +454,7 @@ class Cache(StateElement):
         """
         memo = self._colour_snapshots
         tags = self._tags
-        span = self._sets_per_colour if self._n_colours > 1 else len(tags)
+        span = self._sets_per_colour
         snapshot = {}
         for colour, first in enumerate(range(0, len(tags), span)):
             raw = tags[first:first + span]
