@@ -26,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..hardware.state import Evidence
 from ..kernel.kernel import Kernel
-from .timefn import check_confinement
+from .timefn import CASE_SPLIT_EVIDENCE, check_confinement
 
 
 @dataclass
@@ -71,17 +70,15 @@ class CaseSplitAudit:
 
 
 def audit(kernel: Kernel, observer: Optional[str] = None) -> CaseSplitAudit:
-    """Classify and check every captured step of an (already-run) kernel.
+    """Check every captured step of an (already-run) kernel, case by case.
 
     The run must have declared the case log with footprints
-    (``Evidence(cases=True, footprints=True)``).  ``observer`` restricts
+    (:data:`~repro.core.timefn.CASE_SPLIT_EVIDENCE`).  ``observer`` restricts
     Cases 1/2a to one domain's steps (the paper fixes Lo "without loss
     of generality"); by default all domains' steps are audited, which is
     the stronger statement.
     """
-    kernel.require_evidence(
-        Evidence(cases=True, footprints=True), "the case split"
-    )
+    kernel.require_evidence(CASE_SPLIT_EVIDENCE, "the case split")
     log = kernel.case_log
     if observer is not None:
         log = [

@@ -31,6 +31,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..hardware.state import Evidence, StateCategory
 from ..kernel.kernel import Kernel
 
+#: What the case split reads: the case log with each step's footprint.
+CASE_SPLIT_EVIDENCE = Evidence(cases=True, footprints=True)
+
 
 @dataclass
 class FootprintEntry:
@@ -67,9 +70,7 @@ class ConfinementReport:
 def witnesses_from_kernel(kernel: Kernel) -> List[TimeFunctionWitness]:
     """Wrap the kernel's captured footprints as witnesses (for
     :func:`dependency_profile`; the case split reads the log itself)."""
-    kernel.require_evidence(
-        Evidence(cases=True, footprints=True), "the case split"
-    )
+    kernel.require_evidence(CASE_SPLIT_EVIDENCE, "the case split")
     witnesses = []
     for case, context, footprint in kernel.case_log:
         entries = tuple(
@@ -100,9 +101,7 @@ def check_confinement(
     out once per ``(case, context)``.
     """
     if entries is None:
-        kernel.require_evidence(
-            Evidence(cases=True, footprints=True), "the case split"
-        )
+        kernel.require_evidence(CASE_SPLIT_EVIDENCE, "the case split")
         entries = kernel.case_log
     partitionable = {
         element.name: element
