@@ -131,7 +131,7 @@ def run_symbol_sweep(
     on_kernel: Optional[Callable[[Kernel], None]] = None,
     metadata: Optional[dict] = None,
 ) -> ChannelResult:
-    """Run ``build``'s system for each symbol (``rounds`` times) and pool.
+    """Run ``build``'s system once per symbol; pool ``rounds`` sweep rounds.
 
     Each run boots ``Kernel(machine_factory(), tp)``, hands it to
     ``build`` and runs it to the returned horizon.  ``on_kernel`` then
@@ -139,20 +139,28 @@ def run_symbol_sweep(
     capture).  The spy's observations after the first ``warmup`` (all
     of them when no more remain) become samples, divided by ``quantum``
     when one is given, so residual jitter does not register as capacity.
+
+    A sweep round is one pass over ``symbols``.  The samples are the
+    first round's, repeated ``rounds`` times, round after round: a later
+    round would boot a fresh machine and the same system for the same
+    symbol, and elapsed time is a deterministic function of that state
+    (Sect. 5.1), so it would repeat the first one exactly.  So each
+    symbol's system runs once, and ``on_kernel`` sees one kernel per
+    symbol.
     """
-    samples: List[Tuple[Hashable, Hashable]] = []
-    for _round in range(rounds):
-        for symbol in symbols:
-            results: List[Hashable] = []
-            kernel = Kernel(machine_factory(), tp)
-            kernel.run(max_cycles=build(kernel, symbol, results))
-            if on_kernel is not None:
-                on_kernel(kernel)
-            kept = results[warmup:] if len(results) > warmup else results
-            for observation in kept:
-                if quantum is not None:
-                    observation //= quantum
-                samples.append((symbol, observation))
+    first_round: List[Tuple[Hashable, Hashable]] = []
+    for symbol in symbols:
+        results: List[Hashable] = []
+        kernel = Kernel(machine_factory(), tp)
+        kernel.run(max_cycles=build(kernel, symbol, results))
+        if on_kernel is not None:
+            on_kernel(kernel)
+        kept = results[warmup:] if len(results) > warmup else results
+        for observation in kept:
+            if quantum is not None:
+                observation //= quantum
+            first_round.append((symbol, observation))
+    samples = first_round * rounds
     if not samples:
         raise RuntimeError(f"experiment {name!r} produced no samples")
     return ChannelResult(

@@ -29,8 +29,11 @@ prints the report.  ``mc`` exhaustively model-checks noninterference
 over the reachable product state space of a small machine (``micro`` or
 ``tiny``): exit 0 when clean, 1 with a minimal replayable counterexample
 otherwise.  ``channels`` measures the attack suite under the chosen
-configuration.  ``inspect`` extracts and prints the abstract hardware
-model (Sect. 5.1) of a machine.  ``campaign`` runs a whole (machine ×
+configuration.  ``prove``, ``mc`` and ``channels`` exit 2, with one line
+naming the machine, the tp config and the reason, when the system cannot
+boot there (``ColourExhausted``: no colours, frames or LLC ways left).
+``inspect`` extracts and prints the abstract hardware model (Sect. 5.1)
+of a machine.  ``campaign`` runs a whole (machine ×
 tp × attack × seed) grid through a lease coordinator — one worker in
 this process, or ``--workers N`` forked ones — appends one JSONL
 record per trial, resumes past completed trials on re-run, and prints
@@ -69,7 +72,7 @@ from .core import (
     prove_time_protection,
 )
 from .hardware import Access, Compute, Halt, ReadTime, Syscall
-from .kernel import Kernel, TimeProtectionConfig
+from .kernel import ColourExhausted, Kernel, TimeProtectionConfig
 
 
 def _hi_program(ctx):
@@ -107,6 +110,16 @@ def _build_standard_system(machine_factory, tp):
     return build
 
 
+def _cannot_boot(command: str, args, error: ColourExhausted) -> int:
+    """Report a system that cannot boot in one line; exit code 2."""
+    print(
+        f"{command}: machine {args.machine!r} cannot boot the system under "
+        f"tp {args.tp!r}: {error}",
+        file=sys.stderr,
+    )
+    return 2
+
+
 def cmd_prove(args) -> int:
     from .core import format_report_json
 
@@ -124,12 +137,15 @@ def cmd_prove(args) -> int:
         return 2
     machine_factory = MACHINES[args.machine]
     tp = TP_CONFIGS[args.tp]()
-    report = prove_time_protection(
-        _build_standard_system(machine_factory, tp),
-        secrets=secrets,
-        observer="Lo",
-        max_cycles=args.max_cycles,
-    )
+    try:
+        report = prove_time_protection(
+            _build_standard_system(machine_factory, tp),
+            secrets=secrets,
+            observer="Lo",
+            max_cycles=args.max_cycles,
+        )
+    except ColourExhausted as error:
+        return _cannot_boot("prove", args, error)
     if args.format == "json":
         print(format_report_json(report))
     else:
@@ -162,9 +178,12 @@ def cmd_mc(args) -> int:
         print("need at least two distinct secrets", file=sys.stderr)
         return 2
     started = time.perf_counter()
-    report = ModelChecker(
-        spec, clock=time.perf_counter if args.profile else None
-    ).run()
+    try:
+        report = ModelChecker(
+            spec, clock=time.perf_counter if args.profile else None
+        ).run()
+    except ColourExhausted as error:
+        return _cannot_boot("mc", args, error)
     elapsed = time.perf_counter() - started
     if args.format == "json":
         print(render_json(report))
@@ -204,7 +223,10 @@ def cmd_channels(args) -> int:
             TimeProtectionConfig.full(padded_ipc=True)
             if name == "e1" and args.tp == "full" else tp
         )
-        result = ATTACKS[name].run(run_tp, machine_factory)
+        try:
+            result = ATTACKS[name].run(run_tp, machine_factory)
+        except ColourExhausted as error:
+            return _cannot_boot(f"channels {name}", args, error)
         worst = max(worst, result.capacity_bits())
         print(f"  {result.summary()}")
     print(

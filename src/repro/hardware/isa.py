@@ -1,9 +1,14 @@
 """The abstract ISA and the user-program protocol.
 
 User programs are Python generators over a tiny abstract instruction set:
-they ``yield`` instructions and receive back an :class:`Observation`
-carrying the architecturally visible result (a loaded value, a timestamp,
-a syscall return).  This makes attackers naturally *adaptive* -- a
+they ``yield`` instructions and receive back an observation carrying the
+architecturally visible result (a loaded value, a timestamp, a syscall
+return) as ``value`` and ``latency``.  What the kernel hands back is the
+read-only record it appended to the domain's observation trace
+(:class:`repro.kernel.kernel.ObservationRecord`, which also names the
+thread), or one shared empty :class:`Observation` when the last step
+left none; either way a program can read its observation but not edit
+the trace.  This makes attackers naturally *adaptive* -- a
 prime-and-probe spy can branch on the probe latencies it just measured --
 while keeping the hardware/software boundary explicit: the only things a
 program can observe are the values the ISA hands back, and the only clock
@@ -104,7 +109,9 @@ class Observation:
     ``value`` is the architectural result (load data, timestamp, syscall
     return; ``None`` where there is none).  ``latency`` is provided as a
     simulator convenience for tests; faithful attackers measure latency
-    themselves by bracketing accesses with :class:`ReadTime`.
+    themselves by bracketing accesses with :class:`ReadTime`.  The
+    kernel sends the empty instance when a step left no observation;
+    otherwise it sends its trace record, which has the same two fields.
     """
 
     value: Optional[int] = None

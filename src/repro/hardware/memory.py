@@ -76,7 +76,9 @@ class PhysicalMemory:
                 self._fp_version += 1
                 return self._free.pop(position)
         raise MemoryError(
-            f"out of physical frames for colours {sorted(colours or set())}"
+            "out of physical frames"
+            if colours is None
+            else f"out of physical frames for colours {sorted(colours)}"
         )
 
     def alloc_frames(self, count: int, colours: Optional[Set[int]] = None) -> List[Frame]:

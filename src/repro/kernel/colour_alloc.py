@@ -22,8 +22,14 @@ from typing import Dict, List, Optional, Set
 from ..hardware.memory import Frame, PhysicalMemory
 
 
-class ColourExhausted(Exception):
-    """No unassigned colours remain for a new domain."""
+class ColourExhausted(ValueError):
+    """The system cannot boot on this machine under this configuration.
+
+    Raised while the kernel, its domains and its threads are built, when
+    no colours, physical frames or LLC ways remain for the request: one
+    type for every such failure, so a command can tell a system that
+    never booted from one that ran.
+    """
 
 
 class ColourAwareAllocator:
@@ -114,12 +120,23 @@ class ColourAwareAllocator:
     def alloc_for_domain(self, domain_name: str, count: int) -> List[Frame]:
         """Allocate ``count`` frames from the domain's colours."""
         colours = self._colour_filter(domain_name)
-        return self.memory.alloc_frames(count, colours)
+        return self._alloc(count, colours, f"domain {domain_name!r}")
 
     def alloc_kernel_frames(self, count: int) -> List[Frame]:
         """Frames for the shared kernel region (reserved colour)."""
         colours = self.kernel_colours if self.colouring_enabled else None
-        return self.memory.alloc_frames(count, colours or None)
+        return self._alloc(count, colours or None, "the kernel")
+
+    def _alloc(
+        self, count: int, colours: Optional[Set[int]], owner: str
+    ) -> List[Frame]:
+        """``alloc_frames``, with running out raised as ``ColourExhausted``."""
+        try:
+            return self.memory.alloc_frames(count, colours)
+        except MemoryError as error:
+            raise ColourExhausted(
+                f"{owner} needs {count} frames: {error}"
+            ) from error
 
     def _colour_filter(self, domain_name: str) -> Optional[Set[int]]:
         if not self.colouring_enabled or self.n_colours < 2:

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..hardware.cpu import Core, StepResult, TrapKind
 from ..hardware.isa import Observation, ProgramContext
 from ..hardware.machine import Machine
 from ..hardware.mmu import AddressSpaceManager
 from ..hardware.state import Evidence
-from .colour_alloc import ColourAwareAllocator
+from .colour_alloc import ColourAwareAllocator, ColourExhausted
 from .clone import KernelCloneManager
 from .ipc import Endpoint, EndpointTable
 from .irq_policy import IrqPartitionPolicy
@@ -51,7 +51,8 @@ _IRQ_HANDLER_BASE_CYCLES = 30
 
 _READY = ThreadState.READY
 # What a resumed program receives when its last step left no
-# observation; ``Observation`` is frozen, so one instance serves all.
+# observation (an ``ObservationRecord`` otherwise); ``Observation`` is
+# frozen, so one instance serves all.
 _NO_OBSERVATION = Observation()
 
 #: Program parameter types a clone shares with its parent instead of
@@ -99,9 +100,14 @@ class IrqDeliveryRecord:
     handler_cycles: int
 
 
-@dataclass(slots=True)
-class ObservationRecord:
-    """One program-visible observation (the Lo trace unit)."""
+class ObservationRecord(NamedTuple):
+    """One program-visible observation (the Lo trace unit).
+
+    The same immutable object is appended to the domain's trace and
+    handed to the program that made it (``value`` and ``latency``, as
+    an :class:`~repro.hardware.isa.Observation` carries them), so a
+    program can read its observation but never edit the trace.
+    """
 
     thread: str
     value: Optional[int]
@@ -214,7 +220,8 @@ class Kernel:
 
         Under way partitioning, ``llc_ways`` (default: a quarter of what
         remains after the kernel's reservation) becomes the domain's
-        CAT-style way quota.
+        CAT-style way quota.  Raises :class:`ColourExhausted` when no
+        colours, frames or LLC ways remain for the domain.
         """
         if name in self.domains:
             raise ValueError(f"domain {name!r} already exists")
@@ -224,7 +231,7 @@ class Kernel:
             remaining = total_ways - sum(self._way_quotas.values())
             quota = llc_ways if llc_ways is not None else max(1, remaining // 4)
             if quota > remaining:
-                raise ValueError(
+                raise ColourExhausted(
                     f"domain {name!r} wants {quota} LLC ways, only "
                     f"{remaining} remain"
                 )
@@ -275,6 +282,9 @@ class Kernel:
         program daemon where it is written to loop forever and no
         observer waits on its end, such as an attack's Hi trojan, whose
         channel is over once the Lo spy has taken its last sample.
+
+        Raises :class:`ColourExhausted` when the domain's colours have
+        too few free frames left.
         """
         page_size = self.machine.page_size
         colours = domain.colours if self.tp.cache_colouring else None
@@ -366,11 +376,12 @@ class Kernel:
         return self.switch_path.records
 
     def observation_trace(self, domain_name: str) -> List[Tuple[str, Optional[int], int]]:
-        """The full observation trace of a domain, as comparable tuples."""
-        return [
-            (record.thread, record.value, record.latency)
-            for record in self.observations[domain_name]
-        ]
+        """The full observation trace of a domain, as plain tuples.
+
+        Plain, not :class:`ObservationRecord`: a report prints a
+        divergent entry with ``repr``.
+        """
+        return [tuple(record) for record in self.observations[domain_name]]
 
     def all_threads(self) -> List[Tcb]:
         return [tcb for domain in self.domains.values() for tcb in domain.threads]
@@ -571,6 +582,13 @@ class Kernel:
         early.  A system with no non-daemon thread therefore runs to
         ``max_cycles``, which is also what a system with no threads at
         all does.
+
+        With one scheduled core, each kernel call may run a whole run of
+        one thread's user instructions (:meth:`_step_core`), within the
+        steps left.  With several, each call takes one step, because
+        the next step belongs to whichever core's clock is earliest.
+        Every step counts toward ``max_steps`` and ``total_steps``
+        either way, and the run is the one :meth:`step` would make.
         """
         cores = [
             self.machine.cores[core_id]
@@ -582,7 +600,7 @@ class Kernel:
         self._finish_check_needed = True
         if len(cores) == 1:
             # Single scheduled core (the common case): the min-clock
-            # candidate selection degenerates to one comparison per step.
+            # candidate selection degenerates to one comparison per call.
             core = cores[0]
             clock = core.clock
             while steps < max_steps and clock.now < max_cycles:
@@ -590,8 +608,7 @@ class Kernel:
                     if self._all_threads_finished():
                         break
                     self._finish_check_needed = False
-                self._step_core(core, max_cycles)
-                steps += 1
+                steps += self._step_core(core, max_cycles, max_steps - steps)
         else:
             while steps < max_steps:
                 # Earliest-clock core still below the horizon (ties keep
@@ -635,32 +652,50 @@ class Kernel:
                 return False
         return True
 
-    def _step_core(self, core: Core, max_cycles: int) -> None:
-        """One scheduler step on ``core``: the only kernel call per step.
+    def _step_core(self, core: Core, max_cycles: int, budget: int = 1) -> int:
+        """Up to ``budget`` scheduler steps on ``core``; returns how many.
 
-        A user instruction runs inline here.  Domain switches, interrupt
-        deliveries, idling and trapped steps (HALT, FAULT, syscalls) go to
-        helpers, off the user-instruction path.  The evidence plan is
-        fixed once the run starts (``declare``), so it is read directly.
+        The dispatch at the top picks the next step.  A domain switch, an
+        interrupt delivery and an idle advance go to helpers and are one
+        step each.  Otherwise the domain's current thread runs a user
+        instruction inline.  One that traps (HALT, FAULT, a syscall, the
+        program's end) goes to :meth:`_trap` and ends the call.
+
+        One that does not trap is Case 1 of Sect. 5.2.  Only switches,
+        traps, IRQ deliveries and the model checker's injections change
+        the switch point, the forced switch, IRQ masks, the pending IRQs
+        and thread states, so until the clock reaches the first of the
+        switch point, ``max_cycles`` and the earliest unmasked pending
+        IRQ, the dispatch would choose the same thread again.  The thread
+        therefore runs on through the same user-step body until it traps,
+        the budget is spent or the clock reaches that bound; each step
+        still resets the footprint and gets its observation record and
+        case-log entry.  A system with IPC endpoints takes one step per
+        call, since every step first delivers the messages that have
+        become visible (:meth:`_unblock_receivers`).  The evidence plan
+        is fixed once the run starts (``declare``), so it is read
+        directly.
         """
         core_id = core.core_id
         state = self.scheduler.state(core_id)
-        now = core.clock.now
+        clock = core.clock
+        now = clock.now
         # Inline state.effective_switch_time() / state.current: this runs
-        # once per simulated step.
+        # once per dispatch.
         forced = state.forced_switch_at
         slice_end = state.slice_end
         switch_at = slice_end if forced is None or forced >= slice_end else forced
         if now >= switch_at:
             self._do_switch(core, switch_at)
-            return
+            return 1
         domain = state.entries[state.position][0]
         pending = core.irq.deliverable(now)
         if pending is not None:
             self._handle_irq(core, domain, pending)
-            return
+            return 1
         if self.endpoints.n_endpoints:
             self._unblock_receivers()
+            budget = 1
         # Keep the current thread while it can run (inlined
         # Tcb.runnable); otherwise pick the domain's next one.
         tcb = self._current_tcb.get(core_id)
@@ -674,56 +709,70 @@ class Kernel:
             self._current_tcb[core_id] = tcb
             if tcb is None:
                 self._idle(core, domain, now, switch_at)
-                return
+                return 1
         name = domain.name
         instrumentation = self.machine.instrumentation
         if instrumentation.current_domain != name:
             instrumentation.set_context(name)
         evidence = instrumentation.evidence
-        if evidence.footprints:
-            instrumentation.footprint = []
-        delivered = tcb.pending_obs
-        tcb.pending_obs = None
-        try:
-            if tcb.started:
-                instruction = tcb.program.send(
-                    _NO_OBSERVATION if delivered is None else delivered
-                )
+        footprints = evidence.footprints
+        cases = evidence.cases
+        observations = self.observations[name]
+        program = tcb.program
+        # The clock bound of a run of user steps.  No unmasked pending
+        # IRQ is due yet, or ``deliverable`` would have returned it.
+        limit = switch_at if switch_at < max_cycles else max_cycles
+        if budget > 1:
+            irq_time = core.irq.next_unmasked_fire_time()
+            if irq_time is not None and irq_time < limit:
+                limit = irq_time
+        steps = 0
+        while True:
+            steps += 1
+            if footprints:
+                instrumentation.footprint = []
+            delivered = tcb.pending_obs
+            tcb.pending_obs = None
+            try:
+                if tcb.started:
+                    instruction = program.send(
+                        _NO_OBSERVATION if delivered is None else delivered
+                    )
+                else:
+                    instruction = next(program)
+                    tcb.started = True
+            except StopIteration:
+                self._retire(core, tcb, ThreadState.DONE)
+                clock.advance(1)
+                return steps
+            # Wrap the synthetic pc back into the code region.  Programs
+            # are generators, so the pc only drives I-cache and
+            # branch-predictor behaviour; real code of this size would
+            # loop, which the wrap models.
+            code_size = tcb.code_size
+            if code_size > 0:
+                rel = tcb.pc - tcb.code_base
+                if rel < 0 or rel >= code_size:
+                    tcb.pc = tcb.code_base + rel % code_size
+            result = core.execute_user(tcb.space, tcb.pc, instruction)
+            tcb.pc = result.new_pc
+            tcb.steps_executed += 1
+            trapped = result.trap is not None
+            if trapped:
+                case = self._trap(core, domain, tcb, result)
             else:
-                instruction = next(tcb.program)
-                tcb.started = True
-        except StopIteration:
-            self._retire(core, tcb, ThreadState.DONE)
-            core.clock.advance(1)
-            return
-        # Wrap the synthetic pc back into the code region.  Programs are
-        # generators, so the pc only drives I-cache and branch-predictor
-        # behaviour; real code of this size would loop, which the wrap
-        # models.
-        code_size = tcb.code_size
-        if code_size > 0:
-            rel = tcb.pc - tcb.code_base
-            if rel < 0 or rel >= code_size:
-                tcb.pc = tcb.code_base + rel % code_size
-        result = core.execute_user(tcb.space, tcb.pc, instruction)
-        tcb.pc = result.new_pc
-        tcb.steps_executed += 1
-        if result.trap is None:
-            value = result.value
-            latency = result.latency
-            tcb.pending_obs = Observation(value, latency)
-            self.observations[name].append(
-                ObservationRecord(tcb.name, value, latency)
-            )
-            case: Optional[str] = "1"
-        else:
-            case = self._trap(core, domain, tcb, result)
-        if case is not None and evidence.cases:
-            self.case_log.append((
-                case,
-                name,
-                tuple(instrumentation.footprint) if evidence.footprints else (),
-            ))
+                record = ObservationRecord(tcb.name, result.value, result.latency)
+                tcb.pending_obs = record
+                observations.append(record)
+                case = "1"
+            if case is not None and cases:
+                self.case_log.append((
+                    case,
+                    name,
+                    tuple(instrumentation.footprint) if footprints else (),
+                ))
+            if trapped or steps == budget or clock.now >= limit:
+                return steps
 
     def _idle(self, core: Core, domain: Domain, now: int, switch_at: int) -> None:
         """Nothing runnable: advance to the next relevant event.
@@ -778,18 +827,18 @@ class Kernel:
         if outcome.blocked:
             self._current_tcb[core.core_id] = None
             return "2a"
-        tcb.pending_obs = Observation(outcome.retval, kernel_latency)
-        self._record(domain, tcb, outcome.retval, kernel_latency)
+        tcb.pending_obs = self._record(domain, tcb, outcome.retval, kernel_latency)
         if outcome.yielded:
             self._current_tcb[core.core_id] = None
         return "2a"
 
     def _record(
         self, domain: Domain, tcb: Tcb, value: Optional[int], latency: int
-    ) -> None:
-        self.observations[domain.name].append(
-            ObservationRecord(tcb.name, value, latency)
-        )
+    ) -> ObservationRecord:
+        """Append ``tcb``'s observation to its domain's trace; return it."""
+        record = ObservationRecord(tcb.name, value, latency)
+        self.observations[domain.name].append(record)
+        return record
 
     # -- IPC wakeups -------------------------------------------------------
 
@@ -808,8 +857,7 @@ class Kernel:
                     if value is not None:
                         tcb.state = ThreadState.READY
                         tcb.blocked_on_endpoint = None
-                        tcb.pending_obs = Observation(value=value, latency=0)
-                        self._record(domain, tcb, value, 0)
+                        tcb.pending_obs = self._record(domain, tcb, value, 0)
 
     # -- interrupts ----------------------------------------------------------
 

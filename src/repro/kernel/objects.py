@@ -15,11 +15,13 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Generator, List, Optional, Set, Tuple
 
-from ..hardware.isa import Observation
 from ..hardware.memory import Frame
 from ..hardware.mmu import AddressSpace
+
+if TYPE_CHECKING:
+    from .kernel import ObservationRecord
 
 
 class ThreadState(enum.Enum):
@@ -150,9 +152,9 @@ class Tcb:
     code_size: int = 0
     state: ThreadState = ThreadState.READY
     started: bool = False
-    # Observation to deliver when the program next resumes (e.g. the value
-    # returned by a syscall that blocked).
-    pending_obs: Optional[Observation] = None
+    # Observation record to deliver when the program next resumes (e.g.
+    # the value returned by a syscall that blocked).
+    pending_obs: Optional["ObservationRecord"] = None
     blocked_on_endpoint: Optional[int] = None
     wake_time: Optional[int] = None
     steps_executed: int = 0

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -216,6 +219,44 @@ class TestChannels:
 
     def test_unknown_experiment_rejected(self, capsys):
         assert main(["channels", "--only", "bogus"]) == 2
+
+
+class TestSystemThatCannotBoot:
+    """A system that cannot boot is a run that proved nothing: exit 2.
+
+    Exit 1 means the theorem (or the check) failed, so a crash while
+    booting must not read as one.  Each command names the machine, the
+    tp config and the reason in one line, with no traceback.
+    """
+
+    @staticmethod
+    def _run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            capture_output=True, text=True, timeout=300,
+        )
+
+    @pytest.mark.parametrize("command, tp, reason", [
+        ("prove", "full", "out of physical frames"),
+        ("prove", "way", "out of physical frames"),
+        ("mc", "way", "wants 1 LLC ways, only 0 remain"),
+        ("channels", "way", "out of physical frames"),
+    ])
+    def test_exits_two_with_one_line(self, command, tp, reason):
+        done = self._run(command, "--machine", "micro", "--tp", tp)
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert "Traceback" not in done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith(command)
+        assert f"machine 'micro' cannot boot the system under tp '{tp}'" in line
+        assert reason in line
+
+    def test_a_refuted_theorem_still_exits_one(self):
+        done = self._run("prove", "--machine", "tiny", "--tp", "none",
+                         "--secrets", "1,9", "--max-cycles", "250000")
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert "THEOREM FAILS" in done.stdout
 
 
 class TestLint:

@@ -145,6 +145,79 @@ class TestRunLoop:
         assert trace[1][1] == 7  # the stored value
 
 
+class TestObservationsAreTheTrace:
+    """A program receives its trace record itself, and cannot edit it.
+
+    Every observed step builds one object: the record appended to the
+    domain's ``observations`` is what the program receives.  Spies are
+    adversarial programs, so that object must stay read-only.
+    """
+
+    @staticmethod
+    def _run_tamperer():
+        received = []
+        refused = []
+
+        def tamperer(ctx):
+            kernel = ctx.params["kernel"]
+            for instruction in (
+                ReadTime(),
+                Access(ctx.data_base, write=True, value=7),
+                Compute(3),
+                Syscall("recv", (ctx.params["endpoint"],)),  # blocks
+                Syscall("nop"),
+            ):
+                observation = yield instruction
+                received.append((
+                    observation,
+                    kernel.observations["A"][-1],
+                    (observation.value, observation.latency),
+                ))
+                for name in ("thread", "value", "latency"):
+                    try:
+                        setattr(observation, name, -1)
+                    except AttributeError:
+                        refused.append(name)
+            yield Halt()
+
+        def sender(ctx):
+            yield Syscall("send", (ctx.params["endpoint"], 41))
+            yield Halt()
+
+        kernel = Kernel(presets.tiny_machine())
+        domain = kernel.create_domain("A", n_colours=2)
+        params = {"kernel": kernel, "endpoint": kernel.create_endpoint("e").endpoint_id}
+        kernel.create_thread(domain, tamperer, params=params, name="tamperer")
+        kernel.create_thread(domain, sender, params=params)
+        kernel.set_schedule(0, [(domain, None)])
+        kernel.run(max_cycles=200_000)
+        return kernel, received, refused
+
+    def test_program_receives_the_record_last_appended(self):
+        _kernel, received, _refused = self._run_tamperer()
+        assert len(received) == 5
+        for observation, last_record, _seen in received:
+            assert observation is last_record
+        # The blocked recv's record is the IPC wakeup's, which takes no
+        # time of the receiver's.
+        assert received[3][2] == (41, 0)
+
+    def test_assigning_to_an_observation_fails_and_the_trace_stands(self):
+        kernel, received, refused = self._run_tamperer()
+        assert refused == ["thread", "value", "latency"] * len(received)
+        trace = kernel.observation_trace("A")
+        assert [
+            entry[1:] for entry in trace if entry[0] == "tamperer"
+        ] == [seen for *_, seen in received]
+        assert all(-1 not in entry for entry in trace)
+
+    def test_observation_trace_is_plain_tuples(self):
+        kernel, _received, _refused = self._run_tamperer()
+        trace = kernel.observation_trace("A")
+        assert trace and all(type(entry) is tuple for entry in trace)
+        assert trace == [tuple(record) for record in kernel.observations["A"]]
+
+
 def forever(ctx):
     while True:
         yield Compute(10)
