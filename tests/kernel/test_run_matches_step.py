@@ -20,8 +20,9 @@ params, the ``prove`` standard system and the ``mc`` system on tiny and
 micro, each under ``none``, ``full`` and ``way`` wherever it boots,
 declaring nothing and ``Evidence.everything()``.  Hand-built systems
 cover the edges: ``max_steps`` ending inside a run of user steps, an
-IRQ falling due mid-run, a sleeping thread, HALT and FAULT mid-run.
-The last test shows the comparison can fail: with the IRQ bound taken
+IRQ falling due mid-run, a sleeping thread, HALT and FAULT mid-run;
+one more checks that a run of 333 user steps is one kernel call.  The
+last test shows the comparison can fail: with the IRQ bound taken
 away, e6's spy sees its interrupts late.
 """
 
@@ -167,12 +168,13 @@ def test_mc_system(machine, tp, evidence):
 # -- edge cases ------------------------------------------------------------
 
 
-def _one_domain(program, tp="none", slice_cycles=3000, **thread_kwargs):
+def _long_slices(program):
+    """``program`` in domain A and ``_computer`` in B, 100,000-cycle slices."""
     def build():
-        kernel = Kernel(presets.tiny_machine(), TP_CONFIGS[tp]())
-        domain = kernel.create_domain("A", slice_cycles=slice_cycles)
-        other = kernel.create_domain("B", slice_cycles=slice_cycles)
-        kernel.create_thread(domain, program, **thread_kwargs)
+        kernel = Kernel(presets.tiny_machine(), TP_CONFIGS["none"]())
+        domain = kernel.create_domain("A", slice_cycles=100_000)
+        other = kernel.create_domain("B", slice_cycles=100_000)
+        kernel.create_thread(domain, program)
         kernel.create_thread(other, _computer)
         kernel.set_schedule(0, [(domain, None), (other, None)])
         return kernel
@@ -189,7 +191,7 @@ def _computer(ctx):
 
 @pytest.mark.parametrize("max_steps", [1, 2, 7, 40, 333])
 def test_max_steps_ends_inside_a_run_of_user_steps(max_steps):
-    build = _one_domain(_computer, slice_cycles=100_000)
+    build = _long_slices(_computer)
     fast, reference = compare(build, 1_000_000, Evidence.everything(),
                               max_steps=max_steps)
     assert fast == reference
@@ -207,7 +209,7 @@ def test_a_run_of_user_steps_is_one_kernel_call(monkeypatch):
         return real_step_core(kernel, *args)
 
     monkeypatch.setattr(Kernel, "_step_core", counted)
-    kernel = _one_domain(_computer, slice_cycles=100_000)()
+    kernel = _long_slices(_computer)()
     kernel.run(max_cycles=1_000_000, max_steps=333)
     assert kernel.total_steps == 333
     assert len(calls) == 1
@@ -221,7 +223,7 @@ def test_irq_falling_due_mid_run_is_delivered_at_the_next_step():
             yield ReadTime()
         yield Halt()
 
-    build = _one_domain(submitter, slice_cycles=100_000)
+    build = _long_slices(submitter)
     fast, reference = compare(build, 1_000_000, Evidence.everything())
     assert fast == reference
     (delivery,) = fast["irqs"]
