@@ -20,8 +20,9 @@ params, the ``prove`` standard system and the ``mc`` system on tiny and
 micro, each under ``none``, ``full`` and ``way`` wherever it boots,
 declaring nothing and ``Evidence.everything()``.  Hand-built systems
 cover the edges: ``max_steps`` ending inside a run of user steps, an
-IRQ falling due mid-run, a sleeping thread, HALT and FAULT mid-run;
-one more checks that a run of 333 user steps is one kernel call.  The
+IRQ falling due mid-run, an IPC wakeup mid-run, a sleeping thread,
+HALT and FAULT mid-run; one more checks that a run of 333 user steps is
+one kernel call.  The
 last test shows the comparison can fail: with the IRQ bound taken
 away, e6's spy sees its interrupts late.
 """
@@ -42,7 +43,12 @@ from repro.hardware import (
     presets,
 )
 from repro.hardware.interrupts import InterruptController
-from repro.kernel import ColourExhausted, Kernel, ThreadState
+from repro.kernel import (
+    ColourExhausted,
+    Kernel,
+    ThreadState,
+    TimeProtectionConfig,
+)
 from repro.kernel.kernel import DATA_BASE
 from repro.mc.spec import McSpec, build_system
 
@@ -254,6 +260,41 @@ def test_sleeping_thread():
     fast, reference = compare(build, 1_000_000, Evidence.everything())
     assert fast == reference
     assert all(state is ThreadState.DONE for _n, state, _pc, _s in fast["threads"])
+
+
+def test_ipc_wakeup_lands_between_user_steps():
+    """A system with an endpoint takes one step per call.
+
+    A padded message becomes visible while its sender is computing, and
+    the blocked receiver shares the sender's domain, so its wakeup
+    record lands between the sender's user-step records.
+    """
+    def receiver(ctx):
+        yield Syscall("recv", (ctx.params["endpoint"],))
+        yield Halt()
+
+    def sender(ctx):
+        yield Syscall("send", (ctx.params["endpoint"], 41))
+        for _ in range(300):
+            yield Compute(100)
+        yield Halt()
+
+    def build():
+        kernel = Kernel(presets.tiny_machine(),
+                        TimeProtectionConfig.full(padded_ipc=True))
+        domain = kernel.create_domain("A", slice_cycles=100_000)
+        endpoint = kernel.create_endpoint("e", min_exec_cycles=20_000)
+        params = {"endpoint": endpoint.endpoint_id}
+        kernel.create_thread(domain, receiver, params=params, name="R")
+        kernel.create_thread(domain, sender, params=params, name="S")
+        kernel.set_schedule(0, [(domain, None)])
+        return kernel
+
+    fast, reference = compare(build, 1_000_000, Evidence.everything())
+    assert fast == reference
+    threads = [thread for thread, _value, _latency in fast["observations"]["A"]]
+    wakeup = fast["observations"]["A"].index(("R", 41, 0))
+    assert "S" in threads[:wakeup] and "S" in threads[wakeup + 1:]
 
 
 def test_halt_and_fault_mid_run():
