@@ -12,7 +12,7 @@ latency-dependency profile (which state elements each case's time
 function actually read -- the "arguments of the unspecified function").
 """
 
-from repro.core import audit, dependency_profile, witnesses_from_kernel
+from repro.core import audit, dependency_profile
 from repro.hardware import Evidence
 from repro.kernel import TimeProtectionConfig
 
@@ -29,7 +29,7 @@ def _run():
         observer_iterations=150,
         max_cycles=500_000,
     )
-    return kernel, audit(kernel), dependency_profile(witnesses_from_kernel(kernel))
+    return kernel, audit(kernel), dependency_profile(kernel)
 
 
 def test_e11_case_split(benchmark):

@@ -102,12 +102,16 @@ class CampaignSpec:
     name: str = "campaign"
 
     def trials(self) -> List[TrialSpec]:
-        """Expand the grid, skipping core-starved (machine, attack) pairs."""
+        """Expand the grid, skipping core-starved (machine, attack) pairs.
+
+        A machine's core count costs a machine build, so it is read only
+        for an attack that needs more than one core.
+        """
         cores: Dict[str, int] = {}
         out: List[TrialSpec] = []
         for machine in self.machines:
-            if machine not in cores:
-                cores[machine] = registry.machine_core_count(machine)
+            if machine not in registry.MACHINES:
+                raise KeyError(f"unknown machine preset {machine!r}")
             for attack in self.attacks:
                 entry = registry.ATTACKS.get(attack)
                 if entry is None:
@@ -115,8 +119,11 @@ class CampaignSpec:
                         f"unknown attack {attack!r}; "
                         f"choices: {sorted(registry.ATTACKS)}"
                     )
-                if entry.needs_cores > cores[machine]:
-                    continue
+                if entry.needs_cores > 1:
+                    if machine not in cores:
+                        cores[machine] = registry.machine_core_count(machine)
+                    if entry.needs_cores > cores[machine]:
+                        continue
                 params = dict(self.attack_params.get(attack, {}))
                 for tp in self.tps:
                     for seed in self.seeds:

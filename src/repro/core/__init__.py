@@ -45,11 +45,8 @@ from .proof import (
 from .report import format_report, format_report_json, proof_report_to_json
 from .timefn import (
     ConfinementReport,
-    FootprintEntry,
-    TimeFunctionWitness,
     check_confinement,
     dependency_profile,
-    witnesses_from_kernel,
 )
 from .unwinding import UnwindingCheck, check_unwinding, lo_projection
 
@@ -60,12 +57,10 @@ __all__ = [
     "CaseSplitAudit",
     "ConfinementReport",
     "Divergence",
-    "FootprintEntry",
     "NonInterferenceResult",
     "ObligationResult",
     "ProofReport",
     "STANDING_ASSUMPTIONS",
-    "TimeFunctionWitness",
     "TimeProtectionProof",
     "UnwindingCheck",
     "Violation",
@@ -95,5 +90,4 @@ __all__ = [
     "secret_swap_experiment",
     "sweep_secrets",
     "trace_divergence",
-    "witnesses_from_kernel",
 ]

@@ -16,11 +16,9 @@ state the executing domain is entitled to?*  If yes for every step, the
 unspecified function -- whatever it is -- cannot transmit information
 across the partition.  It wraps no step or touch in an object of its
 own and works out each (case, context)'s entitlement once, so auditing
-a long run costs one pass over its log.
-
-:class:`TimeFunctionWitness` wraps one step's footprint for reports:
-:func:`dependency_profile` counts which elements each case's latency
-reads.
+a long run costs one pass over its log.  :func:`dependency_profile`
+reads the same entries, for reports: how often each case's latency
+reads each element.
 """
 
 from __future__ import annotations
@@ -36,25 +34,6 @@ CASE_SPLIT_EVIDENCE = Evidence(cases=True, footprints=True)
 
 
 @dataclass
-class FootprintEntry:
-    element: str
-    index: object
-    kind: str
-
-
-@dataclass
-class TimeFunctionWitness:
-    """One step's latency-dependency footprint, classified."""
-
-    case: str  # "1", "2a" or "2b"
-    context: str  # domain name or switch tag
-    entries: Tuple[FootprintEntry, ...]
-
-    def elements_touched(self) -> Set[str]:
-        return {entry.element for entry in self.entries}
-
-
-@dataclass
 class ConfinementReport:
     """Whether every latency argument was confined to entitled state."""
 
@@ -65,22 +44,6 @@ class ConfinementReport:
     @property
     def confined(self) -> bool:
         return not self.violations
-
-
-def witnesses_from_kernel(kernel: Kernel) -> List[TimeFunctionWitness]:
-    """Wrap the kernel's captured footprints as witnesses (for
-    :func:`dependency_profile`; the case split reads the log itself)."""
-    kernel.require_evidence(CASE_SPLIT_EVIDENCE, "the case split")
-    witnesses = []
-    for case, context, footprint in kernel.case_log:
-        entries = tuple(
-            FootprintEntry(element=element, index=index, kind=kind.value)
-            for element, index, kind in footprint
-        )
-        witnesses.append(
-            TimeFunctionWitness(case=case, context=context, entries=entries)
-        )
-    return witnesses
 
 
 def check_confinement(
@@ -166,13 +129,16 @@ def _entitled_colours(
     return entitled
 
 
-def dependency_profile(
-    witnesses: Sequence[TimeFunctionWitness],
-) -> Dict[str, Dict[str, int]]:
-    """How often each case's latency reads each element (for reports)."""
+def dependency_profile(kernel: Kernel) -> Dict[str, Dict[str, int]]:
+    """How many steps of each case read each element (for reports).
+
+    Reads the kernel's case log in place, as :func:`check_confinement`
+    does: a step counts once per element its footprint touched.
+    """
+    kernel.require_evidence(CASE_SPLIT_EVIDENCE, "the dependency profile")
     profile: Dict[str, Dict[str, int]] = {}
-    for witness in witnesses:
-        bucket = profile.setdefault(witness.case, {})
-        for element in sorted(witness.elements_touched()):
+    for case, _context, footprint in kernel.case_log:
+        bucket = profile.setdefault(case, {})
+        for element in sorted({name for name, _index, _kind in footprint}):
             bucket[element] = bucket.get(element, 0) + 1
     return profile

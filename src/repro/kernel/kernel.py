@@ -48,6 +48,8 @@ _TIMER_TICK_CYCLES = 30
 _IRQ_HANDLER_LINES = 10
 _IRQ_HANDLER_LINE_OFFSET = 160
 _IRQ_HANDLER_BASE_CYCLES = 30
+#: Pages of the global kernel data region, in the kernel's shared colour.
+_KERNEL_DATA_PAGES = 2
 
 _READY = ThreadState.READY
 # What a resumed program receives when its last step left no
@@ -127,7 +129,6 @@ class Kernel:
         machine: Machine,
         tp: Optional[TimeProtectionConfig] = None,
         kernel_image_pages: Optional[int] = None,
-        kernel_data_pages: int = 2,
     ):
         self.machine = machine
         self.tp = tp if tp is not None else TimeProtectionConfig.full()
@@ -144,7 +145,7 @@ class Kernel:
             line_size=line_size,
             clone_enabled=self.tp.kernel_clone,
         )
-        data_frames = self.allocator.alloc_kernel_frames(kernel_data_pages)
+        data_frames = self.allocator.alloc_kernel_frames(_KERNEL_DATA_PAGES)
         page_size = machine.page_size
         self.kernel_data_paddrs: List[int] = [
             frame.base_paddr(page_size) + offset
@@ -186,14 +187,10 @@ class Kernel:
         self._current_tcb: Dict[int, Optional[Tcb]] = {}
         self._next_domain_id = 1
         self._thread_counter = 0
-        # Non-daemon thread snapshot for the all-finished check,
-        # invalidated by ``_thread_counter`` whenever a thread is created.
-        self._threads_snapshot: Tuple[Tcb, ...] = ()
-        self._threads_version = -1
-        # The all-finished scan only needs to re-run after some thread
-        # transitions to DONE/FAULTED (no other event can make it true);
-        # the run loop consults this flag instead of scanning every step.
-        self._finish_check_needed = True
+        # Non-daemon threads not yet DONE or FAULTED (``create_thread``
+        # counts them in, ``_retire`` out); None until the first is
+        # created, so a system without one runs to its horizon.
+        self._live_threads: Optional[int] = None
         self.total_steps = 0
         # The Sect. 5.2 case log (``Evidence.cases``): one entry per
         # executed step, (case, context, footprint) with case one of "1"
@@ -311,6 +308,8 @@ class Kernel:
             params=dict(params or {}),
         )
         self._thread_counter += 1
+        if not daemon:
+            self._live_threads = (self._live_threads or 0) + 1
         tcb = Tcb(
             name=name or f"{domain.name}.t{self._thread_counter}",
             domain=domain,
@@ -549,9 +548,7 @@ class Kernel:
         }
         other._next_domain_id = self._next_domain_id
         other._thread_counter = self._thread_counter
-        other._threads_snapshot = ()
-        other._threads_version = -1  # force recompute on the clone
-        other._finish_check_needed = self._finish_check_needed
+        other._live_threads = self._live_threads
         other.total_steps = self.total_steps
         other.case_log = list(self.case_log)
         fp_cache = getattr(self, "_mc_fp_cache", None)
@@ -583,12 +580,13 @@ class Kernel:
         ``max_cycles``, which is also what a system with no threads at
         all does.
 
-        With one scheduled core, each kernel call may run a whole run of
-        one thread's user instructions (:meth:`_step_core`), within the
-        steps left.  With several, each call takes one step, because
-        the next step belongs to whichever core's clock is earliest.
-        Every step counts toward ``max_steps`` and ``total_steps``
-        either way, and the run is the one :meth:`step` would make.
+        Each kernel call takes the core whose clock is earliest and still
+        below ``max_cycles`` (ties go to the lowest core id) and lets
+        :meth:`_step_core` run its thread's user instructions, within the
+        steps left, until its clock reaches the next core's clock
+        (``max_cycles`` on one core): past that point the next step is
+        another core's.  Every step counts toward ``max_steps`` and
+        ``total_steps``, and the run is the one :meth:`step` would make.
         """
         cores = [
             self.machine.cores[core_id]
@@ -597,37 +595,20 @@ class Kernel:
         if not cores:
             raise RuntimeError("no core has a schedule; call set_schedule first")
         steps = 0
-        self._finish_check_needed = True
-        if len(cores) == 1:
-            # Single scheduled core (the common case): the min-clock
-            # candidate selection degenerates to one comparison per call.
-            core = cores[0]
-            clock = core.clock
-            while steps < max_steps and clock.now < max_cycles:
-                if self._finish_check_needed:
-                    if self._all_threads_finished():
-                        break
-                    self._finish_check_needed = False
-                steps += self._step_core(core, max_cycles, max_steps - steps)
-        else:
-            while steps < max_steps:
-                # Earliest-clock core still below the horizon (ties keep
-                # the lowest core id, matching list order).
-                core = None
-                best = max_cycles
-                for candidate in cores:
-                    t = candidate.clock.now
-                    if t < best:
-                        best = t
-                        core = candidate
-                if core is None:
-                    break
-                if self._finish_check_needed:
-                    if self._all_threads_finished():
-                        break
-                    self._finish_check_needed = False
-                self._step_core(core, max_cycles)
-                steps += 1
+        while steps < max_steps and not self._all_threads_finished():
+            # Earliest clock below the horizon (ties keep the lowest core
+            # id, matching list order) and the next clock after it.
+            core = None
+            best = until = max_cycles
+            for candidate in cores:
+                t = candidate.clock.now
+                if t < best:
+                    core, best, until = candidate, t, best
+                elif t < until:
+                    until = t
+            if core is None:
+                break
+            steps += self._step_core(core, until, max_steps - steps)
         self.total_steps += steps
 
     def _all_threads_finished(self) -> bool:
@@ -636,23 +617,9 @@ class Kernel:
         False while there is no non-daemon thread at all, so a
         daemon-only system runs to its horizon.
         """
-        if self._threads_version != self._thread_counter:
-            self._threads_snapshot = tuple(
-                tcb for tcb in self.all_threads() if not tcb.daemon
-            )
-            self._threads_version = self._thread_counter
-        threads = self._threads_snapshot
-        if not threads:
-            return False
-        done = ThreadState.DONE
-        faulted = ThreadState.FAULTED
-        for tcb in threads:
-            state = tcb.state
-            if state is not done and state is not faulted:
-                return False
-        return True
+        return self._live_threads == 0
 
-    def _step_core(self, core: Core, max_cycles: int, budget: int = 1) -> int:
+    def _step_core(self, core: Core, until: int, budget: int = 1) -> int:
         """Up to ``budget`` scheduler steps on ``core``; returns how many.
 
         The dispatch at the top picks the next step.  A domain switch, an
@@ -662,18 +629,19 @@ class Kernel:
         program's end) goes to :meth:`_trap` and ends the call.
 
         One that does not trap is Case 1 of Sect. 5.2.  Only switches,
-        traps, IRQ deliveries and the model checker's injections change
-        the switch point, the forced switch, IRQ masks, the pending IRQs
-        and thread states, so until the clock reaches the first of the
-        switch point, ``max_cycles`` and the earliest unmasked pending
-        IRQ, the dispatch would choose the same thread again.  The thread
-        therefore runs on through the same user-step body until it traps,
-        the budget is spent or the clock reaches that bound; each step
-        still resets the footprint and gets its observation record and
-        case-log entry.  A system with IPC endpoints takes one step per
-        call, since every step first delivers the messages that have
-        become visible (:meth:`_unblock_receivers`).  The evidence plan
-        is fixed once the run starts (``declare``), so it is read
+        traps, IRQ deliveries, IPC wakeups, other cores' steps and the
+        model checker's injections change the switch point, the forced
+        switch, IRQ masks, the pending IRQs, thread states and shared
+        state.  So until the clock reaches the first of the switch
+        point, ``until`` (the horizon or the next core's clock), the
+        earliest unmasked pending IRQ and the earliest time a queued IPC
+        message becomes visible, the dispatch would choose the same
+        thread again and :meth:`_unblock_receivers` would deliver
+        nothing.  The thread therefore runs on through the same
+        user-step body until it traps, the budget is spent or the clock
+        reaches that bound; each step still resets the footprint and
+        gets its observation record and case-log entry.  The evidence
+        plan is fixed once the run starts (``declare``), so it is read
         directly.
         """
         core_id = core.core_id
@@ -693,9 +661,9 @@ class Kernel:
         if pending is not None:
             self._handle_irq(core, domain, pending)
             return 1
-        if self.endpoints.n_endpoints:
+        endpoints = self.endpoints
+        if endpoints.n_endpoints:
             self._unblock_receivers()
-            budget = 1
         # Keep the current thread while it can run (inlined
         # Tcb.runnable); otherwise pick the domain's next one.
         tcb = self._current_tcb.get(core_id)
@@ -721,11 +689,15 @@ class Kernel:
         program = tcb.program
         # The clock bound of a run of user steps.  No unmasked pending
         # IRQ is due yet, or ``deliverable`` would have returned it.
-        limit = switch_at if switch_at < max_cycles else max_cycles
+        limit = switch_at if switch_at < until else until
         if budget > 1:
             irq_time = core.irq.next_unmasked_fire_time()
             if irq_time is not None and irq_time < limit:
                 limit = irq_time
+            if endpoints.n_endpoints:
+                visible = endpoints.earliest_visibility(now)
+                if visible is not None and visible < limit:
+                    limit = visible
         steps = 0
         while True:
             steps += 1
@@ -807,7 +779,8 @@ class Kernel:
     def _retire(self, core: Core, tcb: Tcb, final: ThreadState) -> None:
         """``tcb`` finished (DONE) or faulted: it never runs again."""
         tcb.state = final
-        self._finish_check_needed = True
+        if not tcb.daemon:
+            self._live_threads -= 1
         self._current_tcb[core.core_id] = None
 
     def _trap(

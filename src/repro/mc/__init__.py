@@ -16,7 +16,7 @@ from .fingerprint import product_fingerprint, state_fingerprint_incremental
 from .product import McViolation, ProductState
 from .replay import confirm_counterexample, replay_build_and_run
 from .report import McCounterexample, McReport, McStats, render_json, render_text
-from .spec import McSpec, build_system, run_to_terminal
+from .spec import McSpec, build_system
 
 __all__ = [
     "McCounterexample",
@@ -32,6 +32,5 @@ __all__ = [
     "render_json",
     "render_text",
     "replay_build_and_run",
-    "run_to_terminal",
     "state_fingerprint_incremental",
 ]

@@ -22,7 +22,7 @@ from ..core.noninterference import (
 )
 from ..kernel.kernel import Kernel
 from .report import McCounterexample
-from .spec import McSpec, apply_choice, build_system, run_to_terminal
+from .spec import McSpec, apply_choice, build_system
 
 
 def replay_build_and_run(
@@ -32,10 +32,10 @@ def replay_build_and_run(
 
     The returned builder reconstructs one side of the product from
     scratch, applies the counterexample's choices (including any IRQ
-    injections, at the same points), then drives the system to
-    termination with plain steps -- exactly what the two-run harness
-    expects, with the checker's nondeterminism resolved identically on
-    both runs.
+    injections, at the same points), then runs the system until every
+    thread has finished, the horizon or 5,000 more steps -- exactly what
+    the two-run harness expects, with the checker's nondeterminism
+    resolved identically on both runs.
     """
 
     def build_and_run(secret: int) -> Kernel:
@@ -43,7 +43,7 @@ def replay_build_and_run(
         kernel.declare(SWAP_EVIDENCE)
         for choice in path:
             apply_choice(kernel, choice, spec)
-        run_to_terminal(kernel, spec)
+        kernel.run(max_cycles=spec.max_cycles, max_steps=5000)
         return kernel
 
     return build_and_run

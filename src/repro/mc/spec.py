@@ -191,11 +191,3 @@ def apply_choice(kernel: Kernel, choice: Tuple, spec: McSpec) -> None:
         core = kernel.machine.cores[0]
         core.irq.schedule(choice[1], fire_time=core.clock.now)
     kernel.step(core_id=0, max_cycles=spec.max_cycles)
-
-
-def run_to_terminal(kernel: Kernel, spec: McSpec, max_steps: int = 5000) -> None:
-    """Drive a side with plain steps until it terminates (replay tail)."""
-    steps = 0
-    while not is_terminal(kernel, spec) and steps < max_steps:
-        kernel.step(core_id=0, max_cycles=spec.max_cycles)
-        steps += 1

@@ -12,6 +12,7 @@ from repro.campaign import (
     TrialSpec,
     deterministic_view,
 )
+from repro.hardware.machine import Machine
 
 
 class TestTrialSpec:
@@ -71,6 +72,40 @@ class TestCampaignSpec:
         pairs = {(t.machine, t.attack) for t in trials}
         assert ("tiny", "e5") in pairs and ("tiny2", "e7") in pairs
         assert ("tiny", "e7") not in pairs
+
+    def test_core_count_is_built_only_for_multi_core_attacks(self, monkeypatch):
+        builds = []
+        real_init = Machine.__init__
+
+        def counted(machine, *args, **kwargs):
+            builds.append(machine)
+            real_init(machine, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "__init__", counted)
+        one_core = CampaignSpec(
+            machines=("tiny", "tiny2", "micro"), tps=("full", "none"),
+            attacks=("e1", "e2", "e4", "e5", "e6", "occupancy"), seeds=(0,),
+        )
+        assert len(one_core.trials()) == 3 * 6 * 2
+        assert builds == []
+        mixed = CampaignSpec(
+            machines=("tiny", "tiny2", "tiny"), tps=("full",),
+            attacks=("e5", "e7", "e3"), seeds=(0,),
+        )
+        trials = mixed.trials()
+        assert len(builds) == 2  # one per distinct machine
+        assert [(t.machine, t.attack) for t in trials] == [
+            ("tiny", "e5"),
+            ("tiny2", "e5"), ("tiny2", "e7"), ("tiny2", "e3"),
+            ("tiny", "e5"),
+        ]
+
+    @pytest.mark.parametrize("attack", ["e5", "e7"])
+    def test_unknown_machine_is_rejected_at_expansion(self, attack):
+        spec = CampaignSpec(machines=("tiny", "no-such-machine"),
+                            attacks=(attack,))
+        with pytest.raises(KeyError, match="no-such-machine"):
+            spec.trials()
 
     def test_json_roundtrip(self, tmp_path):
         spec = CampaignSpec(

@@ -1,4 +1,4 @@
-"""Tests for unwinding, case split, time-function witnesses and the
+"""Tests for unwinding, case split, the time-function footprints and the
 assembled proof."""
 
 import pytest
@@ -11,7 +11,6 @@ from repro.core import (
     dependency_profile,
     format_report,
     prove_time_protection,
-    witnesses_from_kernel,
 )
 from repro.hardware import Evidence, presets
 from repro.kernel import TimeProtectionConfig
@@ -69,10 +68,11 @@ class TestUnwinding:
 class TestTimeFunctionWitnesses:
     def test_witnesses_captured(self):
         kernel = build(3)
-        witnesses = witnesses_from_kernel(kernel)
-        assert witnesses
-        cases = {w.case for w in witnesses}
+        assert kernel.case_log
+        cases = {case for case, _context, _footprint in kernel.case_log}
         assert {"1", "2a", "2b"} <= cases
+        assert all(footprint for case, _c, footprint in kernel.case_log
+                   if case == "1")
 
     def test_confinement_holds_with_protection(self):
         kernel = build(3)
@@ -91,10 +91,22 @@ class TestTimeFunctionWitnesses:
 
     def test_dependency_profile_shapes(self):
         kernel = build(3)
-        profile = dependency_profile(witnesses_from_kernel(kernel))
+        profile = dependency_profile(kernel)
         assert "1" in profile
         # User steps read the I-cache (fetch) and TLB at least.
         assert any("l1i" in element for element in profile["1"])
+        # Each step counts once per element it read, whatever the index.
+        expected = {}
+        for case, _context, footprint in kernel.case_log:
+            for element in {name for name, _index, _kind in footprint}:
+                bucket = expected.setdefault(case, {})
+                bucket[element] = bucket.get(element, 0) + 1
+        assert profile == expected
+
+    def test_dependency_profile_requires_footprints(self):
+        kernel = build_two_domain_system(3, TimeProtectionConfig.full())
+        with pytest.raises(ValueError, match="dependency profile"):
+            dependency_profile(kernel)
 
 
 class TestCaseSplit:

@@ -1,11 +1,13 @@
 """``Kernel.run`` makes exactly the run a loop of ``Kernel.step`` makes.
 
-With one scheduled core, ``Kernel.run`` lets one kernel call run a
-whole run of a thread's user instructions (Case 1 of Sect. 5.2): it
-stops at a trap, at the end of its step budget, or once the clock
-reaches the next switch point, the horizon or the earliest unmasked
-pending IRQ.  ``Kernel.step`` still takes one instruction per call.
-The reference here is a loop of ``Kernel.step`` that applies ``run``'s
+``Kernel.run`` lets one kernel call run a whole run of a thread's user
+instructions (Case 1 of Sect. 5.2) on the core whose clock is earliest,
+on any number of cores and with or without IPC endpoints: it stops at a
+trap, at the end of its step budget, or once the clock reaches the
+next switch point, the horizon or the next core's clock, the earliest
+unmasked pending IRQ or the earliest time a queued IPC message becomes
+visible.  ``Kernel.step`` still takes one instruction per call.  The
+reference here is a loop of ``Kernel.step`` that applies ``run``'s
 stop rules, one step at a time; the two must agree on everything a
 run leaves behind:
 
@@ -18,13 +20,16 @@ run leaves behind:
 Systems: every shipped attack's builder at the daemon-equivalence
 params, the ``prove`` standard system and the ``mc`` system on tiny and
 micro, each under ``none``, ``full`` and ``way`` wherever it boots,
-declaring nothing and ``Evidence.everything()``.  Hand-built systems
-cover the edges: ``max_steps`` ending inside a run of user steps, an
-IRQ falling due mid-run, an IPC wakeup mid-run, a sleeping thread,
-HALT and FAULT mid-run; one more checks that a run of 333 user steps is
-one kernel call.  The
-last test shows the comparison can fail: with the IRQ bound taken
-away, e6's spy sees its interrupts late.
+declaring nothing and ``Evidence.everything()``; e1 and synth have IPC
+endpoints and e3 and e7 run on two cores.  Hand-built systems cover
+the edges: ``max_steps`` ending inside a run of user steps, an IRQ
+falling due mid-run, an IPC wakeup mid-run, a sleeping thread, HALT and
+FAULT mid-run.  Call counts check that runs of user steps are batched
+on one core, with an endpoint, on two cores, and in a synth system.
+The last tests show the comparison can fail: with the IRQ bound taken
+away, e6's spy sees its interrupts late; with the next core's clock
+taken away, e3 and e7 lose their cross-core interleaving; with the IPC
+bound taken away, a wakeup lands late.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from repro.kernel import (
     ThreadState,
     TimeProtectionConfig,
 )
+from repro.kernel.ipc import EndpointTable
 from repro.kernel.kernel import DATA_BASE
 from repro.mc.spec import McSpec, build_system
 
@@ -206,7 +212,8 @@ def test_max_steps_ends_inside_a_run_of_user_steps(max_steps):
     assert fast["threads"][0][3] == max_steps
 
 
-def test_a_run_of_user_steps_is_one_kernel_call(monkeypatch):
+def _count_calls(monkeypatch):
+    """The list each ``_step_core`` call appends its arguments to."""
     calls = []
     real_step_core = Kernel._step_core
 
@@ -215,10 +222,60 @@ def test_a_run_of_user_steps_is_one_kernel_call(monkeypatch):
         return real_step_core(kernel, *args)
 
     monkeypatch.setattr(Kernel, "_step_core", counted)
+    return calls
+
+
+def test_a_run_of_user_steps_is_one_kernel_call(monkeypatch):
+    calls = _count_calls(monkeypatch)
     kernel = _long_slices(_computer)()
     kernel.run(max_cycles=1_000_000, max_steps=333)
     assert kernel.total_steps == 333
     assert len(calls) == 1
+
+
+def test_an_endpoint_does_not_split_a_run_of_user_steps(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    kernel = _long_slices(_computer)()
+    kernel.create_endpoint("e", min_exec_cycles=20_000)
+    kernel.run(max_cycles=1_000_000, max_steps=333)
+    assert kernel.total_steps == 333
+    assert len(calls) == 1
+
+
+def test_two_cores_batch_up_to_the_next_core_clock(monkeypatch):
+    """Core 1 idles to its slice end; core 0 then runs on in one call."""
+    def build():
+        kernel = Kernel(presets.tiny_machine(n_cores=2), TP_CONFIGS["none"]())
+        busy = kernel.create_domain("A", slice_cycles=100_000)
+        empty = kernel.create_domain("B", slice_cycles=20_000)
+        kernel.create_thread(busy, _computer, core_id=0)
+        kernel.set_schedule(0, [(busy, None)])
+        kernel.set_schedule(1, [(empty, None)])
+        return kernel
+
+    fast, reference = compare(build, 1_000_000, Evidence.everything(),
+                              max_steps=400)
+    assert fast == reference
+    calls = _count_calls(monkeypatch)
+    kernel = build()
+    kernel.run(max_cycles=1_000_000, max_steps=400)
+    # Core 0's first step (tied clocks go to core 0, up to core 1's
+    # clock of 0), core 1's idle advance to 20,000, then core 0's other
+    # 398 steps, all below 20,000.
+    assert [core.core_id for core, *_rest in calls] == [0, 1, 0]
+    assert kernel.total_steps == 400
+
+
+def test_synth_runs_are_batched(monkeypatch):
+    """synth has IPC endpoints; its runs are a few calls, not a step each."""
+    calls = _count_calls(monkeypatch)
+    for tp in ("none", "full"):
+        build, horizon = _attack_system("synth", tp, 0)
+        del calls[:]
+        kernel = build()
+        kernel.run(horizon)
+        assert kernel.endpoints.n_endpoints
+        assert kernel.total_steps > 20 * len(calls), tp
 
 
 def test_irq_falling_due_mid_run_is_delivered_at_the_next_step():
@@ -262,11 +319,10 @@ def test_sleeping_thread():
     assert all(state is ThreadState.DONE for _n, state, _pc, _s in fast["threads"])
 
 
-def test_ipc_wakeup_lands_between_user_steps():
-    """A system with an endpoint takes one step per call.
+def _ipc_wakeup_mid_run():
+    """A padded message becomes visible while its sender computes.
 
-    A padded message becomes visible while its sender is computing, and
-    the blocked receiver shares the sender's domain, so its wakeup
+    The blocked receiver shares the sender's domain, so its wakeup
     record lands between the sender's user-step records.
     """
     def receiver(ctx):
@@ -290,7 +346,13 @@ def test_ipc_wakeup_lands_between_user_steps():
         kernel.set_schedule(0, [(domain, None)])
         return kernel
 
-    fast, reference = compare(build, 1_000_000, Evidence.everything())
+    return build
+
+
+def test_ipc_wakeup_lands_between_user_steps():
+    """A run of user steps stops where a queued message becomes visible."""
+    fast, reference = compare(_ipc_wakeup_mid_run(), 1_000_000,
+                              Evidence.everything())
     assert fast == reference
     threads = [thread for thread, _value, _latency in fast["observations"]["A"]]
     wakeup = fast["observations"]["A"].index(("R", 41, 0))
@@ -334,3 +396,32 @@ def test_comparison_fails_without_the_irq_bound(monkeypatch):
     )
     fast, reference = compare(build, horizon, Evidence())
     assert fast["observations"]["Lo"] != reference["observations"]["Lo"]
+
+
+@pytest.mark.parametrize("tp", ["none", "full"])
+@pytest.mark.parametrize("attack", ["e3", "e7"])
+def test_comparison_fails_without_the_next_core_bound(attack, tp, monkeypatch):
+    """Run to the horizon, not the next core's clock, and a two-core
+    attack's cores no longer take turns in global time order."""
+    # The second symbol: with the first, e7's trojan only computes, so
+    # Lo's trace does not depend on when it runs.
+    build, horizon = _attack_system(attack, tp, 1)
+    real_step_core = Kernel._step_core
+    monkeypatch.setattr(
+        Kernel, "_step_core",
+        lambda kernel, core, until, budget=1: real_step_core(
+            kernel, core, horizon, budget
+        ),
+    )
+    fast, reference = compare(build, horizon, Evidence())
+    assert fast["observations"]["Lo"] != reference["observations"]["Lo"]
+
+
+def test_comparison_fails_without_the_ipc_bound(monkeypatch):
+    """Without the IPC bound the wakeup lands after the sender's run."""
+    monkeypatch.setattr(
+        EndpointTable, "earliest_visibility", lambda self, now: None
+    )
+    fast, reference = compare(_ipc_wakeup_mid_run(), 1_000_000,
+                              Evidence.everything())
+    assert fast["observations"]["A"] != reference["observations"]["A"]
