@@ -41,11 +41,13 @@ class Violation:
         return f"[{self.invariant}] {self.context} on {self.element}: {self.detail}"
 
 
-def _allowed_colours(kernel: Kernel, context: str) -> Optional[Set[int]]:
+def allowed_colours(kernel: Kernel, context: str) -> Optional[Set[int]]:
     """Colour set the instrumentation context may touch; None = anything.
 
     Context labels: ``"Dom"`` (user), ``"Dom/kernel"`` (trap handling on
-    behalf of Dom), ``"@switch:From>To"`` (the switch path).
+    behalf of Dom), ``"@switch:From>To"`` (the switch path).  The one
+    entitlement rule: the touch audit here and the case split's
+    confinement check (``core.timefn``) both read it.
     """
     if not kernel.tp.cache_colouring:
         return None
@@ -148,7 +150,7 @@ def check_partition_touches(kernel: Kernel) -> List[Violation]:
         element = elements_by_name.get(element_name)
         if element is None or element.category is not StateCategory.PARTITIONABLE:
             continue
-        allowed = _allowed_colours(kernel, context)
+        allowed = allowed_colours(kernel, context)
         if allowed is None:
             continue
         touched_colours = {element.partition_of_index(index) for index in indices}

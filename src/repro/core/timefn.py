@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..hardware.state import Evidence, StateCategory
 from ..kernel.kernel import Kernel
+from .invariants import allowed_colours
 
 #: What the case split reads: the case log with each step's footprint.
 CASE_SPLIT_EVIDENCE = Evidence(cases=True, footprints=True)
@@ -71,15 +72,15 @@ def check_confinement(
         for element in kernel.machine.all_state_elements()
         if element.category is StateCategory.PARTITIONABLE
     }
-    kernel_colours = set(kernel.allocator.kernel_colours)
     entitlements: Dict[Tuple[str, str], Optional[Set[int]]] = {}
     violations: List[str] = []
     confined = 0
     for number, (case, context, footprint) in enumerate(entries):
         key = (case, context)
         if key not in entitlements:
-            entitlements[key] = _entitled_colours(
-                kernel, case, context, kernel_colours
+            # Trap handling runs in the domain's kernel context.
+            entitlements[key] = allowed_colours(
+                kernel, f"{context}/kernel" if case == "2a" else context
             )
         entitled = entitlements[key]
         if entitled is None:
@@ -104,29 +105,6 @@ def check_confinement(
         confined_steps=confined,
         violations=violations,
     )
-
-
-def _entitled_colours(
-    kernel: Kernel, case: str, context: str, kernel_colours: Set[int]
-) -> Optional[Set[int]]:
-    if not kernel.tp.cache_colouring:
-        return None
-    if case == "2b":
-        tag = context[len("@switch:"):]
-        from_name, _, to_name = tag.partition(">")
-        entitled = set(kernel_colours)
-        for name in (from_name, to_name):
-            domain = kernel.domains.get(name)
-            if domain is not None:
-                entitled |= domain.colours
-        return entitled
-    domain = kernel.domains.get(context)
-    if domain is None:
-        return None
-    entitled = set(domain.colours)
-    if case == "2a":
-        entitled |= kernel_colours
-    return entitled
 
 
 def dependency_profile(kernel: Kernel) -> Dict[str, Dict[str, int]]:

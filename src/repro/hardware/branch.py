@@ -22,6 +22,7 @@ from .state import (
     StateCategory,
     StateElement,
     TouchKind,
+    copy_attributes,
 )
 
 
@@ -106,24 +107,13 @@ class BranchPredictor(StateElement):
         return FlushResult(cycles=self.flush_latency_cycles)
 
     def clone_for_mc(self, instrumentation) -> "BranchPredictor":
-        """Independent copy sharing only immutable configuration."""
-        other = BranchPredictor.__new__(BranchPredictor)
-        other.name = self.name
-        other.category = self.category
-        other.scope = self.scope
+        """Independent copy, whole but for the counter, BTB and BTB-order
+        containers."""
+        other = copy_attributes(self)
         other.instr = instrumentation
-        other.concurrently_shared = self.concurrently_shared
-        other._fp_version = self._fp_version
-        other._fp_cache = self._fp_cache
-        other._fp_digest = self._fp_digest
-        other.table_size = self.table_size
-        other.btb_entries = self.btb_entries
-        other.history_mask = self.history_mask
-        other.flush_latency_cycles = self.flush_latency_cycles
         other._counters = dict(self._counters)
         other._btb = dict(self._btb)
         other._btb_order = list(self._btb_order)
-        other._history = self._history
         return other
 
     def fingerprint(self) -> Hashable:

@@ -25,6 +25,7 @@ from .state import (
     StateCategory,
     StateElement,
     TouchKind,
+    copy_attributes,
 )
 
 
@@ -167,40 +168,18 @@ class Cache(StateElement):
         self._colour_snapshots: Dict[int, Tuple[List[List[int]], Tuple]] = {}
 
     def clone_for_mc(self, instrumentation) -> "Cache":
-        """An independent copy sharing only immutable configuration.
+        """An independent copy on ``instrumentation``.
 
-        Geometry, latency params, precomputed masks, the prebuilt
-        results and the (immutable) lines are shared; the per-set lists
+        Copied whole (:func:`~repro.hardware.state.copy_attributes`),
+        so configuration, precomputed constants, the prebuilt results
+        and the (immutable) lines are shared; the set, tag, PLRU,
+        fill-order, way-quota, violation and snapshot-memo containers
         are copied.
         """
-        other = Cache.__new__(Cache)
-        other.name = self.name
-        other.category = self.category
-        other.scope = self.scope
+        other = copy_attributes(self)
         other.instr = instrumentation
-        other.concurrently_shared = self.concurrently_shared
-        other._fp_version = self._fp_version
-        other._fp_cache = self._fp_cache
-        other._fp_digest = self._fp_digest
-        other.geometry = self.geometry
-        other.latency = self.latency
-        other.page_size = self.page_size
-        other.policy = self.policy
-        other.flush_is_broken = self.flush_is_broken
-        other._offset_bits = self._offset_bits
-        other._index_mask = self._index_mask
-        other._tag_shift = self._tag_shift
-        other._ways = self._ways
-        other._is_lru = self._is_lru
-        other._is_plru = self._is_plru
-        other._n_colours = self._n_colours
-        other._sets_per_colour = self._sets_per_colour
-        other.hit_cycles = self.hit_cycles
-        other.writeback_cycles_per_line = self.writeback_cycles_per_line
         other._sets = list(map(list.copy, self._sets))
         other._tags = list(map(list.copy, self._tags))
-        other._hits = self._hits
-        other._fills = self._fills
         other._plru_bits = list(self._plru_bits)
         other._fill_order = list(map(list.copy, self._fill_order))
         other.way_quota = dict(self.way_quota)

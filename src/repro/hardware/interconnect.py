@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from .state import copy_attributes
+
 
 @dataclass
 class MbaConfig:
@@ -67,14 +69,11 @@ class Interconnect:
         self.per_core_transfers: Dict[int, int] = {}
 
     def clone_for_mc(self) -> "Interconnect":
-        """Independent copy sharing the (frozen-by-convention) config."""
-        other = Interconnect.__new__(Interconnect)
-        other.transfer_cycles = self.transfer_cycles
-        other.mba = self.mba
-        other._busy_until = self._busy_until
+        """Independent copy, whole but for the per-core window and
+        transfer counts; the (frozen-by-convention) config is shared."""
+        other = copy_attributes(self)
         other._window_start = dict(self._window_start)
         other._window_count = dict(self._window_count)
-        other.total_transfers = self.total_transfers
         other.per_core_transfers = dict(self.per_core_transfers)
         return other
 

@@ -16,6 +16,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from .state import copy_attributes
+
 
 PREEMPTION_TIMER_IRQ = 0
 
@@ -110,12 +112,11 @@ class InterruptController:
         return deliverable
 
     def clone_for_mc(self) -> "InterruptController":
-        """Independent copy (heap entries are immutable tuples)."""
-        other = InterruptController.__new__(InterruptController)
-        other.n_lines = self.n_lines
+        """Independent copy, whole but for the mask set, the pending heap
+        (of immutable tuples) and the delivery counts."""
+        other = copy_attributes(self)
         other._masked = set(self._masked)
         other._pending = list(self._pending)
-        other._seq = self._seq
         other.delivered_count = dict(self.delivered_count)
         return other
 

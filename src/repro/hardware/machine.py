@@ -25,7 +25,7 @@ from .interconnect import Interconnect, MbaConfig
 from .interrupts import InterruptController
 from .memory import PhysicalMemory
 from .prefetcher import StridePrefetcher
-from .state import Instrumentation, Scope, StateCategory
+from .state import Instrumentation, Scope, StateCategory, copy_attributes
 from .tlb import Tlb
 
 
@@ -84,6 +84,7 @@ class Machine:
         if config.smt and config.n_cores % 2:
             raise ValueError("SMT machines need an even number of cores")
         self.config = config
+        self._elements_list: Optional[List] = None
         self.instrumentation = Instrumentation()
         self.memory = PhysicalMemory(
             total_frames=config.total_frames,
@@ -175,13 +176,17 @@ class Machine:
         """A hand-rolled deep copy for model-checker clones.
 
         Behaviourally identical to ``copy.deepcopy`` but ~10x faster:
-        immutable configuration (config, geometries, latency tables,
-        Frame objects) is shared, mutable state is copied field by
-        field.  SMT siblings keep sharing as in :meth:`__init__`: an odd
-        core reuses its even sibling's cloned private elements.
+        the machine is copied whole
+        (:func:`~repro.hardware.state.copy_attributes`), so the
+        configuration is shared, and each element, the memory, the
+        interconnect and the recorder are cloned.  The cores are built
+        anew around the cloned elements.  SMT siblings keep sharing as in
+        :meth:`__init__`: an odd core reuses its even sibling's cloned
+        private elements.
         """
-        other = Machine.__new__(Machine)
-        other.config = self.config
+        other = copy_attributes(self)
+        # Rebuilt on first use, from the cloned elements.
+        other._elements_list = None
         other.instrumentation = self.instrumentation.clone()
         other.memory = self.memory.clone_for_mc()
         other.interconnect = self.interconnect.clone_for_mc()
@@ -230,10 +235,10 @@ class Machine:
         SMT siblings share objects; each shared object appears once.
         The element population is fixed at construction, so the list is
         computed once per machine instance (deepcopy maps the cached
-        list onto the copied elements; ``clone_for_mc`` starts from a
-        bare instance and rebuilds it lazily).
+        list onto the copied elements; ``clone_for_mc`` drops it and
+        rebuilds it here).
         """
-        elements = getattr(self, "_elements_list", None)
+        elements = self._elements_list
         if elements is not None:
             return elements
         seen = set()

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
 from .geometry import colour_of_frame
+from .state import copy_attributes
 
 
 @dataclass(frozen=True)
@@ -123,16 +124,11 @@ class PhysicalMemory:
         return digest
 
     def clone_for_mc(self) -> "PhysicalMemory":
-        """Independent copy sharing the (frozen) Frame objects."""
-        other = PhysicalMemory.__new__(PhysicalMemory)
-        other.page_size = self.page_size
-        other.n_colours = self.n_colours
-        other.frames = self.frames
+        """Independent copy, whole but for the free list and the words;
+        the (frozen) Frame objects are shared."""
+        other = copy_attributes(self)
         other._free = list(self._free)
         other._words = dict(self._words)
-        other._fp_version = self._fp_version
-        other._fp_cache = self._fp_cache
-        other._fp_digest = self._fp_digest
         return other
 
     def fingerprint(self) -> tuple:

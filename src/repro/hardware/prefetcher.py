@@ -22,6 +22,7 @@ from .state import (
     StateCategory,
     StateElement,
     TouchKind,
+    copy_attributes,
 )
 
 
@@ -106,31 +107,14 @@ class StridePrefetcher(StateElement):
         return FlushResult(cycles=self.flush_latency_cycles)
 
     def clone_for_mc(self, instrumentation) -> "StridePrefetcher":
-        """Independent copy; stream entries are rebuilt (mutable)."""
-        other = StridePrefetcher.__new__(StridePrefetcher)
-        other.name = self.name
-        other.category = self.category
-        other.scope = self.scope
+        """Independent copy, whole but for the stream table, whose
+        (mutable) entries are copied too."""
+        other = copy_attributes(self)
         other.instr = instrumentation
-        other.concurrently_shared = self.concurrently_shared
-        other._fp_version = self._fp_version
-        other._fp_cache = self._fp_cache
-        other._fp_digest = self._fp_digest
-        other.table_entries = self.table_entries
-        other.region_bits = self.region_bits
-        other.degree = self.degree
-        other.flush_latency_cycles = self.flush_latency_cycles
-        other.flushable_in_hardware = self.flushable_in_hardware
         other._table = {
-            region: StreamEntry(
-                last_addr=entry.last_addr,
-                stride=entry.stride,
-                confidence=entry.confidence,
-                stamp=entry.stamp,
-            )
+            region: copy_attributes(entry)
             for region, entry in self._table.items()
         }
-        other._tick = self._tick
         return other
 
     def fingerprint(self) -> Hashable:

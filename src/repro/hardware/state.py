@@ -216,6 +216,29 @@ class Instrumentation:
         return other
 
 
+def copy_attributes(obj):
+    """A new instance of ``obj``'s class holding the same attribute values.
+
+    The one start of every ``clone_for_mc``: no constructor runs and no
+    value is copied, so configuration, scalars and whatever never changes
+    after build are shared without a line each.  The caller then
+    replaces the copy's own mutable containers and its references to
+    other cloned objects.  A class with its own ``__slots__`` (``Tcb``,
+    ``ReplayableProgram``) has them copied by name.
+    """
+    cls = type(obj)
+    other = object.__new__(cls)
+    slots = cls.__dict__.get("__slots__")
+    if slots is None:
+        # A plain dict: ``__dict__.copy()`` would keep the key-sharing
+        # layout, whose attribute reads CPython 3.11 does not specialise.
+        other.__dict__ = dict(obj.__dict__)
+    else:
+        for name in slots:
+            setattr(other, name, getattr(obj, name))
+    return other
+
+
 @dataclass
 class FlushResult:
     """Outcome of flushing a state element.

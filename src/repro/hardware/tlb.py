@@ -26,6 +26,7 @@ from .state import (
     StateCategory,
     StateElement,
     TouchKind,
+    copy_attributes,
 )
 
 # Hot-path alias: ``lookup`` runs twice per simulated memory instruction.
@@ -86,20 +87,11 @@ class Tlb(StateElement):
         self._mru: Optional[TlbEntry] = None
 
     def clone_for_mc(self, instrumentation) -> "Tlb":
-        """Independent copy; the (immutable) entries are shared."""
-        other = Tlb.__new__(Tlb)
-        other.name = self.name
-        other.category = self.category
-        other.scope = self.scope
+        """Independent copy, whole but for the entry dict; the
+        (immutable) entries are shared."""
+        other = copy_attributes(self)
         other.instr = instrumentation
-        other.concurrently_shared = self.concurrently_shared
-        other._fp_version = self._fp_version
-        other._fp_cache = self._fp_cache
-        other._fp_digest = self._fp_digest
-        other.geometry = self.geometry
-        other.flush_latency_cycles = self.flush_latency_cycles
         other._entries = self._entries.copy()
-        other._mru = self._mru
         return other
 
     # ------------------------------------------------------------------

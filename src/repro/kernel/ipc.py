@@ -54,9 +54,8 @@ class Endpoint:
 class EndpointTable:
     """All endpoints in the system, by id."""
 
-    def __init__(self, padded_ipc: bool, default_min_cycles: int = 0):
+    def __init__(self, padded_ipc: bool):
         self.padded_ipc = padded_ipc
-        self.default_min_cycles = default_min_cycles
         self._endpoints: Dict[int, Endpoint] = {}
         self._next_id = 1
         # Plain attribute so the kernel's per-step wakeup scan can skip
@@ -66,17 +65,13 @@ class EndpointTable:
     def create(
         self,
         name: str,
-        min_exec_cycles: Optional[int] = None,
+        min_exec_cycles: int = 0,
         receiver_domain: Optional[object] = None,
     ) -> Endpoint:
         endpoint = Endpoint(
             endpoint_id=self._next_id,
             name=name,
-            min_exec_cycles=(
-                min_exec_cycles
-                if min_exec_cycles is not None
-                else self.default_min_cycles
-            ),
+            min_exec_cycles=min_exec_cycles,
             receiver_domain=receiver_domain,
         )
         self._endpoints[endpoint.endpoint_id] = endpoint

@@ -29,13 +29,13 @@ from ..hardware.cpu import Core, StepResult, TrapKind
 from ..hardware.isa import Observation, ProgramContext
 from ..hardware.machine import Machine
 from ..hardware.mmu import AddressSpaceManager
-from ..hardware.state import Evidence
+from ..hardware.state import Evidence, copy_attributes
 from .colour_alloc import ColourAwareAllocator, ColourExhausted
 from .clone import KernelCloneManager
 from .ipc import Endpoint, EndpointTable
 from .irq_policy import IrqPartitionPolicy
 from .objects import Domain, ReplayableProgram, Tcb, ThreadState
-from .scheduler import CoreScheduleState, DomainScheduler
+from .scheduler import DomainScheduler
 from .switch import SwitchPath, SwitchRecord, estimate_pad_cycles
 from .syscalls import SyscallHandler, SyscallOutcome
 from .timeprotect import TimeProtectionConfig
@@ -63,30 +63,21 @@ _SHARED_PARAM_TYPES = frozenset({int, bool, float, str, bytes, tuple, type(None)
 
 
 def _clone_context(ctx: ProgramContext) -> ProgramContext:
-    """``ctx`` copied field by field for ``Kernel.clone_for_mc``.
+    """``ctx`` copied whole for ``Kernel.clone_for_mc``, but for its params.
 
     The layout fields are immutable and shared; a param is shared when
     its type is immutable and deep-copied otherwise (synth's spy appends
     its observations to a ``results`` list param), with one memo so
     params that alias each other still do in the copy.
     """
+    other = copy_attributes(ctx)
     memo: dict = {}
-    params = {
+    other.params = {
         key: value if type(value) in _SHARED_PARAM_TYPES
         else copy.deepcopy(value, memo)
         for key, value in ctx.params.items()
     }
-    return ProgramContext(
-        data_base=ctx.data_base,
-        data_size=ctx.data_size,
-        code_base=ctx.code_base,
-        page_size=ctx.page_size,
-        line_size=ctx.line_size,
-        shared_text_base=ctx.shared_text_base,
-        shared_text_size=ctx.shared_text_size,
-        page_colours=ctx.page_colours,
-        params=params,
-    )
+    return other
 
 
 @dataclass(slots=True)
@@ -153,10 +144,7 @@ class Kernel:
             for offset in range(0, page_size, line_size)
         ]
         self.kernel_data_frames = data_frames
-        self.endpoints = EndpointTable(
-            padded_ipc=self.tp.padded_ipc,
-            default_min_cycles=self.tp.default_ipc_min_cycles,
-        )
+        self.endpoints = EndpointTable(padded_ipc=self.tp.padded_ipc)
         self.irq_policy = IrqPartitionPolicy(
             enabled=self.tp.partition_interrupts,
             n_lines=machine.config.irq_lines,
@@ -215,10 +203,14 @@ class Kernel:
     ) -> Domain:
         """Create a security domain with its colour share and kernel image.
 
-        Under way partitioning, ``llc_ways`` (default: a quarter of what
-        remains after the kernel's reservation) becomes the domain's
-        CAT-style way quota.  Raises :class:`ColourExhausted` when no
-        colours, frames or LLC ways remain for the domain.
+        ``pad_cycles`` defaults to the machine's switch-path WCET
+        estimate: the paper leaves choosing the pad to a separate WCET
+        analysis, and the kernel's conservative analytical bound stands
+        in for it.  Under way partitioning, ``llc_ways`` (default: a
+        quarter of what remains after the kernel's reservation) becomes
+        the domain's CAT-style way quota.  Raises
+        :class:`ColourExhausted` when no colours, frames or LLC ways
+        remain for the domain.
         """
         if name in self.domains:
             raise ValueError(f"domain {name!r} already exists")
@@ -239,7 +231,9 @@ class Kernel:
             domain_id=self._next_domain_id,
             colours=colours,
             slice_cycles=slice_cycles,
-            pad_cycles=self._resolve_pad_cycles(pad_cycles),
+            pad_cycles=(
+                pad_cycles if pad_cycles is not None else self.pad_wcet_estimate
+            ),
         )
         self._next_domain_id += 1
         domain.kernel_image = self.clone_manager.image_for_domain(domain)
@@ -248,14 +242,6 @@ class Kernel:
         self.domains[name] = domain
         self.observations[name] = []
         return domain
-
-    def _resolve_pad_cycles(self, pad_cycles: Optional[int]) -> int:
-        """Explicit value, else the config's, else the WCET estimate."""
-        if pad_cycles is not None:
-            return pad_cycles
-        if self.tp.default_pad_cycles is not None:
-            return self.tp.default_pad_cycles
-        return self.pad_wcet_estimate
 
     def create_thread(
         self,
@@ -327,7 +313,7 @@ class Kernel:
     def create_endpoint(
         self,
         name: str,
-        min_exec_cycles: Optional[int] = None,
+        min_exec_cycles: int = 0,
         receiver_domain: Optional[Domain] = None,
     ) -> Endpoint:
         return self.endpoints.create(
@@ -398,172 +384,105 @@ class Kernel:
 
         The model checker (``repro.mc``) clones a kernel at every
         branching point and steps the copies independently.  Behaviourally
-        identical to ``copy.deepcopy`` but much faster: the object graph
-        is walked explicitly, sharing everything immutable after build
-        (address spaces, kernel images, IRQ ownership, the clone manager,
-        write-once switch/observation records) and copying only the
-        mutable residue.  Thread programs must carry explicit state:
-        raw generators cannot be copied, so model-checked systems build
-        their threads from :class:`repro.kernel.objects.ReplayableProgram`.
-        Raises ``TypeError`` for anything else.
+        identical to ``copy.deepcopy`` but much faster: like every
+        ``clone_for_mc``, it copies each object whole
+        (:func:`~repro.hardware.state.copy_attributes`) and then replaces
+        only its mutable containers and its references to other cloned
+        objects.  Everything that never changes after build (the
+        configuration, address spaces, kernel images, the IRQ owner map,
+        the clone manager, the kernel data region) and the write-once
+        switch, observation and IRQ records and IPC messages are shared.
+        Thread programs must carry explicit state: raw generators cannot
+        be copied, so model-checked systems build their threads from
+        :class:`repro.kernel.objects.ReplayableProgram`.  Raises
+        ``TypeError`` for anything else.
         """
         machine = self.machine.clone_for_mc()
-        other = Kernel.__new__(Kernel)
+        other = copy_attributes(self)
         other.machine = machine
-        other.tp = self.tp
-        # Allocator: rebind to the cloned memory; colour assignments are
-        # static after build but the dict itself can in principle grow.
-        allocator = ColourAwareAllocator.__new__(ColourAwareAllocator)
+        allocator = other.allocator = copy_attributes(self.allocator)
         allocator.memory = machine.memory
-        allocator.colouring_enabled = self.allocator.colouring_enabled
-        allocator.n_colours = self.allocator.n_colours
-        allocator.kernel_colours = set(self.allocator.kernel_colours)
+        allocator.kernel_colours = set(allocator.kernel_colours)
         allocator._assigned = {
-            name: set(colours)
-            for name, colours in self.allocator._assigned.items()
+            name: set(colours) for name, colours in allocator._assigned.items()
         }
-        other.allocator = allocator
-        other.clone_manager = self.clone_manager  # static after build
-        other.kernel_data_paddrs = self.kernel_data_paddrs
-        other.kernel_data_frames = self.kernel_data_frames
-        other.irq_policy = self.irq_policy  # static owner map
         # Domains and threads, with name-keyed maps (names are unique
         # and stable) so every cross-reference (scheduler entries,
         # endpoint receivers, current tcbs) lands on the clone of the
         # object it pointed at.
-        domain_map: Dict[str, Domain] = {}
-        tcb_map: Dict[str, Tcb] = {}
-        other.domains = {}
+        domains: Dict[str, Domain] = {}
+        tcbs: Dict[str, Tcb] = {}
         for name, domain in self.domains.items():
-            dclone = Domain(
-                name=domain.name,
-                domain_id=domain.domain_id,
-                colours=set(domain.colours),
-                slice_cycles=domain.slice_cycles,
-                pad_cycles=domain.pad_cycles,
-                irq_lines=set(domain.irq_lines),
-                kernel_image=domain.kernel_image,
-            )
+            dclone = domains[name] = copy_attributes(domain)
+            dclone.colours = set(domain.colours)
+            dclone.irq_lines = set(domain.irq_lines)
             dclone.rr_position = dict(domain.rr_position)
-            domain_map[domain.name] = dclone
-            other.domains[name] = dclone
+            dclone.threads = []
             for tcb in domain.threads:
                 program = tcb.program
-                if type(program) is ReplayableProgram:
-                    pclone = ReplayableProgram(
-                        program.step_fn, _clone_context(program.ctx)
-                    )
-                    pclone.index = program.index
-                    pclone.finished = program.finished
-                else:
+                if type(program) is not ReplayableProgram:
                     raise TypeError(
                         "clone_for_mc needs ReplayableProgram threads "
                         f"(got {type(program).__name__})"
                     )
-                tclone = Tcb(
-                    name=tcb.name,
-                    domain=dclone,
-                    space=tcb.space,
-                    program=pclone,
-                    pc=tcb.pc,
-                    core_id=tcb.core_id,
-                    code_base=tcb.code_base,
-                    code_size=tcb.code_size,
-                    state=tcb.state,
-                    started=tcb.started,
-                    pending_obs=tcb.pending_obs,
-                    blocked_on_endpoint=tcb.blocked_on_endpoint,
-                    wake_time=tcb.wake_time,
-                    steps_executed=tcb.steps_executed,
-                    daemon=tcb.daemon,
-                )
-                tcb_map[tcb.name] = tclone
+                tclone = tcbs[tcb.name] = copy_attributes(tcb)
+                tclone.domain = dclone
+                tclone.program = copy_attributes(program)
+                tclone.program.ctx = _clone_context(program.ctx)
                 dclone.threads.append(tclone)
-        # Endpoints: fresh table and Endpoint shells; Message objects are
-        # write-once, so queues share entries but not the deque.
-        endpoints = EndpointTable.__new__(EndpointTable)
-        endpoints.padded_ipc = self.endpoints.padded_ipc
-        endpoints.default_min_cycles = self.endpoints.default_min_cycles
-        endpoints._next_id = self.endpoints._next_id
-        endpoints.n_endpoints = self.endpoints.n_endpoints
+        other.domains = domains
+        # Endpoints: Message objects are write-once, so queues share
+        # entries but not the deque.
+        endpoints = other.endpoints = copy_attributes(self.endpoints)
         endpoints._endpoints = {}
         for eid, endpoint in self.endpoints._endpoints.items():
-            receiver = endpoint.receiver_domain
-            endpoints._endpoints[eid] = Endpoint(
-                endpoint_id=endpoint.endpoint_id,
-                name=endpoint.name,
-                min_exec_cycles=endpoint.min_exec_cycles,
-                queue=type(endpoint.queue)(endpoint.queue),
-                receiver_domain=(
-                    domain_map[receiver.name] if receiver is not None else None
-                ),
-            )
-        other.endpoints = endpoints
-        # Scheduler: rebuild per-core state with mapped domains.
-        scheduler = DomainScheduler()
+            eclone = endpoints._endpoints[eid] = copy_attributes(endpoint)
+            eclone.queue = type(endpoint.queue)(endpoint.queue)
+            if endpoint.receiver_domain is not None:
+                eclone.receiver_domain = domains[endpoint.receiver_domain.name]
+        # Scheduler: per-core state with mapped domains.
+        scheduler = other.scheduler = copy_attributes(self.scheduler)
+        scheduler._cores = {}
         for core_id, state in self.scheduler._cores.items():
-            sclone = CoreScheduleState(
-                entries=[
-                    (domain_map[domain.name], slice_cycles)
-                    for domain, slice_cycles in state.entries
-                ]
-            )
-            sclone.position = state.position
-            sclone.slice_start = state.slice_start
-            sclone.slice_end = state.slice_end
-            forced = state.forced_next
-            sclone.forced_next = (
-                domain_map[forced.name] if forced is not None else None
-            )
-            sclone.forced_switch_at = state.forced_switch_at
-            scheduler._cores[core_id] = sclone
-        other.scheduler = scheduler
+            sclone = scheduler._cores[core_id] = copy_attributes(state)
+            sclone.entries = [
+                (domains[domain.name], slice_cycles)
+                for domain, slice_cycles in state.entries
+            ]
+            if state.forced_next is not None:
+                sclone.forced_next = domains[state.forced_next.name]
         # Switch path: SwitchRecord objects are write-once evidence, so
         # the clone shares the records while owning its own list.
-        switch_path = SwitchPath.__new__(SwitchPath)
+        switch_path = other.switch_path = copy_attributes(self.switch_path)
         switch_path.machine = machine
-        switch_path.tp = self.switch_path.tp
-        switch_path.kernel_data_paddrs = self.switch_path.kernel_data_paddrs
         switch_path.records = list(self.switch_path.records)
-        other.switch_path = switch_path
-        other.syscalls = SyscallHandler(
-            endpoints=endpoints,
-            irq_policy=other.irq_policy,
-            scheduler=scheduler,
-            kernel_data_paddrs=other.kernel_data_paddrs,
-            instrumentation=machine.instrumentation,
-        )
-        # Address spaces only mutate at build time (map/unmap); during
-        # exploration they are read-only and safe to share.
-        other.spaces = self.spaces
-        other.pad_wcet_estimate = self.pad_wcet_estimate
-        other._way_quotas = self._way_quotas
+        syscalls = other.syscalls = copy_attributes(self.syscalls)
+        syscalls.endpoints = endpoints
+        syscalls.scheduler = scheduler
+        syscalls.instrumentation = machine.instrumentation
         other.observations = {
             name: list(records) for name, records in self.observations.items()
         }
         other.irq_deliveries = list(self.irq_deliveries)
         other._current_tcb = {
-            core_id: (tcb_map[tcb.name] if tcb is not None else None)
+            core_id: (tcbs[tcb.name] if tcb is not None else None)
             for core_id, tcb in self._current_tcb.items()
         }
-        other._next_domain_id = self._next_domain_id
-        other._thread_counter = self._thread_counter
-        other._live_threads = self._live_threads
-        other.total_steps = self.total_steps
         other.case_log = list(self.case_log)
         fp_cache = getattr(self, "_mc_fp_cache", None)
         if fp_cache is not None:
             other._mc_fp_cache = dict(fp_cache)
         return other
 
-    def step(self, core_id: int = 0, max_cycles: int = 1_000_000_000) -> None:
+    def step(self, core_id: int = 0) -> None:
         """Execute exactly one scheduler step on ``core_id``.
 
         The single-transition hook the model checker drives: one user
         instruction, syscall, interrupt delivery, idle advance or domain
-        switch -- whatever the run loop would do next on that core.
+        switch -- whatever the run loop would do next on that core.  A
+        one-step budget never reads the clock bound, so none is given.
         """
-        self._step_core(self.machine.cores[core_id], max_cycles)
+        self._step_core(self.machine.cores[core_id], 0)
 
     # ------------------------------------------------------------------
     # The run loop

@@ -43,21 +43,11 @@ class TimeProtectionConfig:
     # paper's requirement is only that shared state be *partitioned*
     # (Sect. 4.1); either mechanism satisfies it.
     way_partitioning: bool = False
-    # None means "derive from the machine's switch-path WCET estimate"
-    # (the paper leaves choosing the pad to a separate WCET analysis; the
-    # kernel provides a conservative analytical bound as the default).
-    default_pad_cycles: "int | None" = None
-    default_ipc_min_cycles: int = 0
 
     @classmethod
-    def full(cls, pad_cycles: "int | None" = None, padded_ipc: bool = False,
-             ipc_min_cycles: int = 0) -> "TimeProtectionConfig":
+    def full(cls, padded_ipc: bool = False) -> "TimeProtectionConfig":
         """All mechanisms on (the paper's proposed configuration)."""
-        return cls(
-            default_pad_cycles=pad_cycles,
-            padded_ipc=padded_ipc,
-            default_ipc_min_cycles=ipc_min_cycles,
-        )
+        return cls(padded_ipc=padded_ipc)
 
     @classmethod
     def none(cls) -> "TimeProtectionConfig":

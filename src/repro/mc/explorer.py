@@ -183,7 +183,7 @@ class _Systems:
                 start = profile.lap("clone", start)
             else:
                 child = kernel
-            apply_choice(child, choice, spec)
+            apply_choice(child, choice)
             start = profile.lap("step", start)
             found = tuple(check_side(child, first_new_switch))
             profile.lap("check", start)

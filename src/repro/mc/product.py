@@ -391,9 +391,9 @@ class ProductState:
         """Concretise ``choice`` on both sides; return transition violations."""
         marks = self.begin_apply()
         if not is_terminal(self.kernel_a, spec):
-            apply_choice(self.kernel_a, choice, spec)
+            apply_choice(self.kernel_a, choice)
         if not is_terminal(self.kernel_b, spec):
-            apply_choice(self.kernel_b, choice, spec)
+            apply_choice(self.kernel_b, choice)
         return self.finish_apply(choice, marks)
 
     def begin_apply(self) -> Tuple[int, int]:

@@ -42,7 +42,7 @@ def replay_build_and_run(
         kernel = build_system(spec, secret)
         kernel.declare(SWAP_EVIDENCE)
         for choice in path:
-            apply_choice(kernel, choice, spec)
+            apply_choice(kernel, choice)
         kernel.run(max_cycles=spec.max_cycles, max_steps=5000)
         return kernel
 

@@ -185,9 +185,9 @@ def is_terminal(kernel: Kernel, spec: McSpec) -> bool:
     )
 
 
-def apply_choice(kernel: Kernel, choice: Tuple, spec: McSpec) -> None:
+def apply_choice(kernel: Kernel, choice: Tuple) -> None:
     """Concretise one abstract choice on one side of the product."""
     if choice[0] == "irq":
         core = kernel.machine.cores[0]
         core.irq.schedule(choice[1], fire_time=core.clock.now)
-    kernel.step(core_id=0, max_cycles=spec.max_cycles)
+    kernel.step(core_id=0)

@@ -62,13 +62,19 @@ def boot_two_domain_system(
     tp: TimeProtectionConfig,
     machine_factory=presets.tiny_machine,
     observer_iterations: int = 120,
+    pad_cycles=None,
 ):
     """The standard Hi/Lo system used across proof and NI tests, booted
-    but not run: the builder contract of the prover and the sweeps."""
+    but not run: the builder contract of the prover and the sweeps.
+
+    ``pad_cycles`` sets both domains' pads (default: the kernel's WCET
+    estimate)."""
     machine = machine_factory()
     kernel = Kernel(machine, tp)
-    hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=3000)
-    lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=3000)
+    hi = kernel.create_domain(
+        "Hi", n_colours=2, slice_cycles=3000, pad_cycles=pad_cycles)
+    lo = kernel.create_domain(
+        "Lo", n_colours=2, slice_cycles=3000, pad_cycles=pad_cycles)
     kernel.create_thread(hi, secret_striding_trojan, params={"secret": secret})
     kernel.create_thread(
         lo, timing_observer, params={"iterations": observer_iterations}
@@ -84,6 +90,7 @@ def build_two_domain_system(
     machine_factory=presets.tiny_machine,
     evidence: Evidence = SWAP_EVIDENCE,
     observer_iterations: int = 120,
+    pad_cycles=None,
 ):
     """:func:`boot_two_domain_system`, run to ``max_cycles``.
 
@@ -93,7 +100,7 @@ def build_two_domain_system(
     """
     kernel = boot_two_domain_system(
         secret, tp, machine_factory=machine_factory,
-        observer_iterations=observer_iterations,
+        observer_iterations=observer_iterations, pad_cycles=pad_cycles,
     )
     kernel.declare(evidence)
     kernel.run(max_cycles=max_cycles)

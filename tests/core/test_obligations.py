@@ -107,7 +107,7 @@ class TestPo4Po5:
 
     def test_po5_fails_with_tiny_pad(self):
         kernel = audited_system(
-            secret=3, tp=TimeProtectionConfig.full(pad_cycles=5)
+            secret=3, tp=TimeProtectionConfig.full(), pad_cycles=5
         )
         result = po5_padding_sufficient(kernel)
         assert not result.passed
@@ -115,7 +115,7 @@ class TestPo4Po5:
 
     def test_po4_reports_deviating_latency_with_tiny_pad(self):
         kernel = audited_system(
-            secret=3, tp=TimeProtectionConfig.full(pad_cycles=5)
+            secret=3, tp=TimeProtectionConfig.full(), pad_cycles=5
         )
         result = po4_constant_time_switch(kernel)
         assert not result.passed

@@ -47,11 +47,6 @@ class TestEndpointTable:
         assert table.try_receive(endpoint.endpoint_id, 30) == 1
         assert table.try_receive(endpoint.endpoint_id, 30) == 2
 
-    def test_default_min_cycles_applied(self):
-        table = EndpointTable(padded_ipc=True, default_min_cycles=700)
-        endpoint = table.create("e")
-        assert endpoint.min_exec_cycles == 700
-
     def test_earliest_visibility(self):
         table = EndpointTable(padded_ipc=True)
         e1 = table.create("a", min_exec_cycles=5000)

@@ -83,7 +83,7 @@ def reference_run(kernel: Kernel, max_cycles: int, max_steps: int) -> None:
         if not below or _all_finished(kernel):
             break
         core = min(below, key=lambda core: core.clock.now)
-        kernel.step(core.core_id, max_cycles)
+        kernel.step(core.core_id)
         steps += 1
     kernel.total_steps += steps
 

@@ -8,6 +8,7 @@ import pytest
 from repro.hardware import Access, Compute
 from repro.kernel.objects import ReplayableProgram
 from repro.mc import McSpec, build_system
+from tests.kernel.test_clone_independence import SYSTEMS
 from tests.mc.oracle import state_fingerprint
 
 
@@ -15,18 +16,18 @@ def _spec(machine="micro"):
     return McSpec.for_machine(machine, "full")
 
 
-def _step(kernel, spec, steps=1):
+def _step(kernel, steps=1):
     for _ in range(steps):
-        kernel.step(core_id=0, max_cycles=spec.max_cycles)
+        kernel.step(core_id=0)
 
 
 class TestSnapshot:
-    def test_snapshot_is_independent_of_the_original(self):
-        spec = _spec()
-        kernel = build_system(spec, secret=1)
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_snapshot_is_independent_of_the_original(self, system):
+        kernel = SYSTEMS[system]()
         snap = kernel.clone_for_mc()
         before = state_fingerprint(snap)
-        _step(kernel, spec, 4)
+        _step(kernel, 4)
         # The original moved; the snapshot must not have.
         assert state_fingerprint(snap) == before
         assert state_fingerprint(kernel) != before
@@ -34,10 +35,10 @@ class TestSnapshot:
     def test_snapshot_resumes_identically(self):
         spec = _spec()
         kernel = build_system(spec, secret=1)
-        _step(kernel, spec, 3)
+        _step(kernel, 3)
         snap = kernel.clone_for_mc()
-        _step(kernel, spec)
-        _step(snap, spec)
+        _step(kernel)
+        _step(snap)
         assert state_fingerprint(snap) == state_fingerprint(kernel)
 
     def test_smt_clone_keeps_sibling_sharing(self):
@@ -45,7 +46,7 @@ class TestSnapshot:
         # clone must rebuild that sharing, not split the pair.
         spec = _spec("smt")
         kernel = build_system(spec, secret=1)
-        _step(kernel, spec, 3)
+        _step(kernel, 3)
         clone = kernel.clone_for_mc()
         deep = copy.deepcopy(kernel)
         cores = clone.machine.cores
@@ -55,7 +56,7 @@ class TestSnapshot:
         cloned = {id(e) for e in clone.machine.all_state_elements()}
         assert not original & cloned
         for system in (kernel, clone, deep):
-            _step(system, spec, 4)
+            _step(system, 4)
         assert state_fingerprint(clone) == state_fingerprint(kernel)
         assert state_fingerprint(clone) == state_fingerprint(deep)
 

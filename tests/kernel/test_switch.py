@@ -72,9 +72,11 @@ class TestPadding:
 
     def test_insufficient_pad_flagged_as_overrun(self):
         machine = presets.tiny_machine()
-        kernel = Kernel(machine, TimeProtectionConfig.full(pad_cycles=10))
-        hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=2000)
-        lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=2000)
+        kernel = Kernel(machine, TimeProtectionConfig.full())
+        hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=2000,
+                                  pad_cycles=10)
+        lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=2000,
+                                  pad_cycles=10)
         record = execute_switch(kernel, machine, hi, lo, dirty_lines=8)
         assert record.overrun is True
         assert record.released_at > record.pad_target

@@ -297,9 +297,9 @@ class ReferenceChecker(ModelChecker):
             start = profile.now()
             for choice, child, _marks in children:
                 if not is_terminal(child.kernel_a, spec):
-                    apply_choice(child.kernel_a, choice, spec)
+                    apply_choice(child.kernel_a, choice)
                 if not is_terminal(child.kernel_b, spec):
-                    apply_choice(child.kernel_b, choice, spec)
+                    apply_choice(child.kernel_b, choice)
             profile.lap("step", start)
 
             # Phase 3: checks, fingerprint, dedup, enqueue -- in choice

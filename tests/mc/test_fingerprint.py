@@ -45,7 +45,7 @@ class TestStability:
         spec = _spec()
         kernel = build_system(spec, secret=0)
         before = [digest(kernel) for digest in DIGESTS]
-        kernel.step(core_id=0, max_cycles=spec.max_cycles)
+        kernel.step(core_id=0)
         after = [digest(kernel) for digest in DIGESTS]
         assert after[0] != before[0]
         assert after[1] != before[1]
@@ -97,8 +97,8 @@ class TestSymmetry:
         a = self._system_with_names(spec, "Hi")
         b = self._system_with_names(spec, "Trojan")
         for _ in range(6):
-            a.step(core_id=0, max_cycles=spec.max_cycles)
-            b.step(core_id=0, max_cycles=spec.max_cycles)
+            a.step(core_id=0)
+            b.step(core_id=0)
         assert canonical_state(a) == canonical_state(b)
         for digest in DIGESTS:
             assert digest(a) == digest(b), digest.__name__

@@ -87,11 +87,10 @@ class TestTableCrypto:
 class TestDowngraderPipeline:
     def test_three_stage_pipeline_delivers(self):
         machine = presets.tiny_machine()
-        kernel = Kernel(machine, TimeProtectionConfig.full(padded_ipc=True,
-                                                           ipc_min_cycles=9000))
+        kernel = Kernel(machine, TimeProtectionConfig.full(padded_ipc=True))
         hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=25_000)
         lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=8_000)
-        to_crypto = kernel.create_endpoint("to_crypto")
+        to_crypto = kernel.create_endpoint("to_crypto", min_exec_cycles=9000)
         to_network = kernel.create_endpoint(
             "to_network", min_exec_cycles=15_000, receiver_domain=lo
         )
