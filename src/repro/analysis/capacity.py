@@ -5,15 +5,19 @@ information with the plugin estimator under a given (default uniform)
 input distribution.  For the noiseless, deterministic channels this
 simulator produces, both converge quickly and agree with the analytic
 values (log2 of the number of distinguishable inputs).
+
+Each estimator imports numpy itself, so only a command that estimates a
+channel pays for loading it.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Optional, Sequence, Tuple
 
 from .channel_matrix import ChannelMatrix, from_samples
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EPS = 1e-12
 
@@ -22,6 +26,8 @@ def mutual_information(
     matrix: ChannelMatrix, input_dist: Optional[Sequence[float]] = None
 ) -> float:
     """I(X;Y) in bits for the given input distribution (default uniform)."""
+    import numpy as np
+
     conditional = matrix.matrix
     n_inputs = matrix.n_inputs
     if input_dist is None:
@@ -68,6 +74,8 @@ def blahut_arimoto(
     Standard Blahut-Arimoto iteration; converges geometrically for any
     row-stochastic matrix.
     """
+    import numpy as np
+
     conditional = np.clip(matrix.matrix, _EPS, 1.0)
     conditional = conditional / conditional.sum(axis=1, keepdims=True)
     n_inputs = matrix.n_inputs
@@ -105,6 +113,8 @@ def min_leakage(matrix: ChannelMatrix) -> float:
     capacity because it bounds single-guess attacks that Shannon capacity
     can understate.
     """
+    import numpy as np
+
     column_maxima = matrix.matrix.max(axis=0)
     return float(np.log2(max(column_maxima.sum(), 1.0)))
 
@@ -120,6 +130,8 @@ def estimator_bias_bits(n_samples_per_input: int, n_outputs: int) -> float:
     Useful as a "noise floor": measured MI below this value on a closed
     channel is consistent with zero true leakage.
     """
+    import numpy as np
+
     if n_samples_per_input <= 0:
         return float("inf")
     return (n_outputs - 1) / (2.0 * n_samples_per_input * np.log(2.0))

@@ -11,9 +11,10 @@ observations (the harness's ``quantum``) before they get here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -48,6 +49,8 @@ class ChannelMatrix:
 
     def is_degenerate(self) -> bool:
         """True iff all rows are identical: a channel carrying nothing."""
+        import numpy as np
+
         if self.n_inputs < 2:
             return True
         return bool(np.allclose(self.matrix, self.matrix[0:1, :]))
@@ -57,6 +60,8 @@ def from_samples(
     samples: Sequence[Tuple[Hashable, Hashable]]
 ) -> ChannelMatrix:
     """Build a channel matrix from (input symbol, observation) pairs."""
+    import numpy as np
+
     if not samples:
         raise ValueError("no samples")
     inputs = sorted({symbol for symbol, _obs in samples}, key=repr)

@@ -6,8 +6,10 @@ cross a ``multiprocessing`` pickle boundary without dragging closures or
 simulator state along.  Worker processes resolve the names back to
 factories through these registries.
 
-``MACHINES`` and ``TP_CONFIGS`` are the canonical catalogues for the
-whole package; ``repro.cli`` re-exports them.
+``ATTACKS`` is defined here.  ``MACHINES`` and ``TP_CONFIGS`` belong to
+the layers that define what they name (``hardware.presets`` and
+``kernel.timeprotect``); this module re-exports them so a trial resolves
+all three names in one place.
 """
 
 from __future__ import annotations
@@ -26,31 +28,8 @@ from ..attacks import (
     switch_latency,
 )
 from ..attacks.harness import ChannelResult
-from ..hardware import presets
-from ..kernel import TimeProtectionConfig
-
-MACHINES: Dict[str, Callable] = {
-    "micro": presets.micro_machine,
-    "tiny": presets.tiny_machine,
-    "pocket": presets.pocket_machine,
-    "tiny2": lambda: presets.tiny_machine(n_cores=2),
-    "desktop": presets.desktop_machine,
-    "smt": presets.tiny_smt_machine,
-    "unflushable": presets.tiny_unflushable_machine,
-    "broken-flush": presets.tiny_broken_flush_machine,
-    "nocolour": lambda: presets.tiny_nocolour_machine(n_cores=1),
-    "contended": presets.contended_machine,
-}
-
-TP_CONFIGS: Dict[str, Callable[[], TimeProtectionConfig]] = {
-    "full": TimeProtectionConfig.full,
-    "none": TimeProtectionConfig.none,
-    "way": TimeProtectionConfig.full_with_way_partitioning,
-    "no-pad": lambda: TimeProtectionConfig.full().without(pad_switch=False),
-    "no-flush": lambda: TimeProtectionConfig.full().without(flush_on_switch=False),
-    "no-clone": lambda: TimeProtectionConfig.full().without(kernel_clone=False),
-    "no-colour": lambda: TimeProtectionConfig.full().without(cache_colouring=False),
-}
+from ..hardware.presets import MACHINES
+from ..kernel.timeprotect import TP_CONFIGS, TimeProtectionConfig
 
 
 @dataclass(frozen=True)

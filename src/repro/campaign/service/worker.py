@@ -44,6 +44,12 @@ class CoordinatorUnreachable(Exception):
 
 
 def _mp_context():
+    # Every campaign fork starts here.  The estimators import numpy at
+    # their first call; loading it now, before any fork, lets forked
+    # workers and trial children share this process's copy instead of
+    # each importing its own.
+    import numpy  # noqa: F401
+
     # fork shares test-registered attacks with workers and trial
     # children; spawn still works (run_trial is module-level).
     try:

@@ -65,18 +65,22 @@ import argparse
 import sys
 from typing import List
 
-from .campaign.registry import MACHINES, TP_CONFIGS
 from .core import (
     AbstractHardwareModel,
     format_report,
     prove_time_protection,
 )
 from .hardware import Access, Compute, Halt, ReadTime, Syscall
+from .hardware.presets import MACHINES
 from .kernel import ColourExhausted, Kernel, TimeProtectionConfig
+from .kernel.timeprotect import TP_CONFIGS
 
 
 def _hi_program(ctx):
     secret = ctx.params["secret"]
+    # Instructions are immutable; build the loop-invariant ones once.
+    nop = Syscall("nop")
+    spin = Compute(15)
     for i in range(80):
         yield Access(
             ctx.data_base + (i * (secret + 1) * ctx.line_size) % ctx.data_size,
@@ -84,14 +88,15 @@ def _hi_program(ctx):
             value=i,
         )
         if i % 9 == 0:
-            yield Syscall("nop")
+            yield nop
     while True:
-        yield Compute(15)
+        yield spin
 
 
 def _lo_program(ctx):
+    read_time = ReadTime()
     for i in range(150):
-        yield ReadTime()
+        yield read_time
         yield Access(ctx.data_base + (i * ctx.line_size) % ctx.data_size)
     yield Halt()
 

@@ -12,9 +12,14 @@ the *right* reason on each of them:
 * ``tiny_broken_flush`` -- an L1D whose flush does not reset all lines.
 * ``tiny_nocolour``  -- an LLC with a single page colour: a shared cache
                         the OS cannot partition.
+
+``MACHINES`` names the presets the CLI, the model checker and campaign
+trials choose from.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Dict
 
 from .cache import ReplacementPolicy
 from .geometry import CacheGeometry
@@ -161,3 +166,18 @@ def tiny_nocolour_machine(n_cores: int = 2) -> Machine:
     config = tiny_config(n_cores=n_cores)
     config.llc_geometry = CacheGeometry(sets=8, ways=16, line_size=32)
     return Machine(config)
+
+
+#: Every machine preset by its command-line name.
+MACHINES: Dict[str, Callable[[], Machine]] = {
+    "micro": micro_machine,
+    "tiny": tiny_machine,
+    "pocket": pocket_machine,
+    "tiny2": lambda: tiny_machine(n_cores=2),
+    "desktop": desktop_machine,
+    "smt": tiny_smt_machine,
+    "unflushable": tiny_unflushable_machine,
+    "broken-flush": tiny_broken_flush_machine,
+    "nocolour": lambda: tiny_nocolour_machine(n_cores=1),
+    "contended": contended_machine,
+}

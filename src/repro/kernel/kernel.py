@@ -29,7 +29,7 @@ from ..hardware.cpu import Core, StepResult, TrapKind
 from ..hardware.isa import Observation, ProgramContext
 from ..hardware.machine import Machine
 from ..hardware.mmu import AddressSpaceManager
-from ..hardware.state import Evidence, copy_attributes
+from ..hardware.state import Evidence, Instrumentation, copy_attributes
 from .colour_alloc import ColourAwareAllocator, ColourExhausted
 from .clone import KernelCloneManager
 from .ipc import Endpoint, EndpointTable
@@ -187,6 +187,10 @@ class Kernel:
         # ...) -- the paper's "unspecified deterministic function"
         # arguments -- when ``Evidence.footprints`` is declared, else ().
         self.case_log: List[Tuple[str, str, Tuple]] = []
+        # One stored copy of each distinct footprint: most steps repeat
+        # an earlier step's footprint, and a repeat's fresh tuple is
+        # dropped at the append (see ``_footprint``).
+        self._footprints: Dict[Tuple, Tuple] = {}
 
     # ------------------------------------------------------------------
     # Configuration surface
@@ -469,6 +473,7 @@ class Kernel:
             for core_id, tcb in self._current_tcb.items()
         }
         other.case_log = list(self.case_log)
+        other._footprints = dict(self._footprints)
         fp_cache = getattr(self, "_mc_fp_cache", None)
         if fp_cache is not None:
             other._mc_fp_cache = dict(fp_cache)
@@ -660,10 +665,15 @@ class Kernel:
                 self.case_log.append((
                     case,
                     name,
-                    tuple(instrumentation.footprint) if footprints else (),
+                    self._footprint(instrumentation) if footprints else (),
                 ))
             if trapped or steps == budget or clock.now >= limit:
                 return steps
+
+    def _footprint(self, instrumentation: Instrumentation) -> Tuple:
+        """The step's footprint as the case log's one copy of it."""
+        footprint = tuple(instrumentation.footprint)
+        return self._footprints.setdefault(footprint, footprint)
 
     def _idle(self, core: Core, domain: Domain, now: int, switch_at: int) -> None:
         """Nothing runnable: advance to the next relevant event.
@@ -802,7 +812,7 @@ class Kernel:
             self.case_log.append((
                 "2b",
                 context,
-                tuple(instrumentation.footprint) if evidence.footprints else (),
+                self._footprint(instrumentation) if evidence.footprints else (),
             ))
         self.scheduler.advance(core_id, release_time=record.released_at)
         self.irq_policy.apply_masks(core.irq, to_domain)

@@ -21,11 +21,16 @@ switchable so experiments can ablate them one at a time and show that
                             et al. [2014]): the switch to the receiver
                             happens only once the sender domain has
                             executed for a pre-determined minimum time.
+
+``TP_CONFIGS`` names the configurations the CLI, the model checker and
+campaign trials choose from: ``full``, ``none``, ``way`` and one
+single-mechanism ablation of ``full`` per ``no-*`` name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, Dict
 
 
 @dataclass(frozen=True)
@@ -89,3 +94,15 @@ class TimeProtectionConfig:
             if getattr(self, name):
                 names.append(name)
         return tuple(names)
+
+
+#: Every time-protection configuration by its command-line name.
+TP_CONFIGS: Dict[str, Callable[[], TimeProtectionConfig]] = {
+    "full": TimeProtectionConfig.full,
+    "none": TimeProtectionConfig.none,
+    "way": TimeProtectionConfig.full_with_way_partitioning,
+    "no-pad": lambda: TimeProtectionConfig.full().without(pad_switch=False),
+    "no-flush": lambda: TimeProtectionConfig.full().without(flush_on_switch=False),
+    "no-clone": lambda: TimeProtectionConfig.full().without(kernel_clone=False),
+    "no-colour": lambda: TimeProtectionConfig.full().without(cache_colouring=False),
+}

@@ -27,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from ..campaign.registry import MACHINES, TP_CONFIGS
 from ..hardware.isa import Access, Compute, Halt, ReadTime
+from ..hardware.presets import MACHINES
 from ..hardware.state import Evidence
 from ..kernel.kernel import Kernel
 from ..kernel.objects import ReplayableProgram, ThreadState
+from ..kernel.timeprotect import TP_CONFIGS
 
 #: The abstract choice alphabet: one kernel step, or an IRQ injection.
 STEP = ("step",)

@@ -23,7 +23,8 @@ from typing import Dict, Optional, Tuple, Union
 
 from ..analysis import estimator_bias_bits
 from ..attacks.harness import ChannelResult
-from ..campaign.registry import MACHINES, TP_CONFIGS
+from ..hardware.presets import MACHINES
+from ..kernel.timeprotect import TP_CONFIGS
 from .genome import Genome
 from .runner import experiment
 from .victims import DEFAULT_SYMBOLS, VICTIMS
@@ -51,8 +52,9 @@ class EpisodeEvaluation:
 class ChannelGuessEnv:
     """Gym-style environment over the existing ``Machine``/``Kernel``.
 
-    Names resolve through the campaign registries, so an env spec is
-    plain data (strings + ints) and crosses process boundaries freely.
+    Names resolve through ``MACHINES`` and ``TP_CONFIGS``, so an env
+    spec is plain data (strings + ints) and crosses process boundaries
+    freely.
     """
 
     machine: str = "tiny"

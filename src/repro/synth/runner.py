@@ -58,12 +58,16 @@ def build(
     pages = data_pages if data_pages is not None else geometry.ways + 2
     hi = kernel.create_domain("Hi", n_colours=2, slice_cycles=hi_slice)
     lo = kernel.create_domain("Lo", n_colours=2, slice_cycles=lo_slice)
-    # Endpoint 0 exists so victims may make send/poll syscalls.
-    kernel.create_endpoint("synth")
+    # An endpoint the victim may send to and poll, named by its params.
+    endpoint = kernel.create_endpoint("synth")
     kernel.create_thread(
         hi,
         ReplayableProgram.factory(VICTIMS[victim]),
-        params={"symbol": symbol, **(victim_params or {})},
+        params={
+            "symbol": symbol,
+            "endpoint": endpoint.endpoint_id,
+            **(victim_params or {}),
+        },
         data_pages=hi_data_pages if hi_data_pages is not None else geometry.ways,
         daemon=True,
     )

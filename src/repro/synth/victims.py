@@ -24,13 +24,7 @@ from ..hardware.isa import Access, Compute, ProgramContext, Syscall
 
 #: Syscall handlers a ``syscall_user`` victim cycles between; each has a
 #: distinct kernel-text footprint (see ``kernel.syscalls._OP_COSTS``).
-#: The runner creates endpoint 0 so ``send``/``poll`` always resolve.
-_SYSCALL_OPS = (
-    ("nop", ()),
-    ("send", (0, 0)),
-    ("poll", (0,)),
-    ("sleep", (0,)),
-)
+_SYSCALL_OPS = ("nop", "send", "poll", "sleep")
 
 
 def set_hammer_victim(ctx: ProgramContext, index: int, observation):
@@ -53,12 +47,20 @@ def syscall_user_victim(ctx: ProgramContext, index: int, observation):
 
     The handler's text lines (and only those) become cache-resident in
     the domain's kernel image -- the footprint flush+reload reads.
+    ``send`` and ``poll`` use the endpoint the runner created, whose id
+    it passes as ``ctx.params["endpoint"]``.
     """
     symbol = ctx.params["symbol"]
     if index % 4 == 3:
         return Compute(40)
-    op, args = _SYSCALL_OPS[symbol % len(_SYSCALL_OPS)]
-    return Syscall(op, args)
+    op = _SYSCALL_OPS[symbol % len(_SYSCALL_OPS)]
+    if op == "send":
+        return Syscall(op, (ctx.params["endpoint"], 0))
+    if op == "poll":
+        return Syscall(op, (ctx.params["endpoint"],))
+    if op == "sleep":
+        return Syscall(op, (0,))
+    return Syscall(op)
 
 
 def stream_strider_victim(ctx: ProgramContext, index: int, observation):

@@ -512,6 +512,16 @@ class TestSynth:
         assert code == 2
         assert "cannot load genomes" in capsys.readouterr().err
 
+    def test_syscall_user_victim_runs(self, tmp_path):
+        # Its send and poll name the endpoint the runner created.
+        code = main([
+            "synth", "--machine", "tiny", "--tp", "none",
+            "--victim", "syscall_user", "--generations", "1",
+            "--population", "4", "--rounds", "2", "--sweep-rounds", "1",
+            "--seed", "7", "--store", str(tmp_path / "fit.jsonl"), "--quiet",
+        ])
+        assert code == 0
+
     def test_bad_victim_exits_two(self, capsys):
         code = main(["synth", "--victim", "bogus", *SYNTH_FAST])
         assert code == 2
